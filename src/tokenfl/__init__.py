@@ -22,7 +22,7 @@ from .mechanisms import (
     utility,
     value,
 )
-from .privacy import LdpConfig, perturb_gradients, perturb_scalar
+from .privacy import LdpConfig, perturb_gradients
 from .strategy import ClientState, nash_check
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "value",
     "LdpConfig",
     "perturb_gradients",
-    "perturb_scalar",
     "ClientState",
     "nash_check",
 ]

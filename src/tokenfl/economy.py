@@ -1,11 +1,11 @@
-"""Token accounting: earn, spend, expire, and the forced-eviction rule.
+"""Token accounting: earn, spend, expire, and the age of an owned model.
 
 Each client owns one TokenLedger. Tokens arrive as lots stamped with the
 round they were earned in, are consumed oldest-first, and silently
 expire once they outlive the freshness window. The same window governs
 how stale a client's owned global model may get before the client is
-barred from training; a barred client that cannot afford a fresh model
-is evicted for good.
+barred from training; strategy.play_round applies that bar and evicts
+a barred client that cannot afford a fresh model.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "FreshnessPolicy",
     "TokenLedger",
     "model_age",
-    "check_eviction",
 ]
 
 
@@ -142,17 +141,3 @@ def model_age(owned_model_round: int, current_round: int, policy: FreshnessPolic
             f"owned_model_round {owned_model_round} is in the future of round {current_round}"
         )
     return _age(owned_model_round, current_round, policy, participated_rounds)
-
-
-def check_eviction(client, current_round: int, policy: FreshnessPolicy,
-                   balance: float, cost: float, participated_rounds=()) -> bool:
-    """Whether a client is forced out of the learning process.
-
-    True exactly when the client's owned model is too stale to train on
-    (age over the window under the policy's counting rule) and its
-    balance cannot cover a fresh one. `client` only needs an
-    owned_model_round attribute; participated_rounds feeds the
-    participated-rounds counting variant.
-    """
-    age = model_age(client.owned_model_round, current_round, policy, participated_rounds)
-    return age > policy.n and balance < cost

@@ -1,13 +1,15 @@
 """Round orchestration across the three incentive mechanisms.
 
-One round proceeds as: token expiry, group scheduling, participation
-decisions (with the freshness bar and forced eviction), local training
-on each participant's owned model, gradient randomization, token
-crediting, weighted aggregation, model purchases, and evaluation.
-Clients that were evicted in an earlier round keep training locally on
-their stale model, outside the federation. Everything is deterministic
-given the run seed: every random stream is derived from
-(seed, purpose, client, round).
+A round first settles every federated client's economics through
+strategy.play_round: token expiry, group scheduling, the freshness bar
+and forced eviction, participation decisions, token crediting, model
+purchases and payoffs. Only then does the learning step run: local
+training on each participant's owned model, gradient randomization,
+weighted aggregation, handing each buyer a copy of the new global
+model, and evaluation. Clients that were evicted in an earlier round
+keep training locally on their stale model, outside the federation.
+Everything is deterministic given the run seed: every random stream is
+derived from (seed, purpose, client, round).
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .economy import FreshnessPolicy, InsufficientTokens, TokenLedger, model_age
+# model_age, value, client_round_payoff and decide_participation go unused
+# here; perfbench/run.py instrument() patches them by name on this module.
+from .economy import FreshnessPolicy, TokenLedger, model_age
 from .learning import (
     DataPartition,
     Dataset,
@@ -31,7 +35,13 @@ from .learning import (
 )
 from .mechanisms import MechanismParams, baseline_token_reward, reward, utility, value
 from .privacy import LdpConfig, perturb_gradients
-from .strategy import ClientState, choose_epsilon, client_round_payoff, decide_participation
+from .strategy import (
+    ClientState,
+    choose_epsilon,
+    client_round_payoff,
+    decide_participation,
+    play_round,
+)
 
 __all__ = [
     "MECHANISMS",
@@ -164,7 +174,6 @@ class _Client:
     ledger: TokenLedger
     part: DataPartition
     model: np.ndarray
-    stopped: bool = False
 
 
 @dataclass
@@ -231,31 +240,14 @@ def init_state(config: SimConfig, datasets=None) -> EngineState:
     )
 
 
-def _wants_model(client: _Client, r: int, policy: FreshnessPolicy,
-                 participated_now: bool, barred: bool, price: float) -> bool:
-    """Purchase rule: keep the owned model exactly fresh enough to train.
-
-    A participant buys at the last round that keeps its model inside the
-    freshness window until the next purchase opportunity; with n = 1
-    that is every participated round. A stale but solvent non-participant
-    buys to re-enter training.
-    """
-    owned = client.state.owned_model_round
-    if participated_now:
-        if policy.counts_participated_only:
-            age_now = sum(1 for p in client.ledger.participated_rounds if owned < p <= r)
-            return age_now >= policy.n
-        return (r + 1) - owned > policy.n
-    return barred and client.ledger.balance >= price
-
-
 def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
     """Advance the simulation by one round and record what happened."""
     r = state.round + 1
     params = config.params
-    policy = config.freshness
     baseline = config.mechanism == "baseline"
+    policy = None if baseline else config.freshness
     price = BASELINE_PRICE if baseline else float(params.C)
+    stride = None if baseline else config.stride
 
     scheduled_ids = set(
         schedule_group(r, config.clients, params.G)
@@ -266,45 +258,26 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
     rows = {}
     drifters = []
     trainers = []
+    buyers = []
     for c in state.clients:
-        cid = c.state.id
-        evicted_at_start = c.state.evicted
-        expired = 0.0
-        if not evicted_at_start and not baseline:
-            expired = c.ledger.expire(r, policy)
-
-        scheduled = cid in scheduled_ids and not evicted_at_start
-        participated = False
-        barred = False
-        if evicted_at_start:
+        if c.state.evicted:
             drifters.append(c)
-        elif scheduled:
-            if baseline:
-                participated = True
-            else:
-                age = model_age(
-                    c.state.owned_model_round, r, policy, c.ledger.participated_rounds
-                )
-                barred = age > policy.n
-                if barred and c.ledger.balance < price:
-                    c.state.evicted = True
-                if not c.state.evicted and not barred and not c.stopped:
-                    if decide_participation(c.state, r, config.stride, params):
-                        participated = True
-                    else:
-                        c.stopped = True
+            rows[c.state.id] = dict(scheduled=False, participated=False, bought=False,
+                                    earned=0.0, spent=0.0, expired=0.0)
+            continue
+        eps = c.state.chosen_eps
+        earn = baseline_token_reward(eps, params) if baseline else reward(eps, params)
+        scheduled = c.state.id in scheduled_ids
+        expired, participated, bought = play_round(
+            c.state, c.ledger, r, params, policy, price, earn, scheduled, stride
+        )
+        rows[c.state.id] = dict(scheduled=scheduled, participated=participated, bought=bought,
+                                earned=earn if participated else 0.0,
+                                spent=price if bought else 0.0, expired=expired)
         if participated:
             trainers.append(c)
-
-        rows[cid] = dict(
-            scheduled=scheduled,
-            participated=participated,
-            barred=barred,
-            expired=expired,
-            earned=0.0,
-            spent=0.0,
-            bought=False,
-        )
+        if bought:
+            buyers.append(c)
 
     grads = []
     sizes = []
@@ -328,15 +301,6 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
         grads.append(g)
         sizes.append(len(c.part))
 
-        earn = (
-            baseline_token_reward(c.state.chosen_eps, params)
-            if baseline
-            else reward(c.state.chosen_eps, params)
-        )
-        c.ledger.record_participation(r)
-        c.ledger.credit(earn, r)
-        rows[c.state.id]["earned"] = earn
-
     for c in drifters:
         g = local_train(
             ModelParams(c.model, state.layers),
@@ -353,31 +317,8 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
         state.server = aggregate(
             ModelParams(state.server, state.layers), grads, sizes, config.lr
         ).vector
-
-    for c in state.clients:
-        if c.state.evicted:
-            continue
-        row = rows[c.state.id]
-        if baseline:
-            wants = c.ledger.balance >= price
-        else:
-            wants = _wants_model(c, r, policy, row["participated"], row["barred"], price)
-        bought = False
-        gain = 0.0
-        if wants:
-            try:
-                c.ledger.spend(price, r)
-                bought = True
-                gain = value(r) - value(c.state.owned_model_round)
-                c.state.owned_model_round = r
-                c.model = state.server.copy()
-                row["spent"] = price
-            except InsufficientTokens:
-                pass
-        row["bought"] = bought
-        c.state.cumulative_payoff += client_round_payoff(
-            bought, gain, c.state.chosen_eps, row["participated"], params
-        )
+    for c in buyers:
+        c.model = state.server.copy()
 
     acc_cache = {}
 
@@ -387,25 +328,18 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
             acc_cache[key] = evaluate(ModelParams(model_vec, state.layers), state.local_test)
         return acc_cache[key]
 
-    client_rows = []
-    for c in state.clients:
-        row = rows[c.state.id]
-        client_rows.append(
-            ClientRound(
-                client=c.state.id,
-                eps=c.state.chosen_eps,
-                scheduled=row["scheduled"],
-                participated=row["participated"],
-                bought=row["bought"],
-                evicted=c.state.evicted,
-                earned=row["earned"],
-                spent=row["spent"],
-                expired=row["expired"],
-                balance=c.ledger.balance,
-                utility=None if baseline else utility(r, c.state.chosen_eps, config.stride, params),
-                local_accuracy=local_accuracy(c.model),
-            )
+    client_rows = [
+        ClientRound(
+            client=c.state.id,
+            eps=c.state.chosen_eps,
+            evicted=c.state.evicted,
+            balance=c.ledger.balance,
+            utility=None if baseline else utility(r, c.state.chosen_eps, config.stride, params),
+            local_accuracy=local_accuracy(c.model),
+            **rows[c.state.id],
         )
+        for c in state.clients
+    ]
 
     global_accuracy = evaluate(ModelParams(state.server, state.layers), state.global_test)
     state.round = r

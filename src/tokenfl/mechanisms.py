@@ -10,6 +10,7 @@ simulation engine plays out.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,6 @@ __all__ = [
     "reward",
     "utility",
     "predict_collapse_round",
-    "participation_condition_n",
     "calibrate_cost_range",
 ]
 
@@ -157,20 +157,6 @@ def predict_collapse_round(eps, stride, horizon, params: MechanismParams):
     return None
 
 
-def participation_condition_n(t, n, eps, params: MechanismParams) -> bool:
-    """Whether an n-round participation block starting at round t pays off.
-
-    Compares the value gained by upgrading from the round-t model to the
-    round-(t + n) model against n rounds of privacy cost. t must be a
-    multiple of n (blocks are aligned to the freshness window).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if t < 0 or t % n != 0:
-        raise ValueError(f"t must be a nonnegative multiple of n, got t={t}, n={n}")
-    return value(t + n) - value(t) >= n * cost(eps, params)
-
-
 def _collapse_from_increments(gains: np.ndarray, c: float):
     """Index (1-based round) of the first gain below c, or None."""
     below = np.nonzero(gains < c)[0]
@@ -216,38 +202,28 @@ def calibrate_cost_range(
     gains2 = v[3 : scan_rounds + 3] - v[1 : scan_rounds + 1]
     assert gains1.shape == ts.shape
 
-    def cost_at(eps, c_min, c_max):
-        if eps >= params.eps_max:
-            return c_max
-        raw = (c_max - c_min) * ((eps - 1.0) / (params.eps_max - 1.0)) ** 3 + c_min
-        return min(max(raw, c_min), c_max)
-
     eps_top = max(e for e, _ in targets)
     best = None
     for c_min in c_min_grid:
         for c_max in c_max_grid:
             if c_max <= c_min:
                 continue
+            candidate = dataclasses.replace(params, c_min=c_min, c_max=c_max)
             if any(
-                _collapse_from_increments(gains1[:horizon], cost_at(e, c_min, c_max))
-                is not None
+                _collapse_from_increments(gains1[:horizon], cost(e, candidate)) is not None
                 for e in never
             ):
                 continue
             if any(
-                _collapse_from_increments(gains2[:horizon], cost_at(e, c_min, c_max))
-                is not None
+                _collapse_from_increments(gains2[:horizon], cost(e, candidate)) is not None
                 for e in never_stride2
             ):
                 continue
-            rounds = [
-                _collapse_from_increments(gains1, cost_at(e, c_min, c_max))
-                for e, _ in targets
-            ]
+            rounds = [_collapse_from_increments(gains1, cost(e, candidate)) for e, _ in targets]
             if any(r is None for r in rounds):
                 continue
             top_s1 = rounds[[e for e, _ in targets].index(eps_top)]
-            top_s2 = _collapse_from_increments(gains2, cost_at(eps_top, c_min, c_max))
+            top_s2 = _collapse_from_increments(gains2, cost(eps_top, candidate))
             if top_s2 is not None and top_s2 <= top_s1:
                 continue
             obj = sum((r - want) ** 2 for r, (_, want) in zip(rounds, targets))

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "LdpConfig",
-    "perturb_scalar",
     "perturb_gradients",
     "analytic_ldp_ratio",
     "RatioEstimate",
@@ -63,18 +62,6 @@ def _upper_probability(w, cfg: LdpConfig):
     _, t = _two_point_terms(cfg)
     clipped = np.clip(w, cfg.center - cfg.radius, cfg.center + cfg.radius)
     return 0.5 * (1.0 + (clipped - cfg.center) / cfg.radius * t)
-
-
-def perturb_scalar(w: float, cfg: LdpConfig, rng: np.random.Generator) -> float:
-    """Randomize one scalar; the expectation equals w clipped to the range."""
-    if cfg.mechanism == "laplace":
-        clipped = min(max(w, cfg.center - cfg.radius), cfg.center + cfg.radius)
-        return clipped + rng.laplace(0.0, 2.0 * cfg.radius / cfg.eps)
-    bound, _ = _two_point_terms(cfg)
-    p_up = _upper_probability(w, cfg)
-    if rng.random() < p_up:
-        return cfg.center + bound
-    return cfg.center - bound
 
 
 def perturb_gradients(g, cfg: LdpConfig, rng: np.random.Generator) -> np.ndarray:

@@ -1,10 +1,14 @@
-"""Client decision policy and the brute-force equilibrium oracle.
+"""Client decision policy, the rules of the token game, and the
+brute-force equilibrium oracle.
 
 Clients commit to one privacy budget for the whole run. The rational
 commitment under the strategic mechanism is eps_a: participation is
 rewarded with exactly the model price there, while lower budgets earn
 too little to stay solvent and higher budgets pay more privacy cost for
-the same tokens. nash_check verifies that claim by exhaustively pricing
+the same tokens. play_round is the single implementation of one
+client's round (expiry, the freshness bar, eviction, participation,
+earning, purchase and payoff); the engine calls it for every client and
+nash_check replays it for one client in isolation, exhaustively pricing
 every single-client deviation onto a grid of budgets.
 """
 
@@ -20,6 +24,7 @@ __all__ = [
     "choose_epsilon",
     "decide_participation",
     "client_round_payoff",
+    "play_round",
     "Deviation",
     "NashReport",
     "nash_check",
@@ -34,6 +39,7 @@ class ClientState:
     chosen_eps: float
     owned_model_round: int = 0
     evicted: bool = False
+    stopped: bool = False
     cumulative_payoff: float = 0.0
 
 
@@ -78,6 +84,55 @@ def client_round_payoff(bought: bool, value_gain: float, eps: float,
     gain = value_gain if bought else 0.0
     spent = cost(eps, params) if participated else 0.0
     return gain - spent
+
+
+def play_round(client: ClientState, ledger: TokenLedger, t: int, params: MechanismParams,
+               policy: FreshnessPolicy | None, price: float, earn: float,
+               scheduled: bool = True, stride: int | None = None) -> tuple[float, bool, bool]:
+    """Play one client's round t of the token game.
+
+    In order: expire tokens; bar a model older than the freshness window
+    and evict a barred, scheduled client whose balance cannot cover
+    `price`; let a scheduled client with a fresh model train, unless it
+    refused once before or, given a `stride`, refuses now on utility
+    (with stride None it always complies); credit `earn` for training;
+    buy a model once the owned one is a full window old; book the
+    round's payoff into client.cumulative_payoff. An evicted client
+    books nothing. policy None is the baseline scheme: nothing expires,
+    no model goes stale, and every affordable model is bought. Returns
+    (expired, participated, bought).
+    """
+    expired, age, window = 0.0, 0, 0
+    if policy is not None:
+        expired = ledger.expire(t, policy)
+        age = model_age(client.owned_model_round, t, policy, ledger.participated_rounds)
+        window = policy.n
+    if scheduled and age > window and ledger.balance < price:
+        client.evicted = True
+        return expired, False, False
+    participated = scheduled and age <= window and not client.stopped
+    if participated and stride is not None:
+        participated = decide_participation(client, t, stride, params)
+        client.stopped = not participated
+    if participated:
+        ledger.record_participation(t)
+        ledger.credit(earn, t)
+        if policy is not None and policy.counts_participated_only:
+            age += 1  # the round just recorded counts toward the model's age
+    bought = False
+    gain = 0.0
+    if age >= window:
+        try:
+            ledger.spend(price, t)
+            bought = True
+            gain = value(t) - value(client.owned_model_round)
+            client.owned_model_round = t
+        except InsufficientTokens:
+            pass
+    client.cumulative_payoff += client_round_payoff(
+        bought, gain, client.chosen_eps, participated, params
+    )
+    return expired, participated, bought
 
 
 @dataclass(frozen=True)
@@ -130,41 +185,21 @@ class NashReport:
 def _trajectory(eps: float, horizon: int, params: MechanismParams):
     """Cumulative payoff of one client playing `eps` for `horizon` rounds.
 
-    Runs the token dynamics analytically: the shared value curve is
-    insensitive to any single client's noise level, so one client's
-    ledger can be simulated in isolation. Participation follows the
-    mechanism schedule while the client remains solvent and fresh; the
+    The shared value curve is insensitive to any single client's noise
+    level, so one client's ledger can be played out in isolation. The
     strategy space of the game is the budget alone, so deviators comply
     with the schedule and differ only in what they earn and what their
     privacy costs. Returns (payoff, participated_round_count).
     """
-    policy = FreshnessPolicy(n=params.n)
-    ledger = TokenLedger()
-    owned = 0
-    payoff = 0.0
+    client, ledger = ClientState(id=0, chosen_eps=eps), TokenLedger()
+    policy, earn = FreshnessPolicy(n=params.n), reward(eps, params)
     participated = 0
     for t in range(1, horizon + 1):
-        ledger.expire(t, policy)
-        age = model_age(owned, t, policy)
-        if age > policy.n and ledger.balance < params.C:
+        _, trained, _ = play_round(client, ledger, t, params, policy, params.C, earn)
+        if client.evicted:
             break
-        bought = False
-        gain = 0.0
-        trained = age <= policy.n
-        if trained:
-            ledger.record_participation(t)
-            ledger.credit(reward(eps, params), t)
-            participated += 1
-        if (trained and (t + 1) - owned > policy.n) or (not trained):
-            try:
-                ledger.spend(params.C, t)
-                bought = True
-                gain = value(t) - value(owned)
-                owned = t
-            except InsufficientTokens:
-                pass
-        payoff += client_round_payoff(bought, gain, eps, trained, params)
-    return payoff, participated
+        participated += trained
+    return client.cumulative_payoff, participated
 
 
 def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> NashReport:

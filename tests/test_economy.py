@@ -1,5 +1,5 @@
 """Token ledger behavior: FIFO spending, expiry windows, the eviction
-predicate, and the closed loop that makes the acceptable budget
+rule of a round, and the closed loop that makes the acceptable budget
 self-sustaining."""
 
 import pytest
@@ -10,11 +10,10 @@ from tokenfl.economy import (
     InsufficientTokens,
     TokenLedger,
     TokenLot,
-    check_eviction,
     model_age,
 )
-from tokenfl.mechanisms import MechanismParams, reward
-from tokenfl.strategy import ClientState
+from tokenfl.mechanisms import MechanismParams, reward, value
+from tokenfl.strategy import ClientState, play_round
 
 
 class TestLots:
@@ -144,15 +143,30 @@ class TestParticipationLog:
 class TestModelAgeAndEviction:
     def test_fresh_model_never_evicts(self):
         client = ClientState(id=0, chosen_eps=15.0, owned_model_round=4)
-        assert not check_eviction(client, 4, FreshnessPolicy(n=1), 0.0, 1.0)
+        play_round(client, TokenLedger(), 5, MechanismParams(), FreshnessPolicy(n=1), 1.0, 1.0)
+        assert not client.evicted
 
     def test_stale_and_broke_evicts(self):
         client = ClientState(id=0, chosen_eps=15.0, owned_model_round=1)
-        assert check_eviction(client, 3, FreshnessPolicy(n=1), 0.0, 1.0)
+        result = play_round(
+            client, TokenLedger(), 3, MechanismParams(), FreshnessPolicy(n=1), 1.0, 1.0
+        )
+        assert client.evicted
+        assert result == (0.0, False, False)
+        assert client.cumulative_payoff == 0.0
 
     def test_stale_but_solvent_survives(self):
         client = ClientState(id=0, chosen_eps=15.0, owned_model_round=1)
-        assert not check_eviction(client, 3, FreshnessPolicy(n=1), 1.0, 1.0)
+        ledger = TokenLedger()
+        ledger.credit(1.0, 2)
+        policy = FreshnessPolicy(n=1)
+        assert play_round(client, ledger, 3, MechanismParams(), policy, 1.0, 1.0) == (
+            0.0, False, True
+        )
+        assert not client.evicted
+        assert client.owned_model_round == 3
+        assert client.cumulative_payoff == value(3) - value(1)
+        assert play_round(client, ledger, 4, MechanismParams(), policy, 1.0, 1.0)[1]
 
     def test_future_model_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Round engine: scheduling, freshness enforcement, purchases,
-eviction dynamics, conservation, and determinism.
+eviction dynamics, conservation, determinism, and agreement with the
+equilibrium oracle.
 
 These tests run on small synthetic datasets: token mechanics do not
 depend on what the model learns, only on the value/cost curves and the
@@ -17,6 +18,7 @@ from tokenfl.engine import (
     schedule_group,
 )
 from tokenfl.mechanisms import MechanismParams, baseline_token_reward, reward
+from tokenfl.strategy import _trajectory
 
 
 def config(**overrides):
@@ -265,3 +267,37 @@ class TestBaselineMode:
             for c in r.clients:
                 if c.bought:
                     assert c.spent == BASELINE_PRICE
+
+
+def run_with_state(cfg, datasets):
+    state = init_state(cfg, datasets)
+    return state, [run_round(state, cfg) for _ in range(cfg.horizon)]
+
+
+@pytest.mark.parametrize("C,n", [(1, 1), (2, 2), (4, 2)])
+class TestOracleAgreement:
+    """nash_check prices a client by replaying its ledger alone; the
+    engine must play the same game for every client it runs."""
+
+    def test_acceptable_budget_matches_trajectory(self, synthetic_datasets, C, n):
+        params = MechanismParams(C=C, n=n)
+        cfg = config(clients=6, eps=None, batches=1, horizon=30, params=params)
+        state, records = run_with_state(cfg, synthetic_datasets)
+        payoff, participated = _trajectory(params.eps_a, 30, params)
+        for c in state.clients:
+            assert c.state.cumulative_payoff == payoff
+            assert sum(r.clients[c.state.id].participated for r in records) == participated
+
+    def test_eviction_round_matches_trajectory(self, synthetic_datasets, C, n):
+        params = MechanismParams(C=C, n=n)
+        cfg = config(clients=6, eps=5, batches=1, horizon=30, params=params)
+        _, records = run_with_state(cfg, synthetic_datasets)
+        # Every round a client survives moves its payoff (privacy cost or
+        # model value), so the trajectory stops at the first horizon that
+        # adds nothing.
+        stop = next(
+            h for h in range(1, 31)
+            if _trajectory(5.0, h, params) == _trajectory(5.0, h - 1, params)
+        )
+        for k in range(6):
+            assert next(r.round for r in records if r.clients[k].evicted) == stop

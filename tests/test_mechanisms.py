@@ -11,7 +11,6 @@ from tokenfl.mechanisms import (
     baseline_token_reward,
     calibrate_cost_range,
     cost,
-    participation_condition_n,
     predict_collapse_round,
     reward,
     utility,
@@ -114,6 +113,13 @@ class TestValue:
     @given(st.integers(min_value=3, max_value=400))
     def test_diminishing_increments_after_ramp(self, t):
         assert value(t + 2) - value(t + 1) < value(t + 1) - value(t)
+
+    def test_averaged_gain_nonincreasing_in_window(self):
+        # (V(t+n) - V(t)) / n shrinking in n is what makes n = 1 the
+        # most durable window choice.
+        for t in (10, 20, 40):
+            averaged = [(value(t + n) - value(t)) / n for n in (1, 2, 5)]
+            assert averaged[0] >= averaged[1] >= averaged[2]
 
 
 class TestCost:
@@ -230,28 +236,6 @@ class TestPredictCollapseRound:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             predict_collapse_round(25.0, 1, 0, PARAMS)
-
-
-class TestParticipationConditionN:
-    def test_window_one_reduces_to_utility_sign(self):
-        for t in range(0, 60):
-            expected = utility(t, 20.0, 1, PARAMS) >= 0
-            assert participation_condition_n(t, 1, 20.0, PARAMS) == expected
-
-    def test_zero_cost_always_holds(self):
-        for n in (1, 2, 5):
-            assert participation_condition_n(10 * n, n, 5.0, ZERO_COST)
-
-    def test_averaged_gain_nonincreasing_in_window(self):
-        # (V(t+n) - V(t)) / n shrinking in n is what makes n = 1 the
-        # most durable window choice.
-        for t in (10, 20, 40):
-            averaged = [(value(t + n) - value(t)) / n for n in (1, 2, 5)]
-            assert averaged[0] >= averaged[1] >= averaged[2]
-
-    def test_unaligned_round_rejected(self):
-        with pytest.raises(ValueError):
-            participation_condition_n(3, 2, 15.0, PARAMS)
 
 
 class TestCalibration:

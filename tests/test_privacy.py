@@ -11,7 +11,6 @@ from tokenfl.privacy import (
     analytic_ldp_ratio,
     empirical_ldp_ratio,
     perturb_gradients,
-    perturb_scalar,
 )
 
 # Output offset of the two-point mechanism at eps = 1, radius 1:
@@ -72,12 +71,6 @@ class TestTwoPointSupport:
         cfg = LdpConfig(eps=1.0)
         with pytest.raises(ValueError):
             perturb_gradients(np.array([1.0, np.nan]), cfg, np.random.default_rng(0))
-
-    def test_scalar_interface_matches_support(self):
-        cfg = LdpConfig(eps=1.0)
-        rng = np.random.default_rng(5)
-        draws = np.array([perturb_scalar(0.3, cfg, rng) for _ in range(50)])
-        assert np.all(np.isclose(np.abs(draws), BOUND_EPS1, rtol=1e-12))
 
 
 class TestUnbiasedness:
