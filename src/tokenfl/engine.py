@@ -5,16 +5,16 @@ strategy.play_round: token expiry, group scheduling, the freshness bar
 and forced eviction, participation decisions, token crediting, model
 purchases and payoffs. Only then does the learning step run: local
 training on each participant's owned model, gradient randomization,
-weighted aggregation, handing each buyer a copy of the new global
-model, and evaluation. Clients that were evicted in an earlier round
-keep training locally on their stale model, outside the federation.
+weighted aggregation, handing each buyer the new global model, and
+evaluation. Model arrays are read-only, so all holders of one round's
+global model share its array. Clients that were evicted in an earlier
+round keep training locally on their stale model, outside the federation.
 Everything is deterministic given the run seed: every random stream is
 derived from (seed, purpose, client, round).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +108,10 @@ class SimConfig:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        if self.batches < 0 or self.batch_size < 1:
+            raise ValueError(
+                f"need batches >= 0 and batch_size >= 1, got {self.batches}, {self.batch_size}"
+            )
         if self.mechanism == "strategic-grouped":
             if self.params.G < 2:
                 raise ValueError("strategic-grouped requires G >= 2")
@@ -187,6 +191,11 @@ class EngineState:
     global_test: Dataset
 
 
+def _frozen(vector: np.ndarray) -> np.ndarray:
+    vector.flags.writeable = False
+    return vector
+
+
 def schedule_group(round_index: int, clients: int, G: int):
     """Ids scheduled this round: contiguous blocks rotating round-robin."""
     if G < 1:
@@ -219,13 +228,14 @@ def init_state(config: SimConfig, datasets=None) -> EngineState:
 
     parts = partition(train, config.clients, config.scheme, _stream(config.seed, _KIND_PARTITION))
     server = init_model(_stream(config.seed, _KIND_INIT))
+    _frozen(server.vector)
     eps = config.client_eps()
     clients = [
         _Client(
             state=ClientState(id=k, chosen_eps=eps[k]),
             ledger=TokenLedger(),
             part=parts[k],
-            model=server.vector.copy(),
+            model=server.vector,
         )
         for k in range(config.clients)
     ]
@@ -279,18 +289,15 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
         if bought:
             buyers.append(c)
 
+    def gradient(c):
+        return local_train(ModelParams(c.model, state.layers), state.train, c.part,
+                           config.batches, config.batch_size,
+                           _stream(config.seed, _KIND_TRAIN, c.state.id, r))
+
     grads = []
     sizes = []
     for c in trainers:
-        g = local_train(
-            ModelParams(c.model, state.layers),
-            state.train,
-            c.part,
-            config.batches,
-            config.batch_size,
-            config.lr,
-            _stream(config.seed, _KIND_TRAIN, c.state.id, r),
-        )
+        g = gradient(c)
         if config.ldp:
             cfg = LdpConfig(
                 eps=c.state.chosen_eps,
@@ -302,28 +309,20 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
         sizes.append(len(c.part))
 
     for c in drifters:
-        g = local_train(
-            ModelParams(c.model, state.layers),
-            state.train,
-            c.part,
-            config.batches,
-            config.batch_size,
-            config.lr,
-            _stream(config.seed, _KIND_TRAIN, c.state.id, r),
-        )
-        c.model = c.model - config.lr * g
+        c.model = _frozen(c.model - config.lr * gradient(c))
 
     if grads:
-        state.server = aggregate(
+        state.server = _frozen(aggregate(
             ModelParams(state.server, state.layers), grads, sizes, config.lr
-        ).vector
+        ).vector)
     for c in buyers:
-        c.model = state.server.copy()
+        c.model = state.server
 
+    # Keyed by identity: holders of one global model share its array.
     acc_cache = {}
 
     def local_accuracy(model_vec):
-        key = hashlib.blake2b(model_vec.tobytes(), digest_size=16).digest()
+        key = id(model_vec)
         if key not in acc_cache:
             acc_cache[key] = evaluate(ModelParams(model_vec, state.layers), state.local_test)
         return acc_cache[key]

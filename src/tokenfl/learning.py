@@ -285,14 +285,16 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _batch_gradient(vector: np.ndarray, layers, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the mean softmax cross-entropy over one batch."""
+def _batch_gradient(vector: np.ndarray, layers, x: np.ndarray, y: np.ndarray,
+                    weight: np.ndarray) -> np.ndarray:
+    """Gradient of the softmax cross-entropy of each row times its weight,
+    summed over rows; weights of 1/len(y) give the batch mean."""
     acts = _forward(vector, layers, x)
     grad = np.zeros_like(vector)
     gmats = _unpack(grad, layers)
     delta = _softmax(acts[-1])
     delta[np.arange(len(y)), y] -= 1.0
-    delta /= len(y)
+    delta *= weight[:, None]
     for i in range(len(gmats) - 1, -1, -1):
         gw, gb = gmats[i]
         gw[:] = acts[i].T @ delta
@@ -311,28 +313,24 @@ def batch_loss(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def local_train(params: ModelParams, dataset: Dataset, part: DataPartition,
-                batches: int, batch_size: int, lr: float, seed) -> np.ndarray:
+                batches: int, batch_size: int, seed) -> np.ndarray:
     """One round of local training: the gradient a client uploads.
 
-    Returns the sum of per-batch mean gradients, every batch evaluated
-    at the incoming parameters; batches are sampled from the client's
-    partition with the given seed. The learning rate is part of the
-    round signature for bookkeeping but is applied server-side in
-    aggregate(), so it does not influence the returned vector.
+    Returns the sum of the mean gradients of `batches` batches drawn one by
+    one from the client's partition, all at the incoming parameters. That
+    sum is computed as one pass over the distinct drawn rows, each weighted
+    by its draw count over batch_size. The learning rate is applied
+    server-side in aggregate().
     """
     if len(part) == 0:
         raise ValueError(f"client {part.owner} has an empty partition")
-    if batches < 0 or batch_size < 1:
-        raise ValueError(f"need batches >= 0 and batch_size >= 1, got {batches}, {batch_size}")
     rng = np.random.default_rng(seed)
-    total = np.zeros_like(params.vector)
     replace = len(part) < batch_size
-    for _ in range(batches):
-        idx = rng.choice(part.indices, size=batch_size, replace=replace)
-        x = dataset.images[idx].astype(np.float64)
-        y = dataset.labels[idx]
-        total += _batch_gradient(params.vector, params.layers, x, y)
-    return total
+    draws = [rng.choice(part.indices, size=batch_size, replace=replace) for _ in range(batches)]
+    rows, counts = np.unique(np.array(draws, dtype=np.int64), return_counts=True)
+    x = dataset.images[rows].astype(np.float64)
+    return _batch_gradient(params.vector, params.layers, x, dataset.labels[rows],
+                           counts / batch_size)
 
 
 def aggregate(w_t: ModelParams, grads, sizes, lr: float) -> ModelParams:
@@ -353,8 +351,9 @@ def aggregate(w_t: ModelParams, grads, sizes, lr: float) -> ModelParams:
     return ModelParams(w_t.vector - lr * update, w_t.layers)
 
 
-def evaluate(params: ModelParams, dataset: Dataset, chunk: int = 4096) -> float:
-    """Fraction of examples whose argmax logit matches the label."""
+def evaluate(params: ModelParams, dataset: Dataset, chunk: int = 256) -> float:
+    """Fraction of examples whose argmax logit matches the label, scored
+    in chunks of rows small enough to stay in cache."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     correct = 0

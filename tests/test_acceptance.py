@@ -136,7 +136,7 @@ def test_noiseless_training_reaches_target_accuracy(mnist):
     ds = Dataset(images, labels)
     part = DataPartition(np.arange(10), owner=0, scheme="identical")
     model = init_model(3, layers=layers)
-    g = local_train(model, ds, part, batches=1, batch_size=10, lr=0.1, seed=7)
+    g = local_train(model, ds, part, batches=1, batch_size=10, seed=7)
     h = 1e-6
     for j in np.random.default_rng(0).choice(len(model.vector), size=20, replace=False):
         up, down = model.vector.copy(), model.vector.copy()

@@ -204,6 +204,17 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", "--preset", "does-not-exist"])
 
+    @pytest.mark.parametrize("learning", [{"batch_size": 0}, {"batches": -1}])
+    def test_bad_learning_field_exits_2_before_the_dataset(self, tmp_path, capsys, learning):
+        # The data directory does not exist either: a config that got as
+        # far as the dataset would exit 1.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps(minimal_config(learning=learning, data_dir=str(tmp_path / "nowhere")))
+        )
+        assert main(["run", str(config_path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "batch_size >= 1" in capsys.readouterr().err
+
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(

@@ -1,6 +1,6 @@
 """Round engine: scheduling, freshness enforcement, purchases,
-eviction dynamics, conservation, determinism, and agreement with the
-equilibrium oracle.
+eviction dynamics, conservation, determinism, agreement with the
+equilibrium oracle, and the shared read-only model arrays.
 
 These tests run on small synthetic datasets: token mechanics do not
 depend on what the model learns, only on the value/cost curves and the
@@ -9,6 +9,7 @@ round bookkeeping.
 
 import pytest
 
+from tokenfl import engine
 from tokenfl.engine import (
     BASELINE_PRICE,
     SimConfig,
@@ -301,3 +302,52 @@ class TestOracleAgreement:
         )
         for k in range(6):
             assert next(r.round for r in records if r.clients[k].evicted) == stop
+
+
+class TestSharedModels:
+    """Buyers share the round's read-only global model array, and the
+    local-accuracy cache scores each distinct array once."""
+
+    @pytest.fixture
+    def local_evals(self, monkeypatch):
+        calls = []
+        original = engine.evaluate
+
+        def counting(params, dataset, *args, **kwargs):
+            if dataset.split == "local-test":
+                calls.append(params.vector)
+            return original(params, dataset, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate", counting)
+        return calls
+
+    @staticmethod
+    def assert_read_only(state):
+        for vector in [state.server] + [c.model for c in state.clients]:
+            with pytest.raises(ValueError):
+                vector[0] = 0.0
+
+    def test_all_buyers_round_scores_one_model(self, synthetic_datasets, local_evals):
+        cfg = config()
+        state = init_state(cfg, synthetic_datasets)
+        for _ in range(3):
+            local_evals.clear()
+            record = run_round(state, cfg)
+            assert all(c.bought for c in record.clients)
+            assert len(local_evals) == 1
+            assert all(c.model is state.server for c in state.clients)
+        self.assert_read_only(state)
+
+    def test_drifters_score_one_model_each(self, synthetic_datasets, local_evals):
+        cfg = config(eps=25, scheme="disjoint", horizon=14)
+        state = init_state(cfg, synthetic_datasets)
+        drifting_rounds = 0
+        for _ in range(cfg.horizon):
+            drifters = sum(c.state.evicted for c in state.clients)
+            local_evals.clear()
+            run_round(state, cfg)
+            if drifters == cfg.clients:
+                drifting_rounds += 1
+                assert len(local_evals) == drifters
+        assert drifting_rounds > 0
+        self.assert_read_only(state)

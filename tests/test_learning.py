@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tokenfl.learning import (
+    _batch_gradient,
     Dataset,
     DataPartition,
     IdxParseError,
@@ -208,7 +209,7 @@ class TestLocalTrain:
     def test_gradient_matches_finite_differences(self):
         ds, part = small_fixture()
         model = init_model(3, layers=SMALL_LAYERS)
-        g = local_train(model, ds, part, batches=1, batch_size=len(ds), lr=0.1, seed=7)
+        g = local_train(model, ds, part, batches=1, batch_size=len(ds), seed=7)
         x = ds.images.astype(np.float64)
         y = ds.labels
         h = 1e-6
@@ -226,24 +227,17 @@ class TestLocalTrain:
             rel = abs(fd - g[j]) / max(abs(fd), abs(g[j]), 1e-8)
             assert rel <= 1e-4
 
-    def test_learning_rate_does_not_touch_the_upload(self):
-        ds, part = small_fixture()
-        model = init_model(3, layers=SMALL_LAYERS)
-        a = local_train(model, ds, part, batches=3, batch_size=4, lr=0.01, seed=9)
-        b = local_train(model, ds, part, batches=3, batch_size=4, lr=99.0, seed=9)
-        assert np.array_equal(a, b)
-
     def test_zero_batches_upload_zero(self):
         ds, part = small_fixture()
         model = init_model(3, layers=SMALL_LAYERS)
-        g = local_train(model, ds, part, batches=0, batch_size=4, lr=0.1, seed=9)
+        g = local_train(model, ds, part, batches=0, batch_size=4, seed=9)
         assert np.all(g == 0.0)
 
     def test_identical_inputs_identical_uploads(self):
         ds, part = small_fixture()
         model = init_model(3, layers=SMALL_LAYERS)
-        a = local_train(model, ds, part, batches=2, batch_size=4, lr=0.1, seed=11)
-        b = local_train(model, ds, part, batches=2, batch_size=4, lr=0.1, seed=11)
+        a = local_train(model, ds, part, batches=2, batch_size=4, seed=11)
+        b = local_train(model, ds, part, batches=2, batch_size=4, seed=11)
         assert np.array_equal(a, b)
 
     def test_empty_partition_rejected(self):
@@ -251,7 +245,31 @@ class TestLocalTrain:
         empty = DataPartition(np.empty(0, dtype=np.int64), owner=1, scheme="identical")
         model = init_model(3, layers=SMALL_LAYERS)
         with pytest.raises(ValueError):
-            local_train(model, ds, empty, batches=1, batch_size=4, lr=0.1, seed=0)
+            local_train(model, ds, empty, batches=1, batch_size=4, seed=0)
+
+    @pytest.mark.parametrize(
+        "examples,batches,batch_size",
+        [
+            (10, 30, 16),  # partition smaller than a batch: drawn with replacement
+            (200, 30, 8),  # 240 draws from 200 rows: repeats across batches
+            (200, 0, 8),
+        ],
+    )
+    def test_matches_the_per_batch_loop(self, examples, batches, batch_size):
+        # local_train stands for this loop: the same draws, one mean
+        # gradient per batch, summed.
+        ds, part = small_fixture(examples=examples)
+        model = init_model(3, layers=SMALL_LAYERS)
+        rng = np.random.default_rng(5)
+        expected = np.zeros_like(model.vector)
+        for _ in range(batches):
+            idx = rng.choice(part.indices, size=batch_size, replace=examples < batch_size)
+            expected += _batch_gradient(
+                model.vector, SMALL_LAYERS, ds.images[idx].astype(np.float64),
+                ds.labels[idx], np.full(batch_size, 1.0 / batch_size),
+            )
+        g = local_train(model, ds, part, batches=batches, batch_size=batch_size, seed=5)
+        np.testing.assert_allclose(g, expected, rtol=0, atol=1e-12)
 
 
 class TestAggregate:
@@ -303,6 +321,13 @@ class TestEvaluate:
         labels = np.array([0, 0, 1, 2, 2, 2], dtype=np.int64)
         ds = Dataset(np.random.default_rng(0).random((6, 4)).astype(np.float32), labels)
         assert evaluate(params, ds) == pytest.approx(2 / 6)
+
+    def test_accuracy_does_not_depend_on_the_chunk(self):
+        ds, _ = small_fixture(examples=50)
+        params = init_model(4, layers=SMALL_LAYERS)
+        scores = {evaluate(params, ds, chunk=c) for c in (1, 7, 256, len(ds))}
+        assert len(scores) == 1
+        assert 0.0 < scores.pop() < 1.0
 
     def test_untrained_model_is_chance_level(self, mnist):
         _, test = mnist
