@@ -6,7 +6,19 @@ gradients, and spend them to buy each round's global model; tokens
 expire, stale clients are evicted, and the analytic layer predicts when
 participation stops paying off. The learning core is a real (small)
 FedAvg pipeline over IDX-formatted image data.
+
+Importing the package pins BLAS to one thread per call, unless the
+environment already sets it: each round runs its clients on a thread
+pool with one worker per core, and BLAS threads on top of that would
+oversubscribe the cores. The pin only takes effect if numpy has not
+been imported yet.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 __version__ = "0.1.0"
 

@@ -6,9 +6,11 @@ and forced eviction, participation decisions, token crediting, model
 purchases and payoffs. Only then does the learning step run: local
 training on each participant's owned model, gradient randomization,
 weighted aggregation, handing each buyer the new global model, and
-evaluation. Model arrays are read-only, so all holders of one round's
-global model share its array. Clients that were evicted in an earlier
-round keep training locally on their stale model, outside the federation.
+evaluation. Each client's training and randomization is one task on
+learning's thread pool. Model arrays are read-only, so all holders of
+one round's global model share its array. Clients that were evicted in
+an earlier round keep training locally on their stale model, outside
+the federation.
 Everything is deterministic given the run seed: every random stream is
 derived from (seed, purpose, client, round).
 """
@@ -32,9 +34,10 @@ from .learning import (
     load_mnist,
     local_train,
     partition,
+    pool_map,
 )
 from .mechanisms import MechanismParams, baseline_token_reward, reward, utility, value
-from .privacy import LdpConfig, perturb_gradients
+from .privacy import LDP_MECHANISMS, LdpConfig, perturb_gradients
 from .strategy import (
     ClientState,
     choose_epsilon,
@@ -108,6 +111,14 @@ class SimConfig:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.ldp_mechanism not in LDP_MECHANISMS:
+            raise ValueError(
+                f"ldp_mechanism must be one of {LDP_MECHANISMS}, got {self.ldp_mechanism!r}"
+            )
+        if self.clip_radius <= 0:
+            raise ValueError(f"clip_radius must be > 0, got {self.clip_radius}")
         if self.batches < 0 or self.batch_size < 1:
             raise ValueError(
                 f"need batches >= 0 and batch_size >= 1, got {self.batches}, {self.batch_size}"
@@ -294,9 +305,7 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
                            config.batches, config.batch_size,
                            _stream(config.seed, _KIND_TRAIN, c.state.id, r))
 
-    grads = []
-    sizes = []
-    for c in trainers:
+    def upload(c):
         g = gradient(c)
         if config.ldp:
             cfg = LdpConfig(
@@ -305,15 +314,18 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
                 mechanism=config.ldp_mechanism,
             )
             g = perturb_gradients(g, cfg, _stream(config.seed, _KIND_PERTURB, c.state.id, r))
-        grads.append(g)
-        sizes.append(len(c.part))
+        return g
 
-    for c in drifters:
-        c.model = _frozen(c.model - config.lr * gradient(c))
+    # Clients work concurrently; results come back in client order, so
+    # aggregate sums them in the same order on any number of cores.
+    grads = pool_map(upload, trainers)
+    for c, g in zip(drifters, pool_map(gradient, drifters)):
+        c.model = _frozen(c.model - config.lr * g)
 
     if grads:
         state.server = _frozen(aggregate(
-            ModelParams(state.server, state.layers), grads, sizes, config.lr
+            ModelParams(state.server, state.layers), grads,
+            [len(c.part) for c in trainers], config.lr
         ).vector)
     for c in buyers:
         c.model = state.server

@@ -7,10 +7,16 @@ and aggregation stay simple array arithmetic. Clients upload gradients,
 not weights: local_train returns the sum of per-batch mean gradients
 evaluated at the incoming parameters, and aggregate applies the
 size-weighted server update w - lr * sum_k (n_k / n) g_k.
+
+Per-client work and evaluation chunks run on one shared thread pool
+(pool_map) with a worker per core this process may use. Each gradient
+is computed within one task, and chunks only add up integer counts, so
+outputs do not depend on the number of cores.
 """
 
 from __future__ import annotations
 
+import functools
 import gzip
 import os
 import struct
@@ -35,6 +41,7 @@ __all__ = [
     "local_train",
     "aggregate",
     "evaluate",
+    "pool_map",
 ]
 
 DEFAULT_LAYERS = (784, 128, 10)
@@ -47,6 +54,10 @@ MNIST_FILES = {
 
 _IMAGE_MAGIC = 0x00000803
 _LABEL_MAGIC = 0x00000801
+
+# Rows per float64 block in local_train and evaluate: a 256x784 block
+# (1.6 MB) stays in L2 and keeps concurrent tasks' memory small.
+_BLOCK_ROWS = 256
 
 
 class IdxParseError(ValueError):
@@ -90,6 +101,32 @@ class DataPartition:
 
     def __len__(self):
         return len(self.indices)
+
+
+@functools.cache
+def _pool():
+    """The process's thread pool, one worker per core in its affinity mask."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="tokenfl")
+
+
+# A forked child has none of the parent's pool threads; it builds its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def pool_map(fn, items) -> list:
+    """[fn(item) for item in items], run on the thread pool, in item order.
+
+    Call it from the main thread only: a task that waited on the pool could
+    wait on itself.
+    """
+    return list(_pool().map(fn, items))
 
 
 def param_count(layers) -> int:
@@ -319,8 +356,8 @@ def local_train(params: ModelParams, dataset: Dataset, part: DataPartition,
     Returns the sum of the mean gradients of `batches` batches drawn one by
     one from the client's partition, all at the incoming parameters. That
     sum is computed as one pass over the distinct drawn rows, each weighted
-    by its draw count over batch_size. The learning rate is applied
-    server-side in aggregate().
+    by its draw count over batch_size, in blocks of 256 rows. The learning
+    rate is applied server-side in aggregate().
     """
     if len(part) == 0:
         raise ValueError(f"client {part.owner} has an empty partition")
@@ -328,9 +365,14 @@ def local_train(params: ModelParams, dataset: Dataset, part: DataPartition,
     replace = len(part) < batch_size
     draws = [rng.choice(part.indices, size=batch_size, replace=replace) for _ in range(batches)]
     rows, counts = np.unique(np.array(draws, dtype=np.int64), return_counts=True)
-    x = dataset.images[rows].astype(np.float64)
-    return _batch_gradient(params.vector, params.layers, x, dataset.labels[rows],
-                           counts / batch_size)
+    weights = counts / batch_size
+    grad = np.zeros_like(params.vector)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        grad += _batch_gradient(params.vector, params.layers,
+                                dataset.images[block].astype(np.float64),
+                                dataset.labels[block], weights[start : start + _BLOCK_ROWS])
+    return grad
 
 
 def aggregate(w_t: ModelParams, grads, sizes, lr: float) -> ModelParams:
@@ -351,14 +393,16 @@ def aggregate(w_t: ModelParams, grads, sizes, lr: float) -> ModelParams:
     return ModelParams(w_t.vector - lr * update, w_t.layers)
 
 
-def evaluate(params: ModelParams, dataset: Dataset, chunk: int = 256) -> float:
+def evaluate(params: ModelParams, dataset: Dataset, chunk: int = _BLOCK_ROWS) -> float:
     """Fraction of examples whose argmax logit matches the label, scored
-    in chunks of rows small enough to stay in cache."""
+    on the thread pool in chunks of rows small enough to stay in cache.
+    Like pool_map, call it from the main thread only."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    correct = 0
-    for start in range(0, len(dataset), chunk):
+
+    def correct(start):
         x = dataset.images[start : start + chunk].astype(np.float64)
         logits = _forward(params.vector, params.layers, x)[-1]
-        correct += int((logits.argmax(axis=1) == dataset.labels[start : start + chunk]).sum())
-    return correct / len(dataset)
+        return int((logits.argmax(axis=1) == dataset.labels[start : start + chunk]).sum())
+
+    return sum(pool_map(correct, range(0, len(dataset), chunk))) / len(dataset)

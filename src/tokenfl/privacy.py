@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "LDP_MECHANISMS",
     "LdpConfig",
     "perturb_gradients",
     "analytic_ldp_ratio",
@@ -24,7 +25,7 @@ __all__ = [
     "empirical_ldp_ratio",
 ]
 
-_MECHANISMS = ("two_point", "laplace")
+LDP_MECHANISMS = ("two_point", "laplace")
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,8 @@ class LdpConfig:
             raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.radius <= 0:
             raise ValueError(f"radius must be > 0, got {self.radius}")
-        if self.mechanism not in _MECHANISMS:
-            raise ValueError(f"mechanism must be one of {_MECHANISMS}, got {self.mechanism!r}")
+        if self.mechanism not in LDP_MECHANISMS:
+            raise ValueError(f"mechanism must be one of {LDP_MECHANISMS}, got {self.mechanism!r}")
 
 
 def _two_point_terms(cfg: LdpConfig):

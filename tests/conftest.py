@@ -1,6 +1,14 @@
 """Shared fixtures: dataset resolution, synthetic stand-in data,
 hand-built IDX files, and a per-session cache of preset runs."""
 
+import os
+
+# The same BLAS pin as `import tokenfl`, which comes too late here: numpy
+# is imported first. Unpinned BLAS threads on the tests' small batches
+# slow the suite several-fold when another process keeps a core busy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import struct
 
 import numpy as np

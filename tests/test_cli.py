@@ -215,6 +215,25 @@ class TestRunCommand:
         assert main(["run", str(config_path), "--out-dir", str(tmp_path / "o")]) == 2
         assert "batch_size >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"ldp_mechanism": "gauss"}, "ldp_mechanism must be one of"),
+            ({"clip_radius": -1}, "clip_radius must be > 0"),
+            ({"clip_radius": 0}, "clip_radius must be > 0"),
+            ({"seed": -3}, "seed must be >= 0"),
+        ],
+    )
+    def test_bad_privacy_or_seed_field_exits_2_before_the_dataset(
+        self, tmp_path, capsys, overrides, message
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps(minimal_config(data_dir=str(tmp_path / "nowhere"), **overrides))
+        )
+        assert main(["run", str(config_path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(

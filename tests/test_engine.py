@@ -1,15 +1,19 @@
 """Round engine: scheduling, freshness enforcement, purchases,
 eviction dynamics, conservation, determinism, agreement with the
-equilibrium oracle, and the shared read-only model arrays.
+equilibrium oracle, the shared read-only model arrays, and the thread
+pool the clients of a round run on.
 
 These tests run on small synthetic datasets: token mechanics do not
 depend on what the model learns, only on the value/cost curves and the
 round bookkeeping.
 """
 
+import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from tokenfl import engine
+from tokenfl import engine, learning
 from tokenfl.engine import (
     BASELINE_PRICE,
     SimConfig,
@@ -351,3 +355,58 @@ class TestSharedModels:
                 assert len(local_evals) == drifters
         assert drifting_rounds > 0
         self.assert_read_only(state)
+
+
+POOL_CONFIGS = {
+    "strategic": config(horizon=4),
+    "strategic-grouped": config(
+        mechanism="strategic-grouped", clients=4, eps=20, horizon=4,
+        params=MechanismParams(G=2),
+    ),
+    "all-evicted": config(eps=25, scheme="disjoint", horizon=14),
+}
+
+
+def _run_and_send(cfg, datasets, conn):
+    conn.send(run_simulation(cfg, datasets))
+    conn.close()
+
+
+class TestThreadPool:
+    """Clients train and randomize as tasks on learning's thread pool, and
+    evaluation scores its chunks there too."""
+
+    @pytest.mark.parametrize("name", sorted(POOL_CONFIGS))
+    def test_records_do_not_depend_on_the_worker_count(self, synthetic_datasets,
+                                                       monkeypatch, name):
+        cfg = POOL_CONFIGS[name]
+        runs = []
+        for workers in (1, 4):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                monkeypatch.setattr(learning, "_pool", lambda: pool)
+                runs.append(run_simulation(cfg, synthetic_datasets))
+        assert runs[0] == runs[1]
+        if name == "all-evicted":
+            assert all(c.evicted for c in runs[0][-1].clients)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_child_runs_a_round(self, synthetic_datasets):
+        # The parent's pool threads do not survive a fork; a child that
+        # reused the parent's pool would wait forever on its first round.
+        cfg = config(horizon=1)
+        expected = run_simulation(cfg, synthetic_datasets)
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_run_and_send, args=(cfg, synthetic_datasets, sender))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(60), "the forked child sent no records within 60 s"
+            assert receiver.recv() == expected
+            child.join(timeout=60)
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()

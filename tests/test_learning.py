@@ -252,6 +252,7 @@ class TestLocalTrain:
         [
             (10, 30, 16),  # partition smaller than a batch: drawn with replacement
             (200, 30, 8),  # 240 draws from 200 rows: repeats across batches
+            (600, 30, 16),  # about 330 distinct rows: more than one 256-row block
             (200, 0, 8),
         ],
     )
