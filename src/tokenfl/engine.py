@@ -8,9 +8,11 @@ training on each participant's owned model, gradient randomization,
 weighted aggregation, handing each buyer the new global model, and
 evaluation. Each client's training and randomization is one task on
 learning's thread pool. Model arrays are read-only, so all holders of
-one round's global model share its array. Clients that were evicted in
-an earlier round keep training locally on their stale model, outside
-the federation.
+one round's global model share its array, and each array is scored once
+per test split for as long as a client or the server holds it. Clients
+that were evicted in an earlier round keep training locally on their
+stale model, outside the federation; each one's training and scoring is
+one pool task.
 Everything is deterministic given the run seed: every random stream is
 derived from (seed, purpose, client, round).
 """
@@ -75,6 +77,10 @@ _KIND_PERTURB = 4
 
 _LOCAL_TEST_FRACTION = 0.2
 
+# Digit classes: the disjoint and intermediary schemes deal each client
+# at least one of them.
+_CLASSES = 10
+
 
 def _stream(seed, kind, client=0, round_index=0):
     return np.random.default_rng(
@@ -122,6 +128,14 @@ class SimConfig:
         if self.batches < 0 or self.batch_size < 1:
             raise ValueError(
                 f"need batches >= 0 and batch_size >= 1, got {self.batches}, {self.batch_size}"
+            )
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.stop_accuracy is not None and not 0.0 <= self.stop_accuracy <= 1.0:
+            raise ValueError(f"stop_accuracy must be in [0, 1] or null, got {self.stop_accuracy}")
+        if self.scheme in ("disjoint", "intermediary") and self.clients > _CLASSES:
+            raise ValueError(
+                f"{self.scheme} scheme supports at most {_CLASSES} clients, got {self.clients}"
             )
         if self.mechanism == "strategic-grouped":
             if self.params.G < 2:
@@ -200,6 +214,9 @@ class EngineState:
     train: Dataset
     local_test: Dataset
     global_test: Dataset
+    # (id(array), split) -> (array, accuracy) for every model array scored
+    # in the last round; run_round keeps only the entries it looks up.
+    scores: dict = field(default_factory=dict)
 
 
 def _frozen(vector: np.ndarray) -> np.ndarray:
@@ -225,7 +242,8 @@ def init_state(config: SimConfig, datasets=None) -> EngineState:
     standard train/test IDX files are loaded from the configured data
     directory. The initial global model is handed to every client free
     of cost. A fifth of the test split is carved out as the shared
-    local-evaluation set; the server scores on the rest.
+    local-evaluation set, held as float64 because drifting clients score
+    a new model on it every round; the server scores on the rest.
     """
     if datasets is None:
         train, test = load_mnist(config.data_dir)
@@ -234,7 +252,8 @@ def init_state(config: SimConfig, datasets=None) -> EngineState:
 
     perm = _stream(config.seed, _KIND_SPLIT).permutation(len(test))
     cut = max(1, int(len(test) * _LOCAL_TEST_FRACTION))
-    local_test = Dataset(test.images[perm[:cut]], test.labels[perm[:cut]], split="local-test")
+    local_test = Dataset(test.images[perm[:cut]].astype(np.float64), test.labels[perm[:cut]],
+                         split="local-test")
     global_test = Dataset(test.images[perm[cut:]], test.labels[perm[cut:]], split="global-test")
 
     parts = partition(train, config.clients, config.scheme, _stream(config.seed, _KIND_PARTITION))
@@ -316,11 +335,29 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
             g = perturb_gradients(g, cfg, _stream(config.seed, _KIND_PERTURB, c.state.id, r))
         return g
 
+    looked_up = {}
+
+    def score(vector, dataset):
+        """Accuracy of a model array, evaluated only if no client or the
+        server held this array when it was last scored. Drifter tasks
+        call it concurrently, each with its own new array."""
+        key = (id(vector), dataset.split)
+        kept = looked_up.get(key) or state.scores.get(key)
+        if kept is None or kept[0] is not vector:
+            kept = (vector, evaluate(ModelParams(vector, state.layers), dataset))
+        looked_up[key] = kept
+        return kept[1]
+
+    def drift(c):
+        model = _frozen(c.model - config.lr * gradient(c))
+        score(model, state.local_test)
+        return model
+
     # Clients work concurrently; results come back in client order, so
     # aggregate sums them in the same order on any number of cores.
     grads = pool_map(upload, trainers)
-    for c, g in zip(drifters, pool_map(gradient, drifters)):
-        c.model = _frozen(c.model - config.lr * g)
+    for c, model in zip(drifters, pool_map(drift, drifters)):
+        c.model = model
 
     if grads:
         state.server = _frozen(aggregate(
@@ -330,15 +367,6 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
     for c in buyers:
         c.model = state.server
 
-    # Keyed by identity: holders of one global model share its array.
-    acc_cache = {}
-
-    def local_accuracy(model_vec):
-        key = id(model_vec)
-        if key not in acc_cache:
-            acc_cache[key] = evaluate(ModelParams(model_vec, state.layers), state.local_test)
-        return acc_cache[key]
-
     client_rows = [
         ClientRound(
             client=c.state.id,
@@ -346,13 +374,15 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
             evicted=c.state.evicted,
             balance=c.ledger.balance,
             utility=None if baseline else utility(r, c.state.chosen_eps, config.stride, params),
-            local_accuracy=local_accuracy(c.model),
+            local_accuracy=score(c.model, state.local_test),
             **rows[c.state.id],
         )
         for c in state.clients
     ]
 
-    global_accuracy = evaluate(ModelParams(state.server, state.layers), state.global_test)
+    global_accuracy = score(state.server, state.global_test)
+    # Entries not looked up belong to arrays no one holds any more.
+    state.scores = looked_up
     state.round = r
     return RoundRecord(round=r, clients=client_rows, global_accuracy=global_accuracy)
 

@@ -11,7 +11,8 @@ size-weighted server update w - lr * sum_k (n_k / n) g_k.
 Per-client work and evaluation chunks run on one shared thread pool
 (pool_map) with a worker per core this process may use. Each gradient
 is computed within one task, and chunks only add up integer counts, so
-outputs do not depend on the number of cores.
+outputs do not depend on the number of cores. A pool_map called from
+inside a pool task runs inline in that task.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import functools
 import gzip
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,13 +122,27 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
+# Set while the current thread runs a pool_map task.
+_in_task = threading.local()
+
+
+def _task(fn, item):
+    _in_task.active = True
+    try:
+        return fn(item)
+    finally:
+        _in_task.active = False
+
+
 def pool_map(fn, items) -> list:
     """[fn(item) for item in items], run on the thread pool, in item order.
 
-    Call it from the main thread only: a task that waited on the pool could
-    wait on itself.
+    Called from inside a pool task, it runs inline in that task: a task
+    that waited on the pool could wait on itself.
     """
-    return list(_pool().map(fn, items))
+    if getattr(_in_task, "active", False):
+        return [fn(item) for item in items]
+    return list(_pool().map(functools.partial(_task, fn), items))
 
 
 def param_count(layers) -> int:
@@ -395,13 +411,12 @@ def aggregate(w_t: ModelParams, grads, sizes, lr: float) -> ModelParams:
 
 def evaluate(params: ModelParams, dataset: Dataset, chunk: int = _BLOCK_ROWS) -> float:
     """Fraction of examples whose argmax logit matches the label, scored
-    on the thread pool in chunks of rows small enough to stay in cache.
-    Like pool_map, call it from the main thread only."""
+    on the thread pool in chunks of rows small enough to stay in cache."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
 
     def correct(start):
-        x = dataset.images[start : start + chunk].astype(np.float64)
+        x = dataset.images[start : start + chunk].astype(np.float64, copy=False)
         logits = _forward(params.vector, params.layers, x)[-1]
         return int((logits.argmax(axis=1) == dataset.labels[start : start + chunk]).sum())
 

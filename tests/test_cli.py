@@ -234,6 +234,34 @@ class TestRunCommand:
         assert main(["run", str(config_path), "--out-dir", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"learning": {"lr": -1}}, "lr must be > 0"),
+            ({"learning": {"lr": 0}}, "lr must be > 0"),
+            ({"stop_accuracy": 5}, "stop_accuracy must be in [0, 1]"),
+            ({"stop_accuracy": -0.5}, "stop_accuracy must be in [0, 1]"),
+            ({"clients": 11, "scheme": "disjoint"}, "disjoint scheme supports at most 10"),
+            ({"clients": 11, "scheme": "intermediary"}, "intermediary scheme supports at most 10"),
+        ],
+    )
+    def test_bad_rate_stop_or_client_count_exits_2_before_the_dataset(
+        self, tmp_path, capsys, overrides, message
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps(minimal_config(data_dir=str(tmp_path / "nowhere"), **overrides))
+        )
+        assert main(["run", str(config_path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        {"stop_accuracy": 0.0}, {"stop_accuracy": 1.0},
+        {"clients": 10, "scheme": "disjoint"}, {"clients": 10, "scheme": "intermediary"},
+    ])
+    def test_boundary_stop_accuracy_and_client_count_parse(self, overrides):
+        parse_config(minimal_config(**overrides))
+
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(

@@ -9,8 +9,10 @@ round bookkeeping.
 """
 
 import multiprocessing
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from tokenfl import engine, learning
@@ -22,6 +24,7 @@ from tokenfl.engine import (
     run_simulation,
     schedule_group,
 )
+from tokenfl.learning import ModelParams, evaluate
 from tokenfl.mechanisms import MechanismParams, baseline_token_reward, reward
 from tokenfl.strategy import _trajectory
 
@@ -308,22 +311,31 @@ class TestOracleAgreement:
             assert next(r.round for r in records if r.clients[k].evicted) == stop
 
 
+def _count_evaluations(monkeypatch, split):
+    """Patch engine.evaluate to record each model vector scored on `split`."""
+    calls = []
+    original = engine.evaluate
+
+    def counting(params, dataset, *args, **kwargs):
+        if dataset.split == split:
+            calls.append(params.vector)
+        return original(params, dataset, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "evaluate", counting)
+    return calls
+
+
 class TestSharedModels:
-    """Buyers share the round's read-only global model array, and the
-    local-accuracy cache scores each distinct array once."""
+    """Buyers share the round's read-only global model array, and each
+    model array is scored once per split for as long as it is held."""
 
     @pytest.fixture
     def local_evals(self, monkeypatch):
-        calls = []
-        original = engine.evaluate
+        return _count_evaluations(monkeypatch, "local-test")
 
-        def counting(params, dataset, *args, **kwargs):
-            if dataset.split == "local-test":
-                calls.append(params.vector)
-            return original(params, dataset, *args, **kwargs)
-
-        monkeypatch.setattr(engine, "evaluate", counting)
-        return calls
+    @pytest.fixture
+    def global_evals(self, monkeypatch):
+        return _count_evaluations(monkeypatch, "global-test")
 
     @staticmethod
     def assert_read_only(state):
@@ -355,6 +367,46 @@ class TestSharedModels:
                 assert len(local_evals) == drifters
         assert drifting_rounds > 0
         self.assert_read_only(state)
+
+    def test_server_is_scored_once_per_distinct_array(self, synthetic_datasets,
+                                                      global_evals):
+        cfg = config(eps=25, scheme="disjoint", horizon=14)
+        state = init_state(cfg, synthetic_datasets)
+        held, distinct = None, 0
+        for _ in range(cfg.horizon):
+            record = run_round(state, cfg)
+            distinct += state.server is not held
+            held = state.server
+            assert record.global_accuracy == evaluate(
+                ModelParams(state.server, state.layers), state.global_test)
+        assert all(c.state.evicted for c in state.clients)
+        assert 1 < distinct < cfg.horizon
+        assert len(global_evals) == distinct
+        assert len({id(v) for v in global_evals}) == distinct
+
+    def test_unchanged_client_model_is_not_scored_again(self, synthetic_datasets,
+                                                         local_evals):
+        cfg = POOL_CONFIGS["strategic-grouped"]
+        state = init_state(cfg, synthetic_datasets)
+        run_round(state, cfg)  # scores the models clients hold from round 0 on
+        kept = 0
+        for _ in range(cfg.horizon - 1):
+            before = [c.model for c in state.clients]
+            local_evals.clear()
+            record = run_round(state, cfg)
+            for c, model, row in zip(state.clients, before, record.clients):
+                if c.model is model:
+                    kept += 1
+                    assert not any(v is model for v in local_evals)
+                assert row.local_accuracy == evaluate(
+                    ModelParams(c.model, state.layers), state.local_test)
+        assert kept > 0
+
+    def test_local_test_split_is_float64(self, synthetic_datasets):
+        state = init_state(config(), synthetic_datasets)
+        assert synthetic_datasets[1].images.dtype == np.float32
+        assert state.local_test.images.dtype == np.float64
+        assert state.global_test.images.dtype == np.float32
 
 
 POOL_CONFIGS = {
@@ -388,6 +440,26 @@ class TestThreadPool:
         assert runs[0] == runs[1]
         if name == "all-evicted":
             assert all(c.evicted for c in runs[0][-1].clients)
+
+    def test_nested_pool_map_runs_inline(self, monkeypatch):
+        # With one worker, a nested call that waited on the pool would
+        # wait on itself; the thread and its timeout turn that into a failure.
+        def outer(i):
+            return learning.pool_map(lambda j: 10 * i + j, range(3))
+
+        result = []
+        pool = ThreadPoolExecutor(max_workers=1)
+        monkeypatch.setattr(learning, "_pool", lambda: pool)
+        caller = threading.Thread(
+            target=lambda: result.append(learning.pool_map(outer, range(4))), daemon=True
+        )
+        try:
+            caller.start()
+            caller.join(timeout=30)
+            assert not caller.is_alive(), "nested pool_map did not finish within 30 s"
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+        assert result == [[[10 * i + j for j in range(3)] for i in range(4)]]
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs the fork start method")

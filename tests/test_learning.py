@@ -330,6 +330,13 @@ class TestEvaluate:
         assert len(scores) == 1
         assert 0.0 < scores.pop() < 1.0
 
+    def test_float64_copy_scores_like_the_float32_split(self):
+        ds, _ = small_fixture(examples=50)
+        wide = Dataset(ds.images.astype(np.float64), ds.labels, split=ds.split)
+        params = init_model(4, layers=SMALL_LAYERS)
+        assert ds.images.dtype == np.float32
+        assert evaluate(params, wide) == evaluate(params, ds)
+
     def test_untrained_model_is_chance_level(self, mnist):
         _, test = mnist
         acc = evaluate(init_model(0), test)
