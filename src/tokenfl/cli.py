@@ -16,8 +16,11 @@ import csv
 import gzip
 import hashlib
 import json
+import os
 import sys
+import tempfile
 import urllib.request
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -374,6 +377,25 @@ def cmd_nash(args) -> int:
     return 0 if report.is_nash else 1
 
 
+def _download_idx(url: str) -> bytes:
+    """The unpacked IDX bytes of one gzipped file."""
+    with urllib.request.urlopen(url) as resp:
+        return gzip.decompress(resp.read())
+
+
+def _write_atomically(target: Path, data: bytes) -> None:
+    """Write through a temp file in the target's directory, then rename,
+    so an interrupted write never leaves a partial target behind."""
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_fetch_data(args) -> int:
     dest = Path(args.dest) if args.dest else default_data_dir()
     dest.mkdir(parents=True, exist_ok=True)
@@ -384,19 +406,18 @@ def cmd_fetch_data(args) -> int:
         if target.exists():
             print(f"fetch-data: {target} already present, skipping")
             continue
-        blob = None
+        data = None
         for base in bases:
             url = base.rstrip("/") + "/" + name + ".gz"
             try:
-                with urllib.request.urlopen(url) as resp:
-                    blob = resp.read()
+                data = _download_idx(url)
                 break
-            except OSError as err:
+            except (OSError, EOFError, zlib.error) as err:  # BadGzipFile is an OSError
                 print(f"fetch-data: {url} failed ({err}), trying next source", file=sys.stderr)
-        if blob is None:
+        if data is None:
             print(f"fetch-data: could not download {name} from any source", file=sys.stderr)
             return 1
-        target.write_bytes(gzip.decompress(blob))
+        _write_atomically(target, data)
         print(f"fetch-data: wrote {target}")
     return 0
 

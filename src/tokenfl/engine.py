@@ -242,8 +242,8 @@ def init_state(config: SimConfig, datasets=None) -> EngineState:
     standard train/test IDX files are loaded from the configured data
     directory. The initial global model is handed to every client free
     of cost. A fifth of the test split is carved out as the shared
-    local-evaluation set, held as float64 because drifting clients score
-    a new model on it every round; the server scores on the rest.
+    local-evaluation set; the server scores on the rest. Both keep the
+    loaded images' dtype, which is the dtype models are scored in.
     """
     if datasets is None:
         train, test = load_mnist(config.data_dir)
@@ -252,8 +252,7 @@ def init_state(config: SimConfig, datasets=None) -> EngineState:
 
     perm = _stream(config.seed, _KIND_SPLIT).permutation(len(test))
     cut = max(1, int(len(test) * _LOCAL_TEST_FRACTION))
-    local_test = Dataset(test.images[perm[:cut]].astype(np.float64), test.labels[perm[:cut]],
-                         split="local-test")
+    local_test = Dataset(test.images[perm[:cut]], test.labels[perm[:cut]], split="local-test")
     global_test = Dataset(test.images[perm[cut:]], test.labels[perm[cut:]], split="global-test")
 
     parts = partition(train, config.clients, config.scheme, _stream(config.seed, _KIND_PARTITION))

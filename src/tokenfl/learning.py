@@ -8,6 +8,13 @@ not weights: local_train returns the sum of per-batch mean gradients
 evaluated at the incoming parameters, and aggregate applies the
 size-weighted server update w - lr * sum_k (n_k / n) g_k.
 
+local_train and evaluate compute in the dtype of the dataset's images:
+float32 for load_idx data, float64 for a float64 dataset. Each call
+casts the float64 model to that dtype once, and local_train sums its
+blocks' gradients in float64. Backpropagated deltas below the dtype's
+smallest normal number are flushed to zero, because subnormal operands
+slow a GEMM several-fold (a saturated single-class client makes many).
+
 Per-client work and evaluation chunks run on one shared thread pool
 (pool_map) with a worker per core this process may use. Each gradient
 is computed within one task, and chunks only add up integer counts, so
@@ -57,8 +64,9 @@ MNIST_FILES = {
 _IMAGE_MAGIC = 0x00000803
 _LABEL_MAGIC = 0x00000801
 
-# Rows per float64 block in local_train and evaluate: a 256x784 block
-# (1.6 MB) stays in L2 and keeps concurrent tasks' memory small.
+# Rows per block in local_train and evaluate: a 256x784 block (0.8 MB in
+# float32, 1.6 MB in float64) stays in L2 and keeps concurrent tasks'
+# memory small.
 _BLOCK_ROWS = 256
 
 
@@ -322,6 +330,11 @@ def init_model(seed, layers=DEFAULT_LAYERS) -> ModelParams:
     return ModelParams(vec, layers)
 
 
+def _compute_dtype(images: np.ndarray):
+    """float32 for float32 images, float64 for anything else."""
+    return np.float32 if images.dtype == np.float32 else np.float64
+
+
 def _forward(vector: np.ndarray, layers, x: np.ndarray):
     """Logits plus the post-activation of every layer (for backprop)."""
     acts = [x]
@@ -341,24 +354,31 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def _batch_gradient(vector: np.ndarray, layers, x: np.ndarray, y: np.ndarray,
                     weight: np.ndarray) -> np.ndarray:
     """Gradient of the softmax cross-entropy of each row times its weight,
-    summed over rows; weights of 1/len(y) give the batch mean."""
+    summed over rows; weights of 1/len(y) give the batch mean. Computed
+    in the dtype of `vector`, which `x` must share."""
     acts = _forward(vector, layers, x)
+    mats = _unpack(vector, layers)
     grad = np.zeros_like(vector)
     gmats = _unpack(grad, layers)
+    tiny = np.finfo(vector.dtype).tiny
     delta = _softmax(acts[-1])
     delta[np.arange(len(y)), y] -= 1.0
     delta *= weight[:, None]
     for i in range(len(gmats) - 1, -1, -1):
+        # Subnormal operands would slow both GEMMs of this layer.
+        delta[np.abs(delta) < tiny] = 0.0
         gw, gb = gmats[i]
         gw[:] = acts[i].T @ delta
         gb[:] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ _unpack(vector, layers)[i][0].T) * (acts[i] > 0.0)
+            delta = (delta @ mats[i][0].T) * (acts[i] > 0.0)
     return grad
 
 
 def batch_loss(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean softmax cross-entropy of a batch; the quantity _batch_gradient differentiates."""
+    """Mean softmax cross-entropy of a batch, in float64; the quantity
+    _batch_gradient differentiates."""
+    x = np.asarray(x, dtype=np.float64)
     logits = _forward(params.vector, params.layers, x)[-1]
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -372,8 +392,9 @@ def local_train(params: ModelParams, dataset: Dataset, part: DataPartition,
     Returns the sum of the mean gradients of `batches` batches drawn one by
     one from the client's partition, all at the incoming parameters. That
     sum is computed as one pass over the distinct drawn rows, each weighted
-    by its draw count over batch_size, in blocks of 256 rows. The learning
-    rate is applied server-side in aggregate().
+    by its draw count over batch_size, in blocks of 256 rows, each in the
+    images' dtype and added into a float64 sum. The learning rate is
+    applied server-side in aggregate().
     """
     if len(part) == 0:
         raise ValueError(f"client {part.owner} has an empty partition")
@@ -381,12 +402,14 @@ def local_train(params: ModelParams, dataset: Dataset, part: DataPartition,
     replace = len(part) < batch_size
     draws = [rng.choice(part.indices, size=batch_size, replace=replace) for _ in range(batches)]
     rows, counts = np.unique(np.array(draws, dtype=np.int64), return_counts=True)
-    weights = counts / batch_size
+    dtype = _compute_dtype(dataset.images)
+    vector = params.vector.astype(dtype, copy=False)
+    weights = (counts / batch_size).astype(dtype, copy=False)
     grad = np.zeros_like(params.vector)
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
-        grad += _batch_gradient(params.vector, params.layers,
-                                dataset.images[block].astype(np.float64),
+        grad += _batch_gradient(vector, params.layers,
+                                dataset.images[block].astype(dtype, copy=False),
                                 dataset.labels[block], weights[start : start + _BLOCK_ROWS])
     return grad
 
@@ -411,13 +434,16 @@ def aggregate(w_t: ModelParams, grads, sizes, lr: float) -> ModelParams:
 
 def evaluate(params: ModelParams, dataset: Dataset, chunk: int = _BLOCK_ROWS) -> float:
     """Fraction of examples whose argmax logit matches the label, scored
-    on the thread pool in chunks of rows small enough to stay in cache."""
+    in the images' dtype on the thread pool, in chunks of rows small
+    enough to stay in cache."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    dtype = _compute_dtype(dataset.images)
+    vector = params.vector.astype(dtype, copy=False)
 
     def correct(start):
-        x = dataset.images[start : start + chunk].astype(np.float64, copy=False)
-        logits = _forward(params.vector, params.layers, x)[-1]
+        x = dataset.images[start : start + chunk].astype(dtype, copy=False)
+        logits = _forward(vector, params.layers, x)[-1]
         return int((logits.argmax(axis=1) == dataset.labels[start : start + chunk]).sum())
 
     return sum(pool_map(correct, range(0, len(dataset), chunk))) / len(dataset)

@@ -3,9 +3,10 @@
 Each test is one verdict on one headline behavior: formula endpoints,
 collapse-round windows, the equilibrium of the uniform conservative
 profile, exact token-flow closure at the eligibility budget, the
-certified privacy ratio, noiseless convergence, the documented preset
-dynamics, and byte-level reproducibility. Tolerances are pinned here and
-nowhere else; a failure means the package broke its contract.
+certified privacy ratio, the local gradient against finite
+differences, noiseless convergence, the documented preset dynamics,
+and byte-level reproducibility. Tolerances are pinned here and nowhere
+else; a failure means the package broke its contract.
 """
 
 import math
@@ -128,7 +129,7 @@ def test_local_privacy_ratio_is_certified():
         assert abs(draws.mean() - w) <= 3.0 * sigma / math.sqrt(n)
 
 
-def test_noiseless_training_reaches_target_accuracy(mnist):
+def test_local_gradient_matches_finite_differences():
     layers = (6, 5, 3)
     rng = np.random.default_rng(3)
     images = rng.random((10, layers[0])).astype(np.float32)
@@ -148,6 +149,8 @@ def test_noiseless_training_reaches_target_accuracy(mnist):
         ) / (2.0 * h)
         assert abs(fd - g[j]) / max(abs(fd), abs(g[j]), 1e-8) <= 1e-4
 
+
+def test_noiseless_training_reaches_target_accuracy(mnist):
     config = SimConfig(
         mechanism="strategic", clients=3, scheme="identical", eps=15.0,
         horizon=50, seed=0, ldp=False, stop_accuracy=0.90,

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from tokenfl import cli
 from tokenfl.cli import (
     METRICS_HEADER,
     ConfigError,
@@ -16,7 +17,7 @@ from tokenfl.cli import (
     write_metrics_csv,
 )
 from tokenfl.engine import ClientRound, RoundRecord
-from tokenfl.learning import load_idx
+from tokenfl.learning import MNIST_FILES, load_idx
 
 
 def minimal_config(**overrides):
@@ -368,3 +369,44 @@ class TestFetchDataCommand:
         bad = (tmp_path / "void").as_uri()
         assert main(["fetch-data", "--dest", str(dest), "--base-url", bad]) == 1
         assert "could not download" in capsys.readouterr().err
+
+    @staticmethod
+    def damaged_copy(mirror, path, damage):
+        """A copy of `mirror` whose train-images .gz is `damage(bytes)`."""
+        path.mkdir()
+        for gz in mirror.iterdir():
+            data = gz.read_bytes()
+            (path / gz.name).write_bytes(
+                damage(data) if gz.name.startswith("train-images") else data)
+        return path
+
+    def test_truncated_gzip_exits_1_and_leaves_no_file(self, tmp_path, mirror, capsys):
+        bad = self.damaged_copy(mirror, tmp_path / "bad", lambda b: b[: len(b) // 2])
+        dest = tmp_path / "data"
+        assert main(["fetch-data", "--dest", str(dest), "--base-url", bad.as_uri()]) == 1
+        err = capsys.readouterr().err
+        assert "could not download train-images-idx3-ubyte" in err
+        assert "Traceback" not in err
+        assert list(dest.iterdir()) == []
+
+    def test_corrupt_gzip_falls_back_to_the_next_mirror(self, tmp_path, mirror,
+                                                        monkeypatch, capsys):
+        bad = self.damaged_copy(mirror, tmp_path / "bad", lambda b: b"not a gzip stream")
+        monkeypatch.setattr(cli, "MNIST_URLS", (bad.as_uri(), mirror.as_uri()))
+        dest = tmp_path / "data"
+        assert main(["fetch-data", "--dest", str(dest)]) == 0
+        assert "trying next source" in capsys.readouterr().err
+        ds = load_idx(dest / "train-images-idx3-ubyte", dest / "train-labels-idx1-ubyte")
+        assert len(ds) == 4
+        assert sorted(p.name for p in dest.iterdir()) == sorted(
+            name for pair in MNIST_FILES.values() for name in pair)
+
+    def test_interrupted_write_leaves_no_file(self, tmp_path, mirror, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        dest = tmp_path / "data"
+        with pytest.raises(OSError, match="disk full"):
+            main(["fetch-data", "--dest", str(dest), "--base-url", mirror.as_uri()])
+        assert list(dest.iterdir()) == []

@@ -24,7 +24,7 @@ from tokenfl.engine import (
     run_simulation,
     schedule_group,
 )
-from tokenfl.learning import ModelParams, evaluate
+from tokenfl.learning import Dataset, ModelParams, evaluate
 from tokenfl.mechanisms import MechanismParams, baseline_token_reward, reward
 from tokenfl.strategy import _trajectory
 
@@ -402,11 +402,16 @@ class TestSharedModels:
                     ModelParams(c.model, state.layers), state.local_test)
         assert kept > 0
 
-    def test_local_test_split_is_float64(self, synthetic_datasets):
+    def test_test_splits_keep_the_loaded_dtype(self, synthetic_datasets):
+        train, test = synthetic_datasets
+        assert test.images.dtype == np.float32
         state = init_state(config(), synthetic_datasets)
-        assert synthetic_datasets[1].images.dtype == np.float32
-        assert state.local_test.images.dtype == np.float64
+        assert state.local_test.images.dtype == np.float32
         assert state.global_test.images.dtype == np.float32
+        wide = Dataset(test.images.astype(np.float64), test.labels, split=test.split)
+        state = init_state(config(), (train, wide))
+        assert state.local_test.images.dtype == np.float64
+        assert state.global_test.images.dtype == np.float64
 
 
 POOL_CONFIGS = {

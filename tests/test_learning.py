@@ -8,6 +8,9 @@ import pytest
 
 from tokenfl.learning import (
     _batch_gradient,
+    _forward,
+    _softmax,
+    _unpack,
     Dataset,
     DataPartition,
     IdxParseError,
@@ -23,6 +26,10 @@ from tokenfl.learning import (
 )
 
 SMALL_LAYERS = (6, 5, 3)
+
+
+def float64_copy(ds):
+    return Dataset(ds.images.astype(np.float64), ds.labels, split=ds.split)
 
 
 def small_fixture(seed=3, examples=10, classes=3):
@@ -258,19 +265,77 @@ class TestLocalTrain:
     )
     def test_matches_the_per_batch_loop(self, examples, batches, batch_size):
         # local_train stands for this loop: the same draws, one mean
-        # gradient per batch, summed.
+        # gradient per batch, summed. A float64 dataset takes the float64
+        # path, so the two agree to float64 rounding.
         ds, part = small_fixture(examples=examples)
+        ds = float64_copy(ds)
         model = init_model(3, layers=SMALL_LAYERS)
         rng = np.random.default_rng(5)
         expected = np.zeros_like(model.vector)
         for _ in range(batches):
             idx = rng.choice(part.indices, size=batch_size, replace=examples < batch_size)
             expected += _batch_gradient(
-                model.vector, SMALL_LAYERS, ds.images[idx].astype(np.float64),
+                model.vector, SMALL_LAYERS, ds.images[idx],
                 ds.labels[idx], np.full(batch_size, 1.0 / batch_size),
             )
         g = local_train(model, ds, part, batches=batches, batch_size=batch_size, seed=5)
         np.testing.assert_allclose(g, expected, rtol=0, atol=1e-12)
+
+    def test_float32_data_matches_the_float64_path(self):
+        ds, part = small_fixture(examples=600)
+        assert ds.images.dtype == np.float32
+        model = init_model(3, layers=SMALL_LAYERS)
+        narrow = local_train(model, ds, part, batches=30, batch_size=16, seed=5)
+        wide = local_train(model, float64_copy(ds), part, batches=30, batch_size=16, seed=5)
+        assert narrow.dtype == wide.dtype == np.float64
+        assert np.abs(wide).max() > 0.0
+        np.testing.assert_allclose(narrow, wide, rtol=0, atol=1e-5 * np.abs(wide).max())
+
+    @pytest.mark.parametrize(
+        "margin,w2_scale",
+        [
+            (100.0, 1.0),  # exp(-100) ~ 4e-44: the output delta is subnormal
+            (69.0, 1e-9),  # output delta ~ 2e-32, the hidden delta ~ 1e-41
+        ],
+    )
+    def test_saturated_client_feeds_no_subnormals_to_the_gemms(self, margin, w2_scale):
+        # A one-class client under a model whose logit for that class
+        # leads by `margin`. Unflushed, float32 subnormals would reach the
+        # backward GEMMs of the output layer or of the hidden layer.
+        rng = np.random.default_rng(0)
+        x = rng.random((64, SMALL_LAYERS[0])).astype(np.float32)
+        y = np.zeros(64, dtype=np.int64)
+        weight = np.full(64, 1.0 / 64, dtype=np.float32)
+        model = init_model(3, layers=SMALL_LAYERS).vector.astype(np.float32)
+        (w1, _), (w2, b2) = _unpack(model, SMALL_LAYERS)
+        w1[:] = np.abs(w1) + 0.1
+        w2 *= w2_scale
+        b2[0] = margin
+        tiny = np.finfo(np.float32).tiny
+
+        def subnormal(a):
+            return np.any((a != 0.0) & (np.abs(a) < tiny))
+
+        hidden, logits = _forward(model, SMALL_LAYERS, x)[1:]
+        out_delta = _softmax(logits)
+        out_delta[:, 0] -= 1.0
+        out_delta *= weight[:, None]
+        hidden_delta = (out_delta @ w2.T) * (hidden > 0.0)
+        assert subnormal(out_delta) or subnormal(hidden_delta)
+
+        operands = []
+
+        class Recorded(np.ndarray):
+            # Everything computed from a Recorded array is one too, so this
+            # sees the operands of every product the gradient makes.
+            def __matmul__(self, other):
+                operands.extend([np.array(self), np.array(other)])
+                return super().__matmul__(other)
+
+        grad = _batch_gradient(model, SMALL_LAYERS, x.view(Recorded), y, weight)
+        assert len(operands) == 2 * (2 + 3)  # two forward GEMMs, three backward
+        assert np.all(np.isfinite(grad))
+        assert not any(subnormal(a) for a in operands)
 
 
 class TestAggregate:
