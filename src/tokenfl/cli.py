@@ -334,6 +334,14 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(args) -> int:
     params = MechanismParams()
+    bad_eps = [e for e in args.eps if not params.eps_min <= e <= params.eps_max]
+    if args.stride < 1 or args.horizon < 1 or bad_eps:
+        print(
+            f"analyze: need --stride >= 1, --horizon >= 1 and every --eps in "
+            f"[{params.eps_min}, {params.eps_max}], got {args.stride}, {args.horizon}, {bad_eps}",
+            file=sys.stderr,
+        )
+        return 2
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -1,16 +1,17 @@
-"""Round orchestration across the three incentive mechanisms.
+"""Round orchestration across the three incentive mechanisms, in two passes.
 
-A round first settles every federated client's economics through
-strategy.play_round: token expiry, group scheduling, the freshness bar
-and forced eviction, participation decisions, token crediting, model
-purchases and payoffs. Only then does the learning step run: local
-training on each participant's owned model, gradient randomization,
-weighted aggregation, handing each buyer the new global model, and
-evaluation. Each client's training and randomization is one task on
-learning's thread pool. Model arrays are read-only, so all holders of
-one round's global model share its array, and each array is scored once
-per test split for as long as a client or the server holds it. Clients
-that were evicted in an earlier round keep training locally on their
+play_game first plays a run's whole token game from its config alone,
+with no dataset or model: strategy.play_round settles each client's
+token expiry, group scheduling, freshness bar and forced eviction,
+participation decision, token credit, model purchase and payoff, round
+by round. Then run_round runs each round's learning step from that
+round's rows of the schedule: local training on each participant's
+owned model, gradient randomization, weighted aggregation, handing each
+buyer the new global model, and evaluation. Each client's training and
+randomization is one task on learning's thread pool. Model arrays are
+read-only, so all holders of one global model share its array and one
+dict of its scores, and each array is scored once per test split.
+Clients evicted in an earlier round keep training locally on their
 stale model, outside the federation; each one's training and scoring is
 one pool task.
 Everything is deterministic given the run seed: every random stream is
@@ -56,7 +57,9 @@ __all__ = [
     "ClientRound",
     "RoundRecord",
     "EngineState",
+    "Schedule",
     "schedule_group",
+    "play_game",
     "init_state",
     "run_round",
     "run_simulation",
@@ -148,6 +151,10 @@ class SimConfig:
             raise ValueError(
                 f"eps list has {len(self.eps)} entries for {self.clients} clients"
             )
+        low, high = self.params.eps_low, self.params.eps_high
+        for e in self.client_eps():  # each in [eps_min, eps_max], or raises
+            if self.mechanism == "baseline" and not low <= e <= high:
+                raise ValueError(f"baseline eps {e} outside [eps_low, eps_high] = [{low}, {high}]")
 
     def client_eps(self) -> list:
         if self.eps is None:
@@ -198,25 +205,35 @@ class RoundRecord:
 
 
 @dataclass
+class Schedule:
+    """The token game of one run: rounds[r - 1] holds round r's
+    ClientRound of every client, in client order, and players each
+    client's ClientState after the last round."""
+
+    rounds: list
+    players: list
+
+
+@dataclass
 class _Client:
-    state: ClientState
-    ledger: TokenLedger
+    id: int
     part: DataPartition
     model: np.ndarray
+    # split -> accuracy of `model`, shared by every holder of the array.
+    scores: dict
 
 
 @dataclass
 class EngineState:
     round: int
+    schedule: Schedule
     server: np.ndarray
+    server_scores: dict
     layers: tuple
     clients: list
     train: Dataset
     local_test: Dataset
     global_test: Dataset
-    # (id(array), split) -> (array, accuracy) for every model array scored
-    # in the last round; run_round keeps only the entries it looks up.
-    scores: dict = field(default_factory=dict)
 
 
 def _frozen(vector: np.ndarray) -> np.ndarray:
@@ -235,8 +252,44 @@ def schedule_group(round_index: int, clients: int, G: int):
     return list(range(start, start + size))
 
 
+def play_game(config: SimConfig) -> Schedule:
+    """Play rounds 1..horizon of the token game for every client, from
+    the config alone. Rows leave local_accuracy unset; an evicted
+    client's rows are unscheduled and move no tokens."""
+    params = config.params
+    baseline = config.mechanism == "baseline"
+    policy = None if baseline else config.freshness
+    price = BASELINE_PRICE if baseline else float(params.C)
+    stride = None if baseline else config.stride
+    players = [ClientState(id=k, chosen_eps=e) for k, e in enumerate(config.client_eps())]
+    ledgers = [TokenLedger() for _ in players]
+    rounds = []
+    for r in range(1, config.horizon + 1):
+        scheduled_ids = set(schedule_group(r, config.clients, config.stride))
+        rows = []
+        for c, ledger in zip(players, ledgers):
+            earn = expired = 0.0
+            scheduled = participated = bought = False
+            if not c.evicted:
+                earn = (baseline_token_reward if baseline else reward)(c.chosen_eps, params)
+                scheduled = c.id in scheduled_ids
+                expired, participated, bought = play_round(
+                    c, ledger, r, params, policy, price, earn, scheduled, stride
+                )
+            rows.append(ClientRound(
+                client=c.id, eps=c.chosen_eps, scheduled=scheduled,
+                participated=participated, bought=bought, evicted=c.evicted,
+                earned=earn if participated else 0.0, spent=price if bought else 0.0,
+                expired=expired, balance=ledger.balance,
+                utility=None if baseline else utility(r, c.chosen_eps, config.stride, params),
+                local_accuracy=None,
+            ))
+        rounds.append(rows)
+    return Schedule(rounds=rounds, players=players)
+
+
 def init_state(config: SimConfig, datasets=None) -> EngineState:
-    """Build round-zero state: model, partitions, ledgers, test split.
+    """Build round-zero state: the played game, model, partitions, test split.
 
     `datasets` optionally injects (train, test) Datasets; by default the
     standard train/test IDX files are loaded from the configured data
@@ -245,6 +298,7 @@ def init_state(config: SimConfig, datasets=None) -> EngineState:
     local-evaluation set; the server scores on the rest. Both keep the
     loaded images' dtype, which is the dtype models are scored in.
     """
+    schedule = play_game(config)
     if datasets is None:
         train, test = load_mnist(config.data_dir)
     else:
@@ -258,21 +312,14 @@ def init_state(config: SimConfig, datasets=None) -> EngineState:
     parts = partition(train, config.clients, config.scheme, _stream(config.seed, _KIND_PARTITION))
     server = init_model(_stream(config.seed, _KIND_INIT))
     _frozen(server.vector)
-    eps = config.client_eps()
-    clients = [
-        _Client(
-            state=ClientState(id=k, chosen_eps=eps[k]),
-            ledger=TokenLedger(),
-            part=parts[k],
-            model=server.vector,
-        )
-        for k in range(config.clients)
-    ]
+    scores = {}
     return EngineState(
         round=0,
+        schedule=schedule,
         server=server.vector,
+        server_scores=scores,
         layers=server.layers,
-        clients=clients,
+        clients=[_Client(k, parts[k], server.vector, scores) for k in range(config.clients)],
         train=train,
         local_test=local_test,
         global_test=global_test,
@@ -280,110 +327,62 @@ def init_state(config: SimConfig, datasets=None) -> EngineState:
 
 
 def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
-    """Advance the simulation by one round and record what happened."""
+    """Run the learning step of the next scheduled round: its trainers
+    upload, its buyers take the new global model, clients evicted in an
+    earlier round drift, and every row gets its local accuracy."""
     r = state.round + 1
-    params = config.params
-    baseline = config.mechanism == "baseline"
-    policy = None if baseline else config.freshness
-    price = BASELINE_PRICE if baseline else float(params.C)
-    stride = None if baseline else config.stride
-
-    scheduled_ids = set(
-        schedule_group(r, config.clients, params.G)
-        if config.mechanism == "strategic-grouped"
-        else range(config.clients)
-    )
-
-    rows = {}
-    drifters = []
-    trainers = []
-    buyers = []
-    for c in state.clients:
-        if c.state.evicted:
-            drifters.append(c)
-            rows[c.state.id] = dict(scheduled=False, participated=False, bought=False,
-                                    earned=0.0, spent=0.0, expired=0.0)
-            continue
-        eps = c.state.chosen_eps
-        earn = baseline_token_reward(eps, params) if baseline else reward(eps, params)
-        scheduled = c.state.id in scheduled_ids
-        expired, participated, bought = play_round(
-            c.state, c.ledger, r, params, policy, price, earn, scheduled, stride
-        )
-        rows[c.state.id] = dict(scheduled=scheduled, participated=participated, bought=bought,
-                                earned=earn if participated else 0.0,
-                                spent=price if bought else 0.0, expired=expired)
-        if participated:
-            trainers.append(c)
-        if bought:
-            buyers.append(c)
+    if r > len(state.schedule.rounds):
+        raise ValueError(f"round {r} is past the horizon of {len(state.schedule.rounds)}")
+    rows = state.schedule.rounds[r - 1]
+    previous = state.schedule.rounds[r - 2] if r > 1 else []
+    drifters = [c for c, row in zip(state.clients, previous) if row.evicted]
+    trainers = [c for c, row in zip(state.clients, rows) if row.participated]
 
     def gradient(c):
         return local_train(ModelParams(c.model, state.layers), state.train, c.part,
                            config.batches, config.batch_size,
-                           _stream(config.seed, _KIND_TRAIN, c.state.id, r))
+                           _stream(config.seed, _KIND_TRAIN, c.id, r))
 
     def upload(c):
         g = gradient(c)
         if config.ldp:
-            cfg = LdpConfig(
-                eps=c.state.chosen_eps,
-                radius=config.clip_radius,
-                mechanism=config.ldp_mechanism,
-            )
-            g = perturb_gradients(g, cfg, _stream(config.seed, _KIND_PERTURB, c.state.id, r))
+            cfg = LdpConfig(rows[c.id].eps, radius=config.clip_radius,
+                            mechanism=config.ldp_mechanism)
+            g = perturb_gradients(g, cfg, _stream(config.seed, _KIND_PERTURB, c.id, r))
         return g
 
-    looked_up = {}
-
-    def score(vector, dataset):
-        """Accuracy of a model array, evaluated only if no client or the
-        server held this array when it was last scored. Drifter tasks
-        call it concurrently, each with its own new array."""
-        key = (id(vector), dataset.split)
-        kept = looked_up.get(key) or state.scores.get(key)
-        if kept is None or kept[0] is not vector:
-            kept = (vector, evaluate(ModelParams(vector, state.layers), dataset))
-        looked_up[key] = kept
-        return kept[1]
+    def score(vector, scores, dataset):
+        """Accuracy of a model array, evaluated the first time any holder
+        asks. Concurrent drifter tasks each pass their own array and dict."""
+        if dataset.split not in scores:
+            scores[dataset.split] = evaluate(ModelParams(vector, state.layers), dataset)
+        return scores[dataset.split]
 
     def drift(c):
-        model = _frozen(c.model - config.lr * gradient(c))
-        score(model, state.local_test)
-        return model
+        model, scores = _frozen(c.model - config.lr * gradient(c)), {}
+        score(model, scores, state.local_test)
+        return model, scores
 
     # Clients work concurrently; results come back in client order, so
     # aggregate sums them in the same order on any number of cores.
     grads = pool_map(upload, trainers)
-    for c, model in zip(drifters, pool_map(drift, drifters)):
-        c.model = model
+    for c, (model, scores) in zip(drifters, pool_map(drift, drifters)):
+        c.model, c.scores = model, scores
 
     if grads:
         state.server = _frozen(aggregate(
             ModelParams(state.server, state.layers), grads,
             [len(c.part) for c in trainers], config.lr
         ).vector)
-    for c in buyers:
-        c.model = state.server
+        state.server_scores = {}
+    for c, row in zip(state.clients, rows):
+        if row.bought:
+            c.model, c.scores = state.server, state.server_scores
+        row.local_accuracy = score(c.model, c.scores, state.local_test)
 
-    client_rows = [
-        ClientRound(
-            client=c.state.id,
-            eps=c.state.chosen_eps,
-            evicted=c.state.evicted,
-            balance=c.ledger.balance,
-            utility=None if baseline else utility(r, c.state.chosen_eps, config.stride, params),
-            local_accuracy=score(c.model, state.local_test),
-            **rows[c.state.id],
-        )
-        for c in state.clients
-    ]
-
-    global_accuracy = score(state.server, state.global_test)
-    # Entries not looked up belong to arrays no one holds any more.
-    state.scores = looked_up
+    global_accuracy = score(state.server, state.server_scores, state.global_test)
     state.round = r
-    return RoundRecord(round=r, clients=client_rows, global_accuracy=global_accuracy)
+    return RoundRecord(round=r, clients=rows, global_accuracy=global_accuracy)
 
 
 def run_simulation(config: SimConfig, datasets=None) -> list:

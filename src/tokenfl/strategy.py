@@ -213,6 +213,8 @@ def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> Nash
     """
     profile = tuple(float(e) for e in profile)
     grid = sorted(float(e) for e in eps_grid)
+    if not profile:
+        raise ValueError("profile must name at least one client")
     if not grid:
         raise ValueError("eps grid must be nonempty")
     for e in grid:

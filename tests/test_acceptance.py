@@ -4,8 +4,9 @@ Each test is one verdict on one headline behavior: formula endpoints,
 collapse-round windows, the equilibrium of the uniform conservative
 profile, exact token-flow closure at the eligibility budget, the
 certified privacy ratio, the local gradient against finite
-differences, noiseless convergence, the documented preset dynamics,
-and byte-level reproducibility. Tolerances are pinned here and nowhere
+differences, noiseless convergence, the documented preset dynamics
+(their token-game half also offline, with no dataset), and byte-level
+reproducibility. Tolerances are pinned here and nowhere
 else; a failure means the package broke its contract.
 """
 
@@ -16,7 +17,7 @@ import pytest
 
 from tokenfl.cli import parse_config, write_metrics_csv
 from tokenfl.economy import FreshnessPolicy, InsufficientTokens, TokenLedger
-from tokenfl.engine import SimConfig, run_simulation
+from tokenfl.engine import SimConfig, play_game, run_simulation
 from tokenfl.learning import (
     DataPartition,
     Dataset,
@@ -193,6 +194,33 @@ def test_preset_runs_reproduce_the_documented_dynamics(run_preset):
         sum(rec.clients[c].bought for rec in baseline) for c in range(3)
     ]
     assert buys[0] > buys[1] > buys[2]
+
+
+def test_preset_games_reproduce_the_documented_dynamics_offline():
+    def game(name):
+        return play_game(parse_config(preset_config(name), name)).rounds
+
+    sustained = game("strategic-10c-eps15")
+    assert len(sustained) == 50
+    assert all(row.participated and row.bought for rows in sustained for row in rows)
+
+    collapsing = game("strategic-3c-eps25")
+    first_refusal = min(
+        t for t, rows in enumerate(collapsing, 1)
+        for row in rows if row.scheduled and not row.participated and not row.evicted
+    )
+    assert first_refusal == 11 == predict_collapse_round(25.0, 1, 50, MechanismParams())
+    eviction_rounds = [
+        min(t for t, rows in enumerate(collapsing, 1) if rows[c].evicted) for c in range(3)
+    ]
+    assert eviction_rounds == [12, 12, 12]
+    assert all(row.evicted for row in collapsing[-1])
+
+    assert not any(row.evicted for rows in game("grouped-10c-eps20") for row in rows)
+    assert all(row.evicted for row in game("strategic-10c-eps20")[-1])
+
+    baseline = game("baseline-3c")
+    assert [sum(rows[c].bought for rows in baseline) for c in range(3)] == [50, 39, 25]
 
 
 def test_identical_configs_produce_byte_identical_outputs(tmp_path, mnist, run_preset):

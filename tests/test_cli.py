@@ -244,6 +244,10 @@ class TestRunCommand:
             ({"stop_accuracy": -0.5}, "stop_accuracy must be in [0, 1]"),
             ({"clients": 11, "scheme": "disjoint"}, "disjoint scheme supports at most 10"),
             ({"clients": 11, "scheme": "intermediary"}, "intermediary scheme supports at most 10"),
+            ({"eps": 30}, "eps override 30 outside [1.0, 25.0]"),
+            ({"clients": 3, "eps": [1, 15, 40]}, "eps override 40 outside [1.0, 25.0]"),
+            ({"mechanism": "baseline", "eps": 24, "params": {"eps_high": 20}},
+             "baseline eps 24.0 outside [eps_low, eps_high] = [1.0, 20]"),
         ],
     )
     def test_bad_rate_stop_or_client_count_exits_2_before_the_dataset(
@@ -304,6 +308,15 @@ class TestAnalyzeCommand:
             "eps,stride,collapse_round"
         ]
 
+    @pytest.mark.parametrize("argv", [
+        ["--stride", "0"], ["--horizon", "0"], ["--eps", "0.5"], ["--eps", "15", "26"],
+    ])
+    def test_bad_argument_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "analysis"
+        assert main(["analyze", *argv, "--out-dir", str(out)]) == 2
+        assert "analyze: need --stride >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_group_stride_delays_the_crossing(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         main(["analyze", "--eps", "25", "--out-dir", str(out1)])
@@ -322,6 +335,13 @@ class TestNashCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["is_nash"] is True
         assert json.loads((out / "nash.json").read_text()) == payload
+
+    @pytest.mark.parametrize("clients", ["0", "-3"])
+    def test_empty_profile_exits_2(self, capsys, clients):
+        assert main(["nash", "--clients", clients]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "profile must name at least one client" in captured.err
 
     def test_one_sided_grid_exits_2(self, capsys):
         assert main(["nash", "--grid", "15", "20", "25"]) == 2

@@ -11,6 +11,7 @@ round bookkeeping.
 import multiprocessing
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tokenfl.engine import (
     BASELINE_PRICE,
     SimConfig,
     init_state,
+    play_game,
     run_round,
     run_simulation,
     schedule_group,
@@ -148,34 +150,76 @@ class TestRunSimulation:
         assert len(records) == 1
 
     def test_first_purchase_marks_model_ownership(self, synthetic_datasets):
-        state = init_state(config(), synthetic_datasets)
-        run_round(state, config())
-        assert all(c.state.owned_model_round == 1 for c in state.clients)
+        cfg = config(horizon=1)
+        state = init_state(cfg, synthetic_datasets)
+        run_round(state, cfg)
+        assert all(p.owned_model_round == 1 for p in state.schedule.players)
         assert state.round == 1
+
+    def test_round_past_the_horizon_is_rejected(self, synthetic_datasets):
+        cfg = config(horizon=1)
+        state = init_state(cfg, synthetic_datasets)
+        run_round(state, cfg)
+        with pytest.raises(ValueError, match="past the horizon"):
+            run_round(state, cfg)
+
+    @pytest.mark.parametrize("stop_accuracy", [None, 0.0])
+    def test_calls_run_round_once_per_recorded_round(self, synthetic_datasets, monkeypatch,
+                                                     stop_accuracy):
+        # Callers that time rounds wrap engine.run_round; every round must
+        # go through the module attribute.
+        calls = []
+        original = engine.run_round
+
+        def counting(state, cfg):
+            calls.append(state.round + 1)
+            return original(state, cfg)
+
+        monkeypatch.setattr(engine, "run_round", counting)
+        records = run_simulation(config(horizon=3, stop_accuracy=stop_accuracy),
+                                 synthetic_datasets)
+        assert calls == [r.round for r in records]
+        assert len(calls) == (3 if stop_accuracy is None else 1)
+
+
+EVICTION = config(eps=25, scheme="disjoint", horizon=14)
+GROUPED = config(
+    mechanism="strategic-grouped",
+    clients=4,
+    eps=20,
+    horizon=8,
+    params=MechanismParams(G=2),
+)
+BASELINE = config(mechanism="baseline", eps=[25, 15, 1], horizon=10)
 
 
 @pytest.fixture(scope="module")
 def eviction_records(synthetic_datasets):
-    cfg = config(eps=25, scheme="disjoint", horizon=14)
-    return run_simulation(cfg, synthetic_datasets)
+    return run_simulation(EVICTION, synthetic_datasets)
 
 
 @pytest.fixture(scope="module")
 def grouped_records(synthetic_datasets):
-    cfg = config(
-        mechanism="strategic-grouped",
-        clients=4,
-        eps=20,
-        horizon=8,
-        params=MechanismParams(G=2),
-    )
-    return run_simulation(cfg, synthetic_datasets)
+    return run_simulation(GROUPED, synthetic_datasets)
 
 
 @pytest.fixture(scope="module")
 def baseline_records(synthetic_datasets):
-    cfg = config(mechanism="baseline", eps=[25, 15, 1], horizon=10)
-    return run_simulation(cfg, synthetic_datasets)
+    return run_simulation(BASELINE, synthetic_datasets)
+
+
+@pytest.mark.parametrize("records,cfg", [
+    ("eviction_records", EVICTION), ("grouped_records", GROUPED),
+    ("baseline_records", BASELINE),
+])
+def test_economic_columns_are_the_played_game(request, records, cfg):
+    """The learning pass leaves every column but local_accuracy as
+    play_game, which sees no data, scheduled it."""
+    records = request.getfixturevalue(records)
+    game = play_game(cfg)
+    assert len(records) == len(game.rounds) == cfg.horizon
+    for record, rows in zip(records, game.rounds):
+        assert [replace(c, local_accuracy=None) for c in record.clients] == rows
 
 
 class TestEvictionDynamics:
@@ -292,9 +336,9 @@ class TestOracleAgreement:
         cfg = config(clients=6, eps=None, batches=1, horizon=30, params=params)
         state, records = run_with_state(cfg, synthetic_datasets)
         payoff, participated = _trajectory(params.eps_a, 30, params)
-        for c in state.clients:
-            assert c.state.cumulative_payoff == payoff
-            assert sum(r.clients[c.state.id].participated for r in records) == participated
+        for p in state.schedule.players:
+            assert p.cumulative_payoff == payoff
+            assert sum(r.clients[p.id].participated for r in records) == participated
 
     def test_eviction_round_matches_trajectory(self, synthetic_datasets, C, n):
         params = MechanismParams(C=C, n=n)
@@ -357,14 +401,15 @@ class TestSharedModels:
     def test_drifters_score_one_model_each(self, synthetic_datasets, local_evals):
         cfg = config(eps=25, scheme="disjoint", horizon=14)
         state = init_state(cfg, synthetic_datasets)
-        drifting_rounds = 0
+        drifting_rounds = drifters = 0
         for _ in range(cfg.horizon):
-            drifters = sum(c.state.evicted for c in state.clients)
             local_evals.clear()
-            run_round(state, cfg)
+            record = run_round(state, cfg)
             if drifters == cfg.clients:
                 drifting_rounds += 1
                 assert len(local_evals) == drifters
+            # Clients evicted this round drift from the next one on.
+            drifters = sum(c.evicted for c in record.clients)
         assert drifting_rounds > 0
         self.assert_read_only(state)
 
@@ -379,7 +424,7 @@ class TestSharedModels:
             held = state.server
             assert record.global_accuracy == evaluate(
                 ModelParams(state.server, state.layers), state.global_test)
-        assert all(c.state.evicted for c in state.clients)
+        assert all(c.evicted for c in record.clients)
         assert 1 < distinct < cfg.horizon
         assert len(global_evals) == distinct
         assert len({id(v) for v in global_evals}) == distinct

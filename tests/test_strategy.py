@@ -124,6 +124,8 @@ class TestNashCheck:
         assert len(payload["deviations"]) == 15
 
     def test_grid_validation(self):
+        with pytest.raises(ValueError, match="profile"):
+            nash_check([], [10.0, 15.0, 20.0], 10, PARAMS)
         with pytest.raises(ValueError):
             nash_check([15.0], [], 10, PARAMS)
         with pytest.raises(ValueError):
