@@ -22,7 +22,7 @@ del _var
 
 __version__ = "0.1.0"
 
-from .economy import FreshnessPolicy, InsufficientTokens, TokenLedger, TokenLot
+from .economy import FreshnessPolicy, TokenLedger
 from .engine import RoundRecord, SimConfig, run_simulation
 from .learning import Dataset, ModelParams, load_idx, load_mnist
 from .mechanisms import (
@@ -40,9 +40,7 @@ from .strategy import ClientState, nash_check
 __all__ = [
     "__version__",
     "FreshnessPolicy",
-    "InsufficientTokens",
     "TokenLedger",
-    "TokenLot",
     "RoundRecord",
     "SimConfig",
     "run_simulation",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gzip
-import hashlib
 import json
 import os
 import sys
@@ -26,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .engine import MECHANISMS, SCHEMES, SimConfig, run_simulation
-from .learning import MNIST_FILES, _resolve_idx_file, default_data_dir
+from .learning import MNIST_FILES, IdxParseError, default_data_dir, load_mnist
 from .mechanisms import MechanismParams, predict_collapse_round, utility
 from .presets import preset_config, preset_names
 from .strategy import nash_check
@@ -248,16 +247,6 @@ def write_metrics_csv(records, out_path: Path) -> None:
             )
 
 
-def _dataset_checksums(data_dir) -> dict:
-    sums = {}
-    directory = Path(data_dir) if data_dir else default_data_dir()
-    for names in MNIST_FILES.values():
-        for name in names:
-            resolved = _resolve_idx_file(directory, name)
-            sums[name] = hashlib.md5(resolved.read_bytes()).hexdigest()
-    return sums
-
-
 def cmd_run(args) -> int:
     if bool(args.config) == bool(args.preset):
         print("run: provide exactly one of a config file or --preset", file=sys.stderr)
@@ -297,17 +286,18 @@ def cmd_run(args) -> int:
         print(f"run: {err}", file=sys.stderr)
         return 2
 
+    checksums = {}
+    try:
+        datasets = load_mnist(config.data_dir, checksums)
+    except (FileNotFoundError, IdxParseError) as err:
+        print(f"run: {err}", file=sys.stderr)
+        return 1
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
-        checksums = _dataset_checksums(config.data_dir)
-    except FileNotFoundError as err:
-        print(f"run: {err}", file=sys.stderr)
-        return 1
-
-    try:
-        records = run_simulation(config)
+        records = run_simulation(config, datasets)
     except Exception as err:
         print(f"run: simulation failed: {err}", file=sys.stderr)
         raise

@@ -1,10 +1,10 @@
 """Round orchestration across the three incentive mechanisms, in two passes.
 
 play_game first plays a run's whole token game from its config alone,
-with no dataset or model: strategy.play_round settles each client's
+with no dataset or model: round by round, strategy.play_round settles
 token expiry, group scheduling, freshness bar and forced eviction,
-participation decision, token credit, model purchase and payoff, round
-by round. Then run_round runs each round's learning step from that
+participation decision, token credit, model purchase and payoff for
+all clients at once, each client a lane of its arrays. Then run_round runs each round's learning step from that
 round's rows of the schedule: local training on each participant's
 owned model, gradient randomization, weighted aggregation, handing each
 buyer the new global model, and evaluation. Each client's training and
@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# model_age, value, client_round_payoff and decide_participation go unused
-# here; perfbench/run.py instrument() patches them by name on this module.
+# model_age, value, utility, client_round_payoff and decide_participation go
+# unused here; perfbench/run.py instrument() patches them by name on this
+# module.
 from .economy import FreshnessPolicy, TokenLedger, model_age
 from .learning import (
     DataPartition,
@@ -39,14 +40,22 @@ from .learning import (
     partition,
     pool_map,
 )
-from .mechanisms import MechanismParams, baseline_token_reward, reward, utility, value
+from .mechanisms import (
+    MechanismParams,
+    baseline_token_reward,
+    reward,
+    utility,
+    value,
+    value_table,
+)
 from .privacy import LDP_MECHANISMS, LdpConfig, perturb_gradients
 from .strategy import (
-    ClientState,
+    Players,
     choose_epsilon,
     client_round_payoff,
     decide_participation,
     play_round,
+    round_utility,
 )
 
 __all__ = [
@@ -71,6 +80,10 @@ SCHEMES = ("identical", "disjoint", "intermediary")
 # The legacy scheme prices the model at one token so its 0.5..1.0 rewards
 # force low-budget clients to skip purchases on some rounds.
 BASELINE_PRICE = 1.0
+# Baseline rewards are at least half that price and every affordable model
+# is bought, so at most two lots still hold tokens after a round: a third
+# slot takes the next round's credit.
+BASELINE_SLOTS = 3
 
 _KIND_INIT = 0
 _KIND_PARTITION = 1
@@ -254,38 +267,42 @@ def schedule_group(round_index: int, clients: int, G: int):
 
 def play_game(config: SimConfig) -> Schedule:
     """Play rounds 1..horizon of the token game for every client, from
-    the config alone. Rows leave local_accuracy unset; an evicted
-    client's rows are unscheduled and move no tokens."""
+    the config alone, each client a lane of strategy.play_round. Rows
+    leave local_accuracy unset; an evicted client's rows are
+    unscheduled, move no tokens and keep its last balance."""
     params = config.params
-    baseline = config.mechanism == "baseline"
-    policy = None if baseline else config.freshness
-    price = BASELINE_PRICE if baseline else float(params.C)
-    stride = None if baseline else config.stride
-    players = [ClientState(id=k, chosen_eps=e) for k, e in enumerate(config.client_eps())]
-    ledgers = [TokenLedger() for _ in players]
+    eps = config.client_eps()
+    if config.mechanism == "baseline":
+        earn = [baseline_token_reward(e, params) for e in eps]
+        ledger = TokenLedger(config.clients, None, BASELINE_SLOTS)
+        price, stride = BASELINE_PRICE, None
+    else:
+        earn = [reward(e, params) for e in eps]
+        ledger = TokenLedger(config.clients, config.freshness)
+        price, stride = float(params.C), config.stride
+    players = Players.start(eps, earn, params)
+    values = value_table(config.horizon + config.stride)
+    balance = np.zeros(config.clients)
     rounds = []
     for r in range(1, config.horizon + 1):
-        scheduled_ids = set(schedule_group(r, config.clients, config.stride))
-        rows = []
-        for c, ledger in zip(players, ledgers):
-            earn = expired = 0.0
-            scheduled = participated = bought = False
-            if not c.evicted:
-                earn = (baseline_token_reward if baseline else reward)(c.chosen_eps, params)
-                scheduled = c.id in scheduled_ids
-                expired, participated, bought = play_round(
-                    c, ledger, r, params, policy, price, earn, scheduled, stride
-                )
-            rows.append(ClientRound(
-                client=c.id, eps=c.chosen_eps, scheduled=scheduled,
-                participated=participated, bought=bought, evicted=c.evicted,
-                earned=earn if participated else 0.0, spent=price if bought else 0.0,
-                expired=expired, balance=ledger.balance,
-                utility=None if baseline else utility(r, c.chosen_eps, config.stride, params),
-                local_accuracy=None,
-            ))
-        rounds.append(rows)
-    return Schedule(rounds=rounds, players=players)
+        playing = ~players.evicted
+        scheduled = np.zeros(config.clients, dtype=bool)
+        scheduled[schedule_group(r, config.clients, config.stride)] = True
+        expired, participated, bought = play_round(
+            players, ledger, r, price, values, scheduled, stride
+        )
+        np.copyto(balance, ledger.balance(r), where=playing)
+        utilities = (
+            [None] * config.clients if stride is None
+            else round_utility(players, r, stride, values).tolist()
+        )
+        columns = zip(
+            eps, (scheduled & playing).tolist(), participated.tolist(), bought.tolist(),
+            players.evicted.tolist(), np.where(participated, players.earn, 0.0).tolist(),
+            np.where(bought, price, 0.0).tolist(), expired.tolist(), balance.tolist(), utilities,
+        )
+        rounds.append([ClientRound(k, *row, local_accuracy=None) for k, row in enumerate(columns)])
+    return Schedule(rounds=rounds, players=[players.client(k) for k in range(config.clients)])
 
 
 def init_state(config: SimConfig, datasets=None) -> EngineState:

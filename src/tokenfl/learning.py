@@ -189,12 +189,12 @@ def _unpack(vector: np.ndarray, layers):
     return mats
 
 
-def _read_idx_bytes(path) -> bytes:
+def _read_idx_file(path) -> tuple:
+    """Read a raw or gzipped IDX file once. Returns (on-disk bytes, IDX
+    bytes): the same bytes twice, or the unpacked ones for a gzip file."""
     with open(path, "rb") as f:
-        head = f.read(2)
-    opener = gzip.open if head == b"\x1f\x8b" else open
-    with opener(path, "rb") as f:
-        return f.read()
+        raw = f.read()
+    return raw, gzip.decompress(raw) if raw[:2] == b"\x1f\x8b" else raw
 
 
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
@@ -204,7 +204,11 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     validated and violations raise IdxParseError with a distinct message
     per failure mode.
     """
-    img = _read_idx_bytes(images_path)
+    return _parse_idx(images_path, _read_idx_file(images_path)[1],
+                      labels_path, _read_idx_file(labels_path)[1], split)
+
+
+def _parse_idx(images_path, img: bytes, labels_path, lab: bytes, split: str) -> Dataset:
     if len(img) < 16:
         raise IdxParseError(f"{images_path}: truncated image header ({len(img)} bytes)")
     magic, count, rows, cols = struct.unpack(">IIII", img[:16])
@@ -216,7 +220,6 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
             f"for {count} images of {rows}x{cols}, got {len(img)}"
         )
 
-    lab = _read_idx_bytes(labels_path)
     if len(lab) < 8:
         raise IdxParseError(f"{labels_path}: truncated label header ({len(lab)} bytes)")
     magic, lcount = struct.unpack(">II", lab[:8])
@@ -253,18 +256,25 @@ def _resolve_idx_file(directory: Path, name: str) -> Path:
     )
 
 
-def load_mnist(data_dir=None):
+def load_mnist(data_dir=None, checksums=None):
     """Load the train and test splits from a directory of IDX files.
 
-    Accepts raw or gzipped files under their standard names. Returns
-    (train, test) Datasets.
+    Accepts raw or gzipped files under their standard names, and reads
+    each file once. A `checksums` dict receives the md5 of each file's
+    on-disk bytes under its standard name. Returns (train, test)
+    Datasets.
     """
     directory = Path(data_dir) if data_dir else default_data_dir()
     out = []
-    for split, (images_name, labels_name) in MNIST_FILES.items():
-        images = _resolve_idx_file(directory, images_name)
-        labels = _resolve_idx_file(directory, labels_name)
-        out.append(load_idx(images, labels, split=split))
+    for split, names in MNIST_FILES.items():
+        paths = [_resolve_idx_file(directory, name) for name in names]
+        (img_raw, img), (lab_raw, lab) = (_read_idx_file(path) for path in paths)
+        if checksums is not None:
+            import hashlib  # loads OpenSSL, which `import tokenfl` need not pay for
+
+            checksums[names[0]] = hashlib.md5(img_raw).hexdigest()
+            checksums[names[1]] = hashlib.md5(lab_raw).hexdigest()
+        out.append(_parse_idx(paths[0], img, paths[1], lab, split))
     return tuple(out)
 
 

@@ -11,6 +11,7 @@ simulation engine plays out.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ __all__ = [
     "MechanismParams",
     "baseline_token_reward",
     "value",
+    "value_table",
     "cost",
     "reward",
     "utility",
@@ -95,6 +97,15 @@ def value(t) -> float:
     return 30.0 * lt**2.8 / (1.0 + 0.15 * lt**1.5)
 
 
+@functools.lru_cache(maxsize=32)
+def value_table(last: int) -> np.ndarray:
+    """value(t) for t = 0..last as one read-only array of the same
+    floats, computed once per length."""
+    table = np.array([value(t) for t in range(last + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def cost(eps, params: MechanismParams) -> float:
     """Real (non-token) privacy cost of participating at budget eps.
 
@@ -151,15 +162,16 @@ def predict_collapse_round(eps, stride, horizon, params: MechanismParams):
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    for t in range(1, horizon + 1):
-        if utility(t, eps, stride, params) < 0:
-            return t
-    return None
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    v = value_table(horizon + stride)
+    return _collapse_from_increments(v[1 + stride :] - v[1 : horizon + 1], cost(eps, params))
 
 
 def _collapse_from_increments(gains: np.ndarray, c: float):
-    """Index (1-based round) of the first gain below c, or None."""
-    below = np.nonzero(gains < c)[0]
+    """Round (1-based index) of the first gain that does not cover the
+    cost c, checked as utility(t) = gains[t - 1] - c < 0, or None."""
+    below = np.flatnonzero(gains - c < 0)
     if below.size == 0:
         return None
     return int(below[0]) + 1
@@ -197,7 +209,7 @@ def calibrate_cost_range(
         c_max_grid = np.arange(5.0, 40.01, 0.25)
 
     ts = np.arange(1, scan_rounds + 1, dtype=float)
-    v = np.array([value(t) for t in range(0, scan_rounds + 3)])
+    v = value_table(scan_rounds + 2)
     gains1 = v[2 : scan_rounds + 2] - v[1 : scan_rounds + 1]
     gains2 = v[3 : scan_rounds + 3] - v[1 : scan_rounds + 1]
     assert gains1.shape == ts.shape

@@ -5,26 +5,33 @@ Clients commit to one privacy budget for the whole run. The rational
 commitment under the strategic mechanism is eps_a: participation is
 rewarded with exactly the model price there, while lower budgets earn
 too little to stay solvent and higher budgets pay more privacy cost for
-the same tokens. play_round is the single implementation of one
-client's round (expiry, the freshness bar, eviction, participation,
-earning, purchase and payoff); the engine calls it for every client and
-nash_check replays it for one client in isolation, exhaustively pricing
-every single-client deviation onto a grid of budgets.
+the same tokens. play_round is the single implementation of a round of
+the game (expiry, the freshness bar, eviction, participation, earning,
+purchase and payoff), played for many lanes at once: the engine plays
+every client of a run as a lane, and nash_check plays every budget of
+its grid as a lane to price each single-client deviation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .economy import FreshnessPolicy, InsufficientTokens, TokenLedger, model_age
-from .mechanisms import MechanismParams, cost, reward, utility, value
+import numpy as np
+
+# utility and value go unused here; perfbench/run.py instrument() patches
+# them by name on this module.
+from .economy import FreshnessPolicy, TokenLedger, model_age
+from .mechanisms import MechanismParams, cost, reward, utility, value, value_table
 
 __all__ = [
     "ClientState",
+    "Players",
     "choose_epsilon",
+    "round_utility",
     "decide_participation",
     "client_round_payoff",
     "play_round",
+    "trajectories",
     "Deviation",
     "NashReport",
     "nash_check",
@@ -33,7 +40,7 @@ __all__ = [
 
 @dataclass
 class ClientState:
-    """Strategic state of one client, as the game sees it."""
+    """Strategic state of one client, read from its lane of Players."""
 
     id: int
     chosen_eps: float
@@ -41,6 +48,52 @@ class ClientState:
     evicted: bool = False
     stopped: bool = False
     cumulative_payoff: float = 0.0
+
+
+@dataclass(eq=False)
+class Players:
+    """Strategic state of the lanes of one game, one entry per lane.
+
+    `earn` is the lane's token reward and `cost` its privacy cost for a
+    participated round, each computed once by the scalar mechanism
+    functions. `model_clock` is the lane's age clock (TokenLedger.clock)
+    when it bought its model.
+    """
+
+    eps: np.ndarray
+    earn: np.ndarray
+    cost: np.ndarray
+    owned_model_round: np.ndarray
+    model_clock: np.ndarray
+    evicted: np.ndarray
+    stopped: np.ndarray
+    cumulative_payoff: np.ndarray
+
+    @classmethod
+    def start(cls, eps, earn, params: MechanismParams) -> "Players":
+        """Lanes at round zero, owning the initial model, one per eps."""
+        lanes = len(eps)
+        return cls(
+            eps=np.array(eps, dtype=float),
+            earn=np.array(earn, dtype=float),
+            cost=np.array([cost(e, params) for e in eps]),
+            owned_model_round=np.zeros(lanes, dtype=np.int64),
+            model_clock=np.zeros(lanes, dtype=np.int64),
+            evicted=np.zeros(lanes, dtype=bool),
+            stopped=np.zeros(lanes, dtype=bool),
+            cumulative_payoff=np.zeros(lanes),
+        )
+
+    def client(self, k: int) -> ClientState:
+        """Lane k as the state of client k."""
+        return ClientState(
+            id=k,
+            chosen_eps=float(self.eps[k]),
+            owned_model_round=int(self.owned_model_round[k]),
+            evicted=bool(self.evicted[k]),
+            stopped=bool(self.stopped[k]),
+            cumulative_payoff=float(self.cumulative_payoff[k]),
+        )
 
 
 def choose_epsilon(params: MechanismParams, override=None) -> float:
@@ -58,80 +111,77 @@ def choose_epsilon(params: MechanismParams, override=None) -> float:
     return float(override)
 
 
-def decide_participation(client: ClientState, t: int, stride: int,
-                         params: MechanismParams) -> bool:
-    """Whether a client is willing to train at round t.
+def round_utility(players: Players, t: int, stride: int, values: np.ndarray) -> np.ndarray:
+    """Each lane's mechanisms.utility(t, eps, stride, params): the same
+    floats, from the value table `values` and the lane's cost."""
+    return (values[t + stride] - values[t]) - players.cost
+
+
+def decide_participation(players: Players, t: int, stride: int, values: np.ndarray) -> np.ndarray:
+    """Whether each lane is willing to train at round t.
 
     True exactly when the round utility is nonnegative. Utility falls
     with t once the value curve flattens, so after the first refusal a
     client never returns.
     """
-    if client.evicted:
-        raise ValueError(f"client {client.id} is evicted and makes no decisions")
-    return utility(t, client.chosen_eps, stride, params) >= 0.0
+    return round_utility(players, t, stride, values) >= 0.0
 
 
-def client_round_payoff(bought: bool, value_gain: float, eps: float,
-                        participated: bool, params: MechanismParams) -> float:
-    """Real-currency payoff of one round.
+def client_round_payoff(bought, value_gain, cost, participated) -> np.ndarray:
+    """Real-currency payoff of one round, per lane.
 
     Value is realized only when a model is bought; privacy cost is borne
     only when the client actually trained. Tokens never enter the
     payoff, they are plumbing that gates access to the model.
     """
-    if value_gain < 0:
+    gain = np.where(bought, value_gain, 0.0)
+    if np.count_nonzero(gain < 0):
         raise ValueError(f"value_gain must be >= 0, got {value_gain}")
-    gain = value_gain if bought else 0.0
-    spent = cost(eps, params) if participated else 0.0
-    return gain - spent
+    return gain - np.where(participated, cost, 0.0)
 
 
-def play_round(client: ClientState, ledger: TokenLedger, t: int, params: MechanismParams,
-               policy: FreshnessPolicy | None, price: float, earn: float,
-               scheduled: bool = True, stride: int | None = None) -> tuple[float, bool, bool]:
-    """Play one client's round t of the token game.
+def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
+               values: np.ndarray, scheduled=True, stride: int | None = None):
+    """Play round t of the token game for every lane at once.
 
-    In order: expire tokens; bar a model older than the freshness window
-    and evict a barred, scheduled client whose balance cannot cover
-    `price`; let a scheduled client with a fresh model train, unless it
-    refused once before or, given a `stride`, refuses now on utility
-    (with stride None it always complies); credit `earn` for training;
-    buy a model once the owned one is a full window old; book the
-    round's payoff into client.cumulative_payoff. An evicted client
-    books nothing. policy None is the baseline scheme: nothing expires,
-    no model goes stale, and every affordable model is bought. Returns
+    In order, for each lane not yet evicted: expire tokens; bar a model
+    older than the freshness window and evict a barred, scheduled lane
+    whose balance cannot cover `price`; let a scheduled lane with a
+    fresh model train, unless it refused once before or, given a
+    `stride`, refuses now on utility (with stride None it always
+    complies); credit its earn for training; buy a model once the owned
+    one is a full window old; book the round's payoff into
+    cumulative_payoff. An evicted lane books nothing. A ledger without a
+    policy is the baseline scheme: nothing expires, no model goes stale,
+    and every affordable model is bought. `scheduled` is a lane mask or
+    True; `values` holds value(0..t + stride). Returns the lane arrays
     (expired, participated, bought).
     """
-    expired, age, window = 0.0, 0, 0
-    if policy is not None:
-        expired = ledger.expire(t, policy)
-        age = model_age(client.owned_model_round, t, policy, ledger.participated_rounds)
-        window = policy.n
-    if scheduled and age > window and ledger.balance < price:
-        client.evicted = True
-        return expired, False, False
-    participated = scheduled and age <= window and not client.stopped
-    if participated and stride is not None:
-        participated = decide_participation(client, t, stride, params)
-        client.stopped = not participated
-    if participated:
-        ledger.record_participation(t)
-        ledger.credit(earn, t)
-        if policy is not None and policy.counts_participated_only:
-            age += 1  # the round just recorded counts toward the model's age
-    bought = False
-    gain = 0.0
-    if age >= window:
-        try:
-            ledger.spend(price, t)
-            bought = True
-            gain = value(t) - value(client.owned_model_round)
-            client.owned_model_round = t
-        except InsufficientTokens:
-            pass
-    client.cumulative_payoff += client_round_payoff(
-        bought, gain, client.chosen_eps, participated, params
-    )
+    active = ~players.evicted
+    expired = ledger.expire(t, active)
+    if ledger.policy is None:
+        age, window = np.zeros_like(players.model_clock), 0
+    else:
+        age, window = model_age(players.model_clock, ledger.clock(t)), ledger.policy.n
+    barred = age > window
+    evict = active & barred & scheduled
+    if np.count_nonzero(evict):
+        evict &= ledger.balance(t) < price
+        players.evicted |= evict
+        active &= ~evict
+    participated = active & ~barred & ~players.stopped & scheduled
+    if stride is not None:
+        refused = participated & ~decide_participation(players, t, stride, values)
+        players.stopped |= refused
+        participated &= ~refused
+    ledger.credit(players.earn, t, participated)
+    if ledger.policy is not None and ledger.policy.counts_participated_only:
+        age = model_age(players.model_clock, ledger.clock(t))  # the credited round counts
+    bought = ledger.spend(price, t, active & (age >= window))
+    gain = values[t] - values[players.owned_model_round]
+    np.copyto(players.owned_model_round, t, where=bought)
+    np.copyto(players.model_clock, ledger.clock(t), where=bought)
+    players.cumulative_payoff += client_round_payoff(bought, gain, players.cost, participated)
     return expired, participated, bought
 
 
@@ -182,24 +232,28 @@ class NashReport:
         }
 
 
-def _trajectory(eps: float, horizon: int, params: MechanismParams):
-    """Cumulative payoff of one client playing `eps` for `horizon` rounds.
+def trajectories(budgets, horizon: int, params: MechanismParams):
+    """Cumulative payoff and participated-round count of one client
+    playing each budget for `horizon` rounds, all budgets as lanes of
+    one game.
 
     The shared value curve is insensitive to any single client's noise
-    level, so one client's ledger can be played out in isolation. The
-    strategy space of the game is the budget alone, so deviators comply
-    with the schedule and differ only in what they earn and what their
-    privacy costs. Returns (payoff, participated_round_count).
+    level, so each budget can be played out in isolation. The strategy
+    space of the game is the budget alone, so deviators comply with the
+    schedule and differ only in what they earn and what their privacy
+    costs. Returns (payoffs, participated counts), two lists.
     """
-    client, ledger = ClientState(id=0, chosen_eps=eps), TokenLedger()
-    policy, earn = FreshnessPolicy(n=params.n), reward(eps, params)
-    participated = 0
+    budgets = [float(e) for e in budgets]
+    players = Players.start(budgets, [reward(e, params) for e in budgets], params)
+    ledger = TokenLedger(len(budgets), FreshnessPolicy(n=params.n))
+    values = value_table(horizon)
+    participated = np.zeros(len(budgets), dtype=np.int64)
     for t in range(1, horizon + 1):
-        _, trained, _ = play_round(client, ledger, t, params, policy, params.C, earn)
-        if client.evicted:
+        trained = play_round(players, ledger, t, params.C, values)[1]
+        if np.count_nonzero(players.evicted) == len(budgets):
             break
         participated += trained
-    return client.cumulative_payoff, participated
+    return players.cumulative_payoff.tolist(), participated.tolist()
 
 
 def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> NashReport:
@@ -208,8 +262,9 @@ def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> Nash
     For every client and every grid budget different from its profile
     budget, prices the deviation trajectory against the client's profile
     trajectory and reports each comparison; a deviation is profitable
-    when its payoff strictly exceeds the profile payoff. The all-eps_a
-    profile must come back with zero profitable deviations.
+    when its payoff strictly exceeds the profile payoff. Every distinct
+    budget is priced once, all in one game. The all-eps_a profile must
+    come back with zero profitable deviations.
     """
     profile = tuple(float(e) for e in profile)
     grid = sorted(float(e) for e in eps_grid)
@@ -227,20 +282,15 @@ def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> Nash
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    cache: dict = {}
-
-    def priced(eps):
-        if eps not in cache:
-            cache[eps] = _trajectory(eps, horizon, params)
-        return cache[eps]
-
-    profile_payoffs = tuple(priced(e)[0] for e in profile)
+    budgets = sorted(set(profile) | set(grid))
+    priced = dict(zip(budgets, zip(*trajectories(budgets, horizon, params))))
+    profile_payoffs = tuple(priced[e][0] for e in profile)
     report = NashReport(profile, horizon, profile_payoffs)
     for i, base in enumerate(profile):
         for e in grid:
             if e == base:
                 continue
-            payoff, participated = priced(e)
+            payoff, participated = priced[e]
             delta = payoff - profile_payoffs[i]
             report.deviations.append(
                 Deviation(i, e, payoff, delta, participated, delta > 0.0)

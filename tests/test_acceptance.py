@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from tokenfl.cli import parse_config, write_metrics_csv
-from tokenfl.economy import FreshnessPolicy, InsufficientTokens, TokenLedger
+from tokenfl.economy import FreshnessPolicy, TokenLedger
 from tokenfl.engine import SimConfig, play_game, run_simulation
 from tokenfl.learning import (
     DataPartition,
@@ -83,25 +83,24 @@ def test_uniform_conservative_profile_is_an_equilibrium():
 
 
 def test_token_flow_closes_exactly_at_the_eligibility_bar():
+    lane = np.array([True])
     for n in (1, 2, 3):
         for k in (1, 2):
             params = MechanismParams(C=float(n * k), n=n)
-            policy = FreshnessPolicy(n=n)
-            ledger = TokenLedger()
+            ledger = TokenLedger(1, FreshnessPolicy(n=n))
             for t in range(1, 101):
-                assert ledger.expire(t, policy) == 0.0
-                ledger.credit(reward(params.eps_a, params), t)
+                assert ledger.expire(t, lane)[0] == 0.0
+                ledger.credit(reward(params.eps_a, params), t, lane)
                 if t % n == 0:
-                    ledger.spend(params.C, t)
-                    assert ledger.balance == pytest.approx(0.0, abs=1e-9)
+                    assert ledger.spend(params.C, t, lane)[0]
+                    assert ledger.balance(t)[0] == pytest.approx(0.0, abs=1e-9)
 
     params = MechanismParams(C=3.0, n=3)
-    ledger = TokenLedger()
+    ledger = TokenLedger(1, FreshnessPolicy(n=3))
     for t in (1, 2, 3):
-        ledger.credit(reward(10.0, params), t)
-    assert ledger.balance < params.C
-    with pytest.raises(InsufficientTokens):
-        ledger.spend(params.C, 3)
+        ledger.credit(reward(10.0, params), t, lane)
+    assert ledger.balance(3)[0] < params.C
+    assert not ledger.spend(params.C, 3, lane)[0]
 
 
 def test_local_privacy_ratio_is_certified():

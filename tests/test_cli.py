@@ -1,8 +1,12 @@
 """Command-line front end: config schema enforcement, CSV emission,
 manifest replay, the analyze/nash subcommands, and dataset fetching."""
 
+import builtins
 import gzip
+import hashlib
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +278,56 @@ class TestRunCommand:
         )
         assert main(["run", str(config_path), "--out-dir", str(tmp_path / "o")]) == 1
         assert "fetch-data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dataset", ["missing", "corrupt"])
+    def test_unusable_dataset_creates_no_output_directory(self, tmp_path, capsys, dataset):
+        data = tmp_path / "data"
+        if dataset == "corrupt":
+            data.mkdir()
+            for name in (n for pair in MNIST_FILES.values() for n in pair):
+                (data / name).write_bytes(b"not an IDX file")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(minimal_config(data_dir=str(data), horizon=1)))
+        out = tmp_path / "out" / "run"
+        assert main(["run", str(config_path), "--out-dir", str(out)]) == 1
+        assert not (tmp_path / "out").exists()
+        assert ("fetch-data" if dataset == "missing" else "truncated") in capsys.readouterr().err
+
+    def test_each_dataset_file_is_read_once(self, tmp_path, idx_builder, monkeypatch):
+        rng = np.random.default_rng(0)
+        data = tmp_path / "data"
+        data.mkdir()
+        for prefix, count in (("train", 40), ("t10k", 20)):
+            images = rng.integers(0, 256, size=(count, 28, 28), dtype=np.uint8)
+            idx_builder(data, images, np.arange(count) % 10, prefix=prefix)
+        for name in MNIST_FILES["test"]:  # one split gzipped, one raw
+            (data / (name + ".gz")).write_bytes(gzip.compress((data / name).read_bytes()))
+            (data / name).unlink()
+        on_disk = {p.name.removesuffix(".gz"): p for p in data.iterdir()}
+
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if Path(str(file)).parent == data:
+                opened.append(Path(str(file)).name)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(minimal_config(
+            data_dir=str(data), horizon=1, learning={"batches": 1, "batch_size": 8}
+        )))
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out-dir", str(out)]) == 0
+        monkeypatch.undo()
+
+        assert sorted(opened) == sorted(p.name for p in on_disk.values())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dataset"] == {
+            name: hashlib.md5(path.read_bytes()).hexdigest() for name, path in on_disk.items()
+        }
 
 
 class TestAnalyzeCommand:

@@ -1,131 +1,154 @@
 """Token ledger behavior: FIFO spending, expiry windows, the eviction
-rule of a round, and the closed loop that makes the acceptable budget
-self-sustaining."""
+rule of a round, lanes kept apart, and the closed loop that makes the
+acceptable budget self-sustaining. Ledgers hold one lane unless a test
+says otherwise."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tokenfl.economy import (
-    FreshnessPolicy,
-    InsufficientTokens,
-    TokenLedger,
-    TokenLot,
-    model_age,
-)
-from tokenfl.mechanisms import MechanismParams, reward, value
-from tokenfl.strategy import ClientState, play_round
+from tokenfl.economy import FreshnessPolicy, TokenLedger, model_age
+from tokenfl.mechanisms import MechanismParams, reward, value, value_table
+from tokenfl.strategy import Players, play_round
+
+ONE = np.array([True])
+CALENDAR = FreshnessPolicy(n=1)
+COUNTED = FreshnessPolicy(n=1, counts_participated_only=True)
+
+
+def lot(ledger, stamp, lane=0):
+    """(amount, stamp) held in the slot of a lot stamped `stamp`."""
+    slot = stamp % ledger.slots
+    return ledger.lots[lane, slot], ledger.stamps[lane, slot]
 
 
 class TestLots:
     def test_negative_amount_rejected(self):
         with pytest.raises(ValueError):
-            TokenLot(-0.1, 1)
+            TokenLedger(1, CALENDAR).credit(-0.1, 1, ONE)
 
     def test_round_zero_rejected(self):
         with pytest.raises(ValueError):
-            TokenLot(1.0, 0)
+            TokenLedger(1, CALENDAR).credit(1.0, 0, ONE)
+
+    def test_no_policy_needs_a_slot_count(self):
+        with pytest.raises(ValueError):
+            TokenLedger(1, None)
 
 
 class TestCredit:
     def test_single_credit_balance(self):
-        ledger = TokenLedger()
-        ledger.credit(1.0, 1)
-        assert ledger.balance == 1.0
+        ledger = TokenLedger(1, CALENDAR)
+        ledger.credit(1.0, 1, ONE)
+        assert ledger.balance(1).tolist() == [1.0]
 
     def test_zero_credit_is_identity(self):
-        ledger = TokenLedger()
-        ledger.credit(1.0, 1)
-        ledger.credit(0.0, 2)
-        assert ledger.balance == 1.0
+        ledger = TokenLedger(1, CALENDAR)
+        ledger.credit(1.0, 1, ONE)
+        ledger.credit(0.0, 2, ONE)
+        assert ledger.balance(2).tolist() == [1.0]
 
     def test_share_credits_accumulate_to_full_price(self):
         params = MechanismParams(C=3, n=3)
-        ledger = TokenLedger()
+        ledger = TokenLedger(1, FreshnessPolicy(n=params.n))
         for r in range(1, params.n + 1):
-            ledger.credit(reward(params.eps_a, params), r)
-        assert ledger.balance == params.C
+            ledger.credit(reward(params.eps_a, params), r, ONE)
+        assert ledger.balance(params.n).tolist() == [params.C]
 
     def test_rounds_must_arrive_in_order(self):
-        ledger = TokenLedger()
-        ledger.credit(1.0, 5)
+        ledger = TokenLedger(1, CALENDAR)
+        ledger.credit(1.0, 5, ONE)
         with pytest.raises(ValueError):
-            ledger.credit(1.0, 5)
+            ledger.credit(1.0, 5, ONE)
 
     def test_negative_credit_rejected(self):
         with pytest.raises(ValueError):
-            TokenLedger().credit(-1.0, 1)
+            TokenLedger(1, CALENDAR).credit(-1.0, 1, ONE)
+
+    def test_credit_never_overwrites_tokens(self):
+        # Without expiry a two-slot ring wraps onto the round-1 lot.
+        ledger = TokenLedger(1, None, slots=2)
+        ledger.credit(1.0, 1, ONE)
+        ledger.credit(1.0, 2, ONE)
+        with pytest.raises(ValueError, match="overwrite"):
+            ledger.credit(1.0, 3, ONE)
 
 
 class TestSpend:
     def test_exact_spend_empties_balance(self):
-        ledger = TokenLedger()
-        ledger.credit(1.0, 1)
-        ledger.spend(1.0, 1)
-        assert ledger.balance == 0.0
+        ledger = TokenLedger(1, CALENDAR)
+        ledger.credit(1.0, 1, ONE)
+        assert ledger.spend(1.0, 1, ONE).tolist() == [True]
+        assert ledger.balance(1).tolist() == [0.0]
 
     def test_shortfall_raises_and_leaves_ledger_untouched(self):
-        ledger = TokenLedger()
-        ledger.credit(0.9, 1)
-        with pytest.raises(InsufficientTokens):
-            ledger.spend(1.0, 1)
-        assert ledger.balance == 0.9
-        assert [(lot.amount, lot.earned_at) for lot in ledger.lots] == [(0.9, 1)]
+        # A lane whose balance cannot cover the amount does not pay.
+        ledger = TokenLedger(1, CALENDAR)
+        ledger.credit(0.9, 1, ONE)
+        assert ledger.spend(1.0, 1, ONE).tolist() == [False]
+        assert ledger.balance(1).tolist() == [0.9]
+        assert lot(ledger, 1) == (0.9, 1)
 
     def test_fifo_consumption_traced_by_hand(self):
-        ledger = TokenLedger()
-        ledger.credit(0.6, 1)
-        ledger.credit(0.6, 2)
-        ledger.spend(1.0, 2)
-        assert [(lot.amount, lot.earned_at) for lot in ledger.lots] == [
-            (0.0, 1),
-            (pytest.approx(0.2), 2),
-        ]
+        ledger = TokenLedger(1, CALENDAR)
+        ledger.credit(0.6, 1, ONE)
+        ledger.credit(0.6, 2, ONE)
+        ledger.spend(1.0, 2, ONE)
+        assert [lot(ledger, 1), lot(ledger, 2)] == [(0.0, 1), (pytest.approx(0.2), 2)]
 
     def test_negative_spend_rejected(self):
         with pytest.raises(ValueError):
-            TokenLedger().spend(-1.0, 1)
+            TokenLedger(1, CALENDAR).spend(-1.0, 1, ONE)
 
 
 class TestExpire:
     def test_stale_lot_removed(self):
-        ledger = TokenLedger()
-        ledger.credit(1.0, 1)
-        lost = ledger.expire(3, FreshnessPolicy(n=1))
-        assert lost == 1.0
-        assert ledger.balance == 0.0
+        ledger = TokenLedger(1, CALENDAR)
+        ledger.credit(1.0, 1, ONE)
+        lost = ledger.expire(3, ONE)
+        assert lost.tolist() == [1.0]
+        assert ledger.balance(3).tolist() == [0.0]
 
     def test_lot_within_window_kept(self):
-        ledger = TokenLedger()
-        ledger.credit(1.0, 1)
-        lost = ledger.expire(2, FreshnessPolicy(n=3))
-        assert lost == 0.0
-        assert ledger.balance == 1.0
+        ledger = TokenLedger(1, FreshnessPolicy(n=3))
+        ledger.credit(1.0, 1, ONE)
+        lost = ledger.expire(2, ONE)
+        assert lost.tolist() == [0.0]
+        assert ledger.balance(2).tolist() == [1.0]
 
     def test_participated_counting_ignores_skipped_rounds(self):
         # A lot earned at a participated round survives four calendar
         # rounds of sitting out plus one more participated round when
         # only participated rounds age it, even with the tightest window.
-        policy = FreshnessPolicy(n=1, counts_participated_only=True)
-        ledger = TokenLedger()
-        ledger.record_participation(1)
-        ledger.credit(1.0, 1)
-        ledger.record_participation(6)
-        lost = ledger.expire(6, policy)
-        assert lost == 0.0
-        assert ledger.balance == 1.0
+        ledger = TokenLedger(1, COUNTED)
+        ledger.credit(1.0, 1, ONE)
+        ledger.credit(0.0, 6, ONE)
+        lost = ledger.expire(6, ONE)
+        assert lost.tolist() == [0.0]
+        assert ledger.balance(6).tolist() == [1.0]
 
     def test_participated_counting_still_expires(self):
-        policy = FreshnessPolicy(n=1, counts_participated_only=True)
-        ledger = TokenLedger()
-        ledger.record_participation(1)
-        ledger.credit(1.0, 1)
+        ledger = TokenLedger(1, COUNTED)
+        ledger.credit(1.0, 1, ONE)
         for r in (3, 5):
-            ledger.record_participation(r)
-        assert ledger.expire(5, policy) == 1.0
+            ledger.credit(0.0, r, ONE)
+        assert ledger.expire(5, ONE).tolist() == [1.0]
+
+    def test_participated_counting_spends_the_aged_lot_in_its_last_round(self):
+        # The third participation ages the round-1 lot past the window,
+        # yet it stays spendable until the next expiry: three live lots
+        # for n = 1, which is why the ring has n + 2 slots here.
+        ledger = TokenLedger(1, COUNTED)
+        for r in (1, 2, 3):
+            assert ledger.expire(r, ONE).tolist() == [0.0]
+            ledger.credit(0.5, r, ONE)
+        assert ledger.balance(3).tolist() == [1.5]
+        assert ledger.spend(1.0, 3, ONE).tolist() == [True]
+        assert [lot(ledger, j)[0] for j in (1, 2, 3)] == [0.0, 0.0, 0.5]
 
     def test_round_validation(self):
         with pytest.raises(ValueError):
-            TokenLedger().expire(0, FreshnessPolicy())
+            TokenLedger(1, FreshnessPolicy()).expire(0, ONE)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -134,48 +157,68 @@ class TestExpire:
 
 class TestParticipationLog:
     def test_rounds_strictly_increase(self):
-        ledger = TokenLedger()
-        ledger.record_participation(1)
+        ledger = TokenLedger(1, COUNTED)
+        ledger.credit(0.0, 1, ONE)
         with pytest.raises(ValueError):
-            ledger.record_participation(1)
+            ledger.credit(0.0, 1, ONE)
+
+
+class TestLanes:
+    def test_operations_touch_only_their_lanes(self):
+        ledger = TokenLedger(3, CALENDAR)
+        ledger.credit(np.array([1.0, 0.5, 2.0]), 1, np.array([True, True, False]))
+        assert ledger.participations.tolist() == [1, 1, 0]
+        assert ledger.spend(1.0, 1, np.array([True, True, True])).tolist() == [True, False, False]
+        assert ledger.balance(1).tolist() == [0.0, 0.5, 0.0]
+        assert ledger.expire(3, np.array([True, False, True])).tolist() == [0.0, 0.0, 0.0]
+        assert ledger.balance(3).tolist() == [0.0, 0.5, 0.0]
+
+
+def one_player(owned_model_round=0, earn=1.0):
+    players = Players.start([15.0], [earn], MechanismParams())
+    players.owned_model_round[:] = owned_model_round
+    players.model_clock[:] = owned_model_round
+    return players
 
 
 class TestModelAgeAndEviction:
     def test_fresh_model_never_evicts(self):
-        client = ClientState(id=0, chosen_eps=15.0, owned_model_round=4)
-        play_round(client, TokenLedger(), 5, MechanismParams(), FreshnessPolicy(n=1), 1.0, 1.0)
-        assert not client.evicted
+        players = one_player(owned_model_round=4)
+        play_round(players, TokenLedger(1, CALENDAR), 5, 1.0, value_table(5))
+        assert not players.evicted[0]
 
     def test_stale_and_broke_evicts(self):
-        client = ClientState(id=0, chosen_eps=15.0, owned_model_round=1)
-        result = play_round(
-            client, TokenLedger(), 3, MechanismParams(), FreshnessPolicy(n=1), 1.0, 1.0
-        )
-        assert client.evicted
-        assert result == (0.0, False, False)
-        assert client.cumulative_payoff == 0.0
+        players = one_player(owned_model_round=1)
+        result = play_round(players, TokenLedger(1, CALENDAR), 3, 1.0, value_table(3))
+        assert players.evicted[0]
+        assert [a.tolist() for a in result] == [[0.0], [False], [False]]
+        assert players.cumulative_payoff[0] == 0.0
 
     def test_stale_but_solvent_survives(self):
-        client = ClientState(id=0, chosen_eps=15.0, owned_model_round=1)
-        ledger = TokenLedger()
-        ledger.credit(1.0, 2)
-        policy = FreshnessPolicy(n=1)
-        assert play_round(client, ledger, 3, MechanismParams(), policy, 1.0, 1.0) == (
-            0.0, False, True
-        )
-        assert not client.evicted
-        assert client.owned_model_round == 3
-        assert client.cumulative_payoff == value(3) - value(1)
-        assert play_round(client, ledger, 4, MechanismParams(), policy, 1.0, 1.0)[1]
+        players = one_player(owned_model_round=1)
+        ledger = TokenLedger(1, CALENDAR)
+        ledger.credit(1.0, 2, ONE)
+        result = play_round(players, ledger, 3, 1.0, value_table(4))
+        assert [a.tolist() for a in result] == [[0.0], [False], [True]]
+        assert not players.evicted[0]
+        assert players.owned_model_round[0] == 3
+        assert players.cumulative_payoff[0] == value(3) - value(1)
+        assert play_round(players, ledger, 4, 1.0, value_table(4))[1][0]
 
     def test_future_model_rejected(self):
         with pytest.raises(ValueError):
-            model_age(5, 4, FreshnessPolicy())
+            model_age(5, 4)
 
     def test_participated_counting_age(self):
-        policy = FreshnessPolicy(n=1, counts_participated_only=True)
-        assert model_age(2, 9, policy, participated_rounds=(1, 2, 5)) == 1
-        assert model_age(2, 9, policy, participated_rounds=(1, 2, 5, 7)) == 2
+        # Participations at rounds 1, 2 and 5, the model bought at round 2.
+        ledger = TokenLedger(1, COUNTED)
+        for r in (1, 2):
+            ledger.credit(0.0, r, ONE)
+        owned = ledger.clock(2).copy()
+        ledger.credit(0.0, 5, ONE)
+        assert model_age(owned, ledger.clock(9)).tolist() == [1]
+        ledger.credit(0.0, 7, ONE)
+        assert model_age(owned, ledger.clock(9)).tolist() == [2]
 
 
 class TestClosedLoop:
@@ -183,29 +226,24 @@ class TestClosedLoop:
     @pytest.mark.parametrize("k", [1, 2])
     def test_acceptable_budget_never_starves_or_wastes(self, n, k):
         params = MechanismParams(C=n * k, n=n)
-        policy = FreshnessPolicy(n=n)
-        ledger = TokenLedger()
+        ledger = TokenLedger(1, FreshnessPolicy(n=n))
         for r in range(1, 101):
-            assert ledger.expire(r, policy) == 0.0
-            ledger.record_participation(r)
-            ledger.credit(reward(params.eps_a, params), r)
+            assert ledger.expire(r, ONE).tolist() == [0.0]
+            ledger.credit(reward(params.eps_a, params), r, ONE)
             if r % n == 0:
-                ledger.spend(params.C, r)
-                assert ledger.balance == 0.0
+                assert ledger.spend(params.C, r, ONE).tolist() == [True]
+                assert ledger.balance(r).tolist() == [0.0]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_low_budget_starves_at_first_window_purchase(self, n):
         params = MechanismParams(C=n, n=n)
-        policy = FreshnessPolicy(n=n)
-        ledger = TokenLedger()
+        ledger = TokenLedger(1, FreshnessPolicy(n=n))
         eps = 10.0
         assert reward(eps, params) < params.C / params.n
         for r in range(1, n + 1):
-            assert ledger.expire(r, policy) == 0.0
-            ledger.record_participation(r)
-            ledger.credit(reward(eps, params), r)
-        with pytest.raises(InsufficientTokens):
-            ledger.spend(params.C, n)
+            assert ledger.expire(r, ONE).tolist() == [0.0]
+            ledger.credit(reward(eps, params), r, ONE)
+        assert ledger.spend(params.C, n, ONE).tolist() == [False]
 
 
 class TestConservation:
@@ -219,16 +257,13 @@ class TestConservation:
         )
     )
     def test_balance_tracks_flows_without_expiry(self, ops):
-        ledger = TokenLedger()
+        # No policy and a slot per round: nothing expires or wraps.
+        ledger = TokenLedger(1, None, slots=len(ops) + 1)
         expected = 0.0
         for r, (op, amount) in enumerate(ops, start=1):
             if op == "credit":
-                ledger.credit(amount, r)
+                ledger.credit(amount, r, ONE)
                 expected += amount
-            else:
-                try:
-                    ledger.spend(amount, r)
-                    expected -= amount
-                except InsufficientTokens:
-                    pass
-        assert ledger.balance == pytest.approx(expected, abs=1e-9)
+            elif ledger.spend(amount, r, ONE)[0]:
+                expected -= amount
+        assert ledger.balance(len(ops) + 1)[0] == pytest.approx(expected, abs=1e-9)

@@ -28,7 +28,7 @@ from tokenfl.engine import (
 )
 from tokenfl.learning import Dataset, ModelParams, evaluate
 from tokenfl.mechanisms import MechanismParams, baseline_token_reward, reward
-from tokenfl.strategy import _trajectory
+from tokenfl.strategy import trajectories
 
 
 def config(**overrides):
@@ -335,7 +335,7 @@ class TestOracleAgreement:
         params = MechanismParams(C=C, n=n)
         cfg = config(clients=6, eps=None, batches=1, horizon=30, params=params)
         state, records = run_with_state(cfg, synthetic_datasets)
-        payoff, participated = _trajectory(params.eps_a, 30, params)
+        (payoff,), (participated,) = trajectories([params.eps_a], 30, params)
         for p in state.schedule.players:
             assert p.cumulative_payoff == payoff
             assert sum(r.clients[p.id].participated for r in records) == participated
@@ -349,7 +349,7 @@ class TestOracleAgreement:
         # adds nothing.
         stop = next(
             h for h in range(1, 31)
-            if _trajectory(5.0, h, params) == _trajectory(5.0, h - 1, params)
+            if trajectories([5.0], h, params) == trajectories([5.0], h - 1, params)
         )
         for k in range(6):
             assert next(r.round for r in records if r.clients[k].evicted) == stop

@@ -6,15 +6,17 @@ import math
 
 import pytest
 
-from tokenfl.mechanisms import MechanismParams, cost, value
+from tokenfl.economy import FreshnessPolicy, TokenLedger
+from tokenfl.mechanisms import MechanismParams, cost, value, value_table
 from tokenfl.strategy import (
-    ClientState,
     Deviation,
     NashReport,
+    Players,
     choose_epsilon,
     client_round_payoff,
     decide_participation,
     nash_check,
+    play_round,
 )
 
 PARAMS = MechanismParams()
@@ -38,44 +40,53 @@ class TestChooseEpsilon:
             choose_epsilon(PARAMS, override=override)
 
 
+def players(*eps, params=PARAMS):
+    return Players.start(list(eps), [1.0] * len(eps), params)
+
+
 class TestDecideParticipation:
     def test_acceptable_budget_always_joins(self):
-        client = ClientState(id=0, chosen_eps=15.0)
-        assert all(decide_participation(client, t, 1, PARAMS) for t in range(1, 51))
+        client, values = players(15.0), value_table(51)
+        assert all(decide_participation(client, t, 1, values)[0] for t in range(1, 51))
 
     def test_max_budget_quits_past_collapse(self):
-        client = ClientState(id=0, chosen_eps=25.0)
-        assert decide_participation(client, 5, 1, PARAMS)
-        assert not decide_participation(client, 20, 1, PARAMS)
+        client, values = players(25.0), value_table(21)
+        assert decide_participation(client, 5, 1, values)[0]
+        assert not decide_participation(client, 20, 1, values)[0]
 
     def test_zero_cost_always_joins(self):
-        client = ClientState(id=0, chosen_eps=25.0)
-        assert decide_participation(client, 500, 1, ZERO_COST)
+        client = players(25.0, params=ZERO_COST)
+        assert decide_participation(client, 500, 1, value_table(501))[0]
 
     def test_evicted_clients_make_no_decisions(self):
-        client = ClientState(id=0, chosen_eps=15.0, evicted=True)
-        with pytest.raises(ValueError):
-            decide_participation(client, 1, 1, PARAMS)
+        # An evicted lane neither trains nor records a refusal, even on a
+        # round whose utility would make it refuse.
+        client = players(25.0)
+        client.evicted[:] = True
+        ledger = TokenLedger(1, FreshnessPolicy())
+        _, participated, _ = play_round(client, ledger, 20, 1.0, value_table(21), stride=1)
+        assert not participated[0]
+        assert not client.stopped[0]
 
 
 class TestClientRoundPayoff:
     def test_idle_round_is_zero(self):
-        assert client_round_payoff(False, 0.0, 15.0, False, PARAMS) == 0.0
+        assert client_round_payoff(False, 0.0, cost(15.0, PARAMS), False) == 0.0
 
     def test_bought_and_participated_is_gain_minus_cost(self):
         gain = value(7) - value(6)
         expected = gain - cost(15.0, PARAMS)
-        assert client_round_payoff(True, gain, 15.0, True, PARAMS) == pytest.approx(
+        assert client_round_payoff(True, gain, cost(15.0, PARAMS), True) == pytest.approx(
             expected, rel=1e-12
         )
 
     def test_training_without_buying_is_a_pure_loss(self):
-        payoff = client_round_payoff(False, 0.0, 10.0, True, PARAMS)
+        payoff = client_round_payoff(False, 0.0, cost(10.0, PARAMS), True)
         assert payoff == -cost(10.0, PARAMS) < 0
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
-            client_round_payoff(True, -1.0, 15.0, True, PARAMS)
+            client_round_payoff(True, -1.0, cost(15.0, PARAMS), True)
 
 
 @pytest.fixture(scope="module")
