@@ -15,16 +15,19 @@ import argparse
 import csv
 import gzip
 import json
+import math
 import os
 import sys
 import tempfile
 import urllib.request
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from . import __version__
-from .engine import MECHANISMS, SCHEMES, SimConfig, run_simulation
+from .engine import SimConfig, run_simulation
 from .learning import MNIST_FILES, IdxParseError, default_data_dir, load_mnist
 from .mechanisms import MechanismParams, predict_collapse_round, utility
 from .presets import preset_config, preset_names
@@ -61,123 +64,86 @@ class ConfigError(ValueError):
     """Config schema violation; the message names the offending field path."""
 
 
-def _expect(data, path, types, type_name):
-    if not isinstance(data, types) or isinstance(data, bool) and bool not in (
-        types if isinstance(types, tuple) else (types,)
-    ):
-        raise ConfigError(f"{path}: expected {type_name}, got {data!r}")
-    return data
+# The SimConfig fields that the schema nests under "learning". Every
+# other field is a top-level key, and "params" holds the MechanismParams
+# fields.
+_LEARNING_FIELDS = ("batches", "batch_size", "lr")
+
+_TYPE_NAMES = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "a list of numbers",
+    type(None): "null",
+}
 
 
-def _number(data, path):
-    if isinstance(data, bool) or not isinstance(data, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {data!r}")
-    return data
+def _is(value, kind) -> bool:
+    """JSON value `value` has Python type `kind`; an integer is a number
+    but true/false is neither."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _integer(data, path):
-    if isinstance(data, bool) or not isinstance(data, int):
-        raise ConfigError(f"{path}: expected an integer, got {data!r}")
-    return data
-
-
-def _check_keys(data, path, allowed):
-    unknown = sorted(set(data) - set(allowed))
+def _object(data, schema, path) -> dict:
+    """The checked values of object `data`, whose keys must all name
+    entries of `schema` (key -> annotation or nested schema)."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected an object, got {data!r}")
+    unknown = sorted(set(data) - set(schema))
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}; allowed keys are {sorted(allowed)}")
+        raise ConfigError(f"{path}: unknown keys {unknown}; allowed keys are {sorted(schema)}")
+    return {key: _check(value, schema[key], f"{path}.{key}") for key, value in data.items()}
 
 
-_PARAM_KEYS = {
-    "eps_min", "eps_max", "eps_a", "C", "n", "G",
-    "c_min", "c_max", "eps_low", "eps_high",
-}
-_LEARNING_KEYS = {"batches", "batch_size", "lr"}
-_TOP_KEYS = {
-    "mechanism", "clients", "scheme", "eps", "horizon", "seed", "ldp",
-    "ldp_mechanism", "clip_radius", "stop_accuracy", "data_dir",
-    "learning", "params",
-}
+def _check(value, tp, path):
+    """`value` checked against annotation `tp`: a nested schema, a
+    dataclass, a Literal, or a union of bool, int, float, str, None and
+    list[float]. Numbers must be finite."""
+    if isinstance(tp, dict):
+        return _object(value, tp, path)
+    if is_dataclass(tp):
+        kwargs = _object(value, get_type_hints(tp), path)
+        try:
+            return tp(**kwargs)
+        except ValueError as err:
+            raise ConfigError(f"{path}: {err}") from None
+    if get_origin(tp) is Literal:
+        if value not in get_args(tp):
+            name = path.rpartition(".")[2]
+            raise ConfigError(
+                f"{path}: {name} must be one of {list(get_args(tp))}, got {value!r}"
+            )
+        return value
+    # Python 3.10's get_type_hints turns `X | None` with a None default
+    # into typing.Union.
+    kinds = get_args(tp) if get_origin(tp) in (Union, UnionType) else (tp,)
+    kind = next((k for k in kinds if _is(value, get_origin(k) or k)), None)
+    if kind is None:
+        expected = " or ".join(_TYPE_NAMES[get_origin(k) or k] for k in kinds)
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    if isinstance(value, list):
+        (item,) = get_args(kind)
+        return [_check(v, item, f"{path}[{i}]") for i, v in enumerate(value)]
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return value
 
 
 def parse_config(data: dict, source: str = "config") -> SimConfig:
-    """Validate a config dict against the documented schema.
+    """Validate a config dict against the schema of SimConfig's fields.
 
-    Unknown keys and type mismatches raise ConfigError with the full
-    field path. Returns the corresponding SimConfig.
+    Unknown keys, type mismatches and non-finite numbers raise
+    ConfigError with the full field path, as do SimConfig's and
+    MechanismParams' own value checks. Returns the corresponding
+    SimConfig.
     """
-    if not isinstance(data, dict):
-        raise ConfigError(f"{source}: expected an object, got {data!r}")
-    _check_keys(data, source, _TOP_KEYS)
-
-    def path(key):
-        return f"{source}.{key}"
-
-    kwargs = {}
-    if "mechanism" in data:
-        mech = _expect(data["mechanism"], path("mechanism"), str, "a string")
-        if mech not in MECHANISMS:
-            raise ConfigError(f"{path('mechanism')}: must be one of {list(MECHANISMS)}")
-        kwargs["mechanism"] = mech
-    if "scheme" in data:
-        scheme = _expect(data["scheme"], path("scheme"), str, "a string")
-        if scheme not in SCHEMES:
-            raise ConfigError(f"{path('scheme')}: must be one of {list(SCHEMES)}")
-        kwargs["scheme"] = scheme
-    if "clients" in data:
-        kwargs["clients"] = _integer(data["clients"], path("clients"))
-    if "horizon" in data:
-        kwargs["horizon"] = _integer(data["horizon"], path("horizon"))
-    if "seed" in data:
-        kwargs["seed"] = _integer(data["seed"], path("seed"))
-    if "eps" in data and data["eps"] is not None:
-        eps = data["eps"]
-        if isinstance(eps, list):
-            kwargs["eps"] = [_number(e, f"{path('eps')}[{i}]") for i, e in enumerate(eps)]
-        else:
-            kwargs["eps"] = _number(eps, path("eps"))
-    if "ldp" in data:
-        if not isinstance(data["ldp"], bool):
-            raise ConfigError(f"{path('ldp')}: expected true or false, got {data['ldp']!r}")
-        kwargs["ldp"] = data["ldp"]
-    if "ldp_mechanism" in data:
-        kwargs["ldp_mechanism"] = _expect(
-            data["ldp_mechanism"], path("ldp_mechanism"), str, "a string"
-        )
-    if "clip_radius" in data:
-        kwargs["clip_radius"] = _number(data["clip_radius"], path("clip_radius"))
-    if "stop_accuracy" in data and data["stop_accuracy"] is not None:
-        kwargs["stop_accuracy"] = _number(data["stop_accuracy"], path("stop_accuracy"))
-    elif "stop_accuracy" in data:
-        kwargs["stop_accuracy"] = None
-    if "data_dir" in data and data["data_dir"] is not None:
-        kwargs["data_dir"] = _expect(data["data_dir"], path("data_dir"), str, "a string")
-
-    learning = data.get("learning", {})
-    if learning:
-        _check_keys(learning, path("learning"), _LEARNING_KEYS)
-        if "batches" in learning:
-            kwargs["batches"] = _integer(learning["batches"], f"{path('learning')}.batches")
-        if "batch_size" in learning:
-            kwargs["batch_size"] = _integer(
-                learning["batch_size"], f"{path('learning')}.batch_size"
-            )
-        if "lr" in learning:
-            kwargs["lr"] = _number(learning["lr"], f"{path('learning')}.lr")
-
-    raw_params = data.get("params", {})
-    if raw_params:
-        _check_keys(raw_params, path("params"), _PARAM_KEYS)
-        pk = {}
-        for key in _PARAM_KEYS & set(raw_params):
-            if key in ("n", "G"):
-                pk[key] = _integer(raw_params[key], f"{path('params')}.{key}")
-            else:
-                pk[key] = _number(raw_params[key], f"{path('params')}.{key}")
-        try:
-            kwargs["params"] = MechanismParams(**pk)
-        except ValueError as err:
-            raise ConfigError(f"{path('params')}: {err}") from None
-
+    schema = get_type_hints(SimConfig)
+    schema["learning"] = {name: schema.pop(name) for name in _LEARNING_FIELDS}
+    kwargs = _object(data, schema, source)
+    kwargs.update(kwargs.pop("learning", {}))
     try:
         return SimConfig(**kwargs)
     except ValueError as err:
@@ -186,25 +152,10 @@ def parse_config(data: dict, source: str = "config") -> SimConfig:
 
 def config_to_dict(config: SimConfig) -> dict:
     """Normalized schema echo of a SimConfig (eps resolved per client)."""
-    return {
-        "mechanism": config.mechanism,
-        "clients": config.clients,
-        "scheme": config.scheme,
-        "eps": config.client_eps(),
-        "horizon": config.horizon,
-        "seed": config.seed,
-        "ldp": config.ldp,
-        "ldp_mechanism": config.ldp_mechanism,
-        "clip_radius": config.clip_radius,
-        "stop_accuracy": config.stop_accuracy,
-        "data_dir": str(config.data_dir) if config.data_dir else None,
-        "learning": {
-            "batches": config.batches,
-            "batch_size": config.batch_size,
-            "lr": config.lr,
-        },
-        "params": asdict(config.params),
-    }
+    echo = asdict(config)
+    echo["eps"] = config.client_eps()
+    echo["learning"] = {name: echo.pop(name) for name in _LEARNING_FIELDS}
+    return echo
 
 
 def _fmt(x) -> str:

@@ -21,6 +21,7 @@ derived from (seed, purpose, client, round).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .mechanisms import (
     value,
     value_table,
 )
-from .privacy import LDP_MECHANISMS, LdpConfig, perturb_gradients
+from .privacy import LDP_MECHANISMS, LdpConfig, LdpMechanism, perturb_gradients
 from .strategy import (
     Players,
     choose_epsilon,
@@ -74,8 +75,10 @@ __all__ = [
     "run_simulation",
 ]
 
-MECHANISMS = ("baseline", "strategic", "strategic-grouped")
-SCHEMES = ("identical", "disjoint", "intermediary")
+Mechanism = Literal["baseline", "strategic", "strategic-grouped"]
+Scheme = Literal["identical", "disjoint", "intermediary"]
+MECHANISMS = get_args(Mechanism)
+SCHEMES = get_args(Scheme)
 
 # The legacy scheme prices the model at one token so its 0.5..1.0 rewards
 # force low-budget clients to skip purchases on some rounds.
@@ -108,21 +111,21 @@ def _stream(seed, kind, client=0, round_index=0):
 class SimConfig:
     """Full description of one simulation run."""
 
-    mechanism: str = "strategic"
+    mechanism: Mechanism = "strategic"
     clients: int = 3
     params: MechanismParams = field(default_factory=MechanismParams)
-    scheme: str = "identical"
-    eps: object = None
+    scheme: Scheme = "identical"
+    eps: float | list[float] | None = None
     batches: int = 30
     batch_size: int = 64
     lr: float = 0.025
     horizon: int = 50
     seed: int = 0
     ldp: bool = True
-    ldp_mechanism: str = "two_point"
+    ldp_mechanism: LdpMechanism = "two_point"
     clip_radius: float = 1.0
-    stop_accuracy: object = 0.97
-    data_dir: object = None
+    stop_accuracy: float | None = 0.97
+    data_dir: str | None = None
 
     def __post_init__(self):
         if self.mechanism not in MECHANISMS:

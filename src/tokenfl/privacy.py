@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -25,7 +26,8 @@ __all__ = [
     "empirical_ldp_ratio",
 ]
 
-LDP_MECHANISMS = ("two_point", "laplace")
+LdpMechanism = Literal["two_point", "laplace"]
+LDP_MECHANISMS = get_args(LdpMechanism)
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class LdpConfig:
     eps: float
     center: float = 0.0
     radius: float = 1.0
-    mechanism: str = "two_point"
+    mechanism: LdpMechanism = "two_point"
 
     def __post_init__(self):
         if self.eps <= 0:

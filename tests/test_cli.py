@@ -6,6 +6,9 @@ import gzip
 import hashlib
 import io
 import json
+import math
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +23,11 @@ from tokenfl.cli import (
     parse_config,
     write_metrics_csv,
 )
-from tokenfl.engine import ClientRound, RoundRecord
+from tokenfl.engine import ClientRound, RoundRecord, SimConfig
 from tokenfl.learning import MNIST_FILES, load_idx
+from tokenfl.presets import preset_config, preset_names
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def minimal_config(**overrides):
@@ -36,6 +42,28 @@ def minimal_config(**overrides):
     }
     data.update(overrides)
     return data
+
+
+# A config that sets every field of SimConfig and MechanismParams off its
+# default.
+EVERY_FIELD = {
+    "mechanism": "strategic-grouped",
+    "clients": 4,
+    "scheme": "disjoint",
+    "eps": [15, 17.5, 20, 24],
+    "horizon": 7,
+    "seed": 5,
+    "ldp": False,
+    "ldp_mechanism": "laplace",
+    "clip_radius": 0.5,
+    "stop_accuracy": None,
+    "data_dir": "some/data",
+    "learning": {"batches": 3, "batch_size": 8, "lr": 0.1},
+    "params": {
+        "eps_min": 2.0, "eps_max": 24.0, "eps_a": 14.0, "C": 4, "n": 2, "G": 2,
+        "c_min": 1.5, "c_max": 20.0, "eps_low": 2.0, "eps_high": 24.0,
+    },
+}
 
 
 class TestParseConfig:
@@ -88,6 +116,34 @@ class TestParseConfig:
         again = parse_config(echo)
         assert config_to_dict(again) == echo
         assert echo["eps"] == [15.0, 15.0]
+
+    @pytest.mark.parametrize(
+        "raw", [*map(preset_config, preset_names()), EVERY_FIELD],
+        ids=[*preset_names(), "every-field"],
+    )
+    def test_presets_and_every_field_round_trip(self, raw):
+        config = parse_config(raw)
+        echo = config_to_dict(config)
+        again = parse_config(echo)
+        assert again == replace(config, eps=echo["eps"])
+        assert config_to_dict(again) == echo
+
+    def test_every_field_config_leaves_no_default(self):
+        config, default = parse_config(EVERY_FIELD), SimConfig()
+        for obj, base in ((config, default), (config.params, default.params)):
+            for f in fields(obj):
+                if f.name != "params":
+                    assert getattr(obj, f.name) != getattr(base, f.name), f.name
+
+    def test_readme_schema_block_shows_every_key_and_default(self):
+        section = README.read_text(encoding="utf-8").split("### Config schema", 1)[1]
+        block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        raw = json.loads(re.sub(r"//.*", "", block))
+        assert parse_config(raw) == SimConfig()
+        echo = config_to_dict(SimConfig())
+        assert raw.keys() == echo.keys()
+        for name in ("learning", "params"):
+            assert raw[name].keys() == echo[name].keys()
 
 
 class TestMetricsCsv:
@@ -208,6 +264,37 @@ class TestRunCommand:
     def test_unknown_preset_rejected_by_the_parser(self):
         with pytest.raises(SystemExit):
             main(["run", "--preset", "does-not-exist"])
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"clip_radius": math.nan}, ".clip_radius: expected a finite number"),
+            ({"clip_radius": math.inf}, ".clip_radius: expected a finite number"),
+            ({"learning": {"lr": math.inf}}, ".learning.lr: expected a finite number"),
+            ({"params": {"C": math.inf}}, ".params.C: expected a finite number"),
+            ({"params": {"c_min": math.nan}}, ".params.c_min: expected a finite number"),
+            ({"eps": [15, -math.inf]}, ".eps[1]: expected a finite number"),
+            ({"stop_accuracy": math.nan}, ".stop_accuracy: expected a finite number"),
+            ({"learning": 5}, ".learning: expected an object"),
+            ({"learning": None}, ".learning: expected an object"),
+            ({"params": 5}, ".params: expected an object"),
+            ({"params": []}, ".params: expected an object"),
+            ({"params": "ab"}, ".params: expected an object"),
+            ({"params": {"n": 1.5}}, ".params.n: expected an integer"),
+            ({"learning": {"batch_size": "64"}}, ".learning.batch_size: expected an integer"),
+        ],
+    )
+    def test_malformed_field_exits_2_with_its_path_before_the_dataset(
+        self, tmp_path, capsys, overrides, message
+    ):
+        # json.dumps writes nan and inf as the NaN and Infinity tokens that
+        # json.loads accepts.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps(minimal_config(data_dir=str(tmp_path / "nowhere"), **overrides))
+        )
+        assert main(["run", str(config_path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"{config_path}{message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("learning", [{"batch_size": 0}, {"batches": -1}])
     def test_bad_learning_field_exits_2_before_the_dataset(self, tmp_path, capsys, learning):
