@@ -35,7 +35,7 @@ from .mechanisms import (
     value,
 )
 from .privacy import LdpConfig, perturb_gradients
-from .strategy import ClientState, nash_check
+from .strategy import nash_check
 
 __all__ = [
     "__version__",
@@ -57,6 +57,5 @@ __all__ = [
     "value",
     "LdpConfig",
     "perturb_gradients",
-    "ClientState",
     "nash_check",
 ]

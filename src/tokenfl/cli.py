@@ -15,19 +15,18 @@ import argparse
 import csv
 import gzip
 import json
-import math
 import os
 import sys
 import tempfile
 import urllib.request
 import zlib
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from . import __version__
-from .engine import SimConfig, run_simulation
+from .engine import ClientRound, SimConfig, run_simulation
 from .learning import MNIST_FILES, IdxParseError, default_data_dir, load_mnist
 from .mechanisms import MechanismParams, predict_collapse_round, utility
 from .presets import preset_config, preset_names
@@ -35,22 +34,10 @@ from .strategy import nash_check
 
 __all__ = ["main", "parse_config", "config_to_dict", "ConfigError"]
 
-METRICS_HEADER = [
-    "round",
-    "client",
-    "eps",
-    "scheduled",
-    "participated",
-    "bought",
-    "evicted",
-    "earned",
-    "spent",
-    "expired",
-    "balance",
-    "utility",
-    "local_accuracy",
-    "global_accuracy",
-]
+# A client row's columns: its round, then ClientRound's fields in order,
+# then global_accuracy, which only the round's global row fills.
+_CLIENT_COLUMNS = [f.name for f in fields(ClientRound)]
+METRICS_HEADER = ["round", *_CLIENT_COLUMNS, "global_accuracy"]
 
 DEFAULT_NASH_GRID = [1, 5, 10, 13, 15, 17, 20, 23, 25]
 
@@ -127,7 +114,8 @@ def _check(value, tp, path):
     if isinstance(value, list):
         (item,) = get_args(kind)
         return [_check(v, item, f"{path}[{i}]") for i, v in enumerate(value)]
-    if isinstance(value, float) and not math.isfinite(value):
+    # Rejects NaN and infinities, and integers too large for a float.
+    if kind is float and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return value
 
@@ -164,7 +152,7 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))  # a numpy float's repr names its type
     return str(x)
 
 
@@ -173,29 +161,12 @@ def write_metrics_csv(records, out_path: Path) -> None:
     with open(out_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(METRICS_HEADER)
+        blanks = [""] * (len(_CLIENT_COLUMNS) - 1)
         for rec in records:
             for c in rec.clients:
-                writer.writerow(
-                    [
-                        rec.round,
-                        c.client,
-                        _fmt(float(c.eps)),
-                        _fmt(c.scheduled),
-                        _fmt(c.participated),
-                        _fmt(c.bought),
-                        _fmt(c.evicted),
-                        _fmt(float(c.earned)),
-                        _fmt(float(c.spent)),
-                        _fmt(float(c.expired)),
-                        _fmt(float(c.balance)),
-                        _fmt(None if c.utility is None else float(c.utility)),
-                        _fmt(float(c.local_accuracy)),
-                        "",
-                    ]
-                )
-            writer.writerow(
-                [rec.round, "global"] + [""] * 11 + [_fmt(float(rec.global_accuracy))]
-            )
+                row = (_fmt(getattr(c, name)) for name in _CLIENT_COLUMNS)
+                writer.writerow([rec.round, *row, ""])
+            writer.writerow([rec.round, "global", *blanks, _fmt(rec.global_accuracy)])
 
 
 def cmd_run(args) -> int:
@@ -203,7 +174,7 @@ def cmd_run(args) -> int:
         print("run: provide exactly one of a config file or --preset", file=sys.stderr)
         return 2
 
-    preset_name = None
+    preset_name, recorded = None, {}
     if args.preset:
         preset_name = args.preset
         try:
@@ -219,11 +190,11 @@ def cmd_run(args) -> int:
             return 2
         try:
             raw = json.loads(config_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # JSONDecodeError, non-UTF-8 bytes, an integer of 4300+ digits
             print(f"run: {config_path} is not valid JSON: {err}", file=sys.stderr)
             return 2
         if isinstance(raw, dict) and "config" in raw and "artifact" in raw:
-            preset_name = raw.get("preset")
+            preset_name, recorded = raw.get("preset"), raw.get("dataset") or {}
             raw = raw["config"]
         source = str(config_path)
 
@@ -243,6 +214,11 @@ def cmd_run(args) -> int:
     except (FileNotFoundError, IdxParseError) as err:
         print(f"run: {err}", file=sys.stderr)
         return 1
+    for name, md5 in sorted(recorded.items()):
+        if checksums.get(name) != md5:
+            print(f"run: dataset file {name} has md5 {checksums.get(name)}, "
+                  f"but the manifest records {md5}", file=sys.stderr)
+            return 1
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -293,7 +269,7 @@ def cmd_analyze(args) -> int:
         for eps in args.eps:
             for t in range(1, args.horizon + 1):
                 writer.writerow(
-                    [t, _fmt(float(eps)), args.stride,
+                    [t, _fmt(eps), args.stride,
                      _fmt(utility(t, eps, args.stride, params))]
                 )
 
@@ -303,7 +279,7 @@ def cmd_analyze(args) -> int:
         writer.writerow(["eps", "stride", "collapse_round"])
         for eps in args.eps:
             round_index = predict_collapse_round(eps, args.stride, args.horizon, params)
-            writer.writerow([_fmt(float(eps)), args.stride, _fmt(round_index)])
+            writer.writerow([_fmt(eps), args.stride, _fmt(round_index)])
 
     print(f"analyze: wrote {utilities_path} and {collapse_path}")
     return 0

@@ -25,9 +25,9 @@ from typing import Literal, get_args
 
 import numpy as np
 
-# model_age, value, utility, client_round_payoff and decide_participation go
-# unused here; perfbench/run.py instrument() patches them by name on this
-# module.
+# model_age, load_mnist, value, utility, client_round_payoff and
+# decide_participation go unused here; perfbench/run.py instrument()
+# patches them by name on this module.
 from .economy import FreshnessPolicy, TokenLedger, model_age
 from .learning import (
     DataPartition,
@@ -223,11 +223,11 @@ class RoundRecord:
 @dataclass
 class Schedule:
     """The token game of one run: rounds[r - 1] holds round r's
-    ClientRound of every client, in client order, and players each
-    client's ClientState after the last round."""
+    ClientRound of every client, in client order, and players the lanes
+    of every client after the last round."""
 
     rounds: list
-    players: list
+    players: Players
 
 
 @dataclass
@@ -305,24 +305,20 @@ def play_game(config: SimConfig) -> Schedule:
             np.where(bought, price, 0.0).tolist(), expired.tolist(), balance.tolist(), utilities,
         )
         rounds.append([ClientRound(k, *row, local_accuracy=None) for k, row in enumerate(columns)])
-    return Schedule(rounds=rounds, players=[players.client(k) for k in range(config.clients)])
+    return Schedule(rounds=rounds, players=players)
 
 
-def init_state(config: SimConfig, datasets=None) -> EngineState:
-    """Build round-zero state: the played game, model, partitions, test split.
+def init_state(config: SimConfig, datasets) -> EngineState:
+    """Build round-zero state from the (train, test) Datasets: the played
+    game, model, partitions, test split.
 
-    `datasets` optionally injects (train, test) Datasets; by default the
-    standard train/test IDX files are loaded from the configured data
-    directory. The initial global model is handed to every client free
-    of cost. A fifth of the test split is carved out as the shared
-    local-evaluation set; the server scores on the rest. Both keep the
-    loaded images' dtype, which is the dtype models are scored in.
+    The initial global model is handed to every client free of cost. A
+    fifth of the test split is carved out as the shared local-evaluation
+    set; the server scores on the rest. Both keep the loaded images'
+    dtype, which is the dtype models are scored in.
     """
     schedule = play_game(config)
-    if datasets is None:
-        train, test = load_mnist(config.data_dir)
-    else:
-        train, test = datasets
+    train, test = datasets
 
     perm = _stream(config.seed, _KIND_SPLIT).permutation(len(test))
     cut = max(1, int(len(test) * _LOCAL_TEST_FRACTION))
@@ -405,9 +401,10 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
     return RoundRecord(round=r, clients=rows, global_accuracy=global_accuracy)
 
 
-def run_simulation(config: SimConfig, datasets=None) -> list:
-    """Run the configured number of rounds, stopping early at the
-    accuracy threshold when one is set. Deterministic given the seed."""
+def run_simulation(config: SimConfig, datasets) -> list:
+    """Run the configured number of rounds on the (train, test) Datasets,
+    stopping early at the accuracy threshold when one is set.
+    Deterministic given the seed."""
     state = init_state(config, datasets)
     records = []
     for _ in range(config.horizon):

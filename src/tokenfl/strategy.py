@@ -24,7 +24,6 @@ from .economy import FreshnessPolicy, TokenLedger, model_age
 from .mechanisms import MechanismParams, cost, reward, utility, value, value_table
 
 __all__ = [
-    "ClientState",
     "Players",
     "choose_epsilon",
     "round_utility",
@@ -36,18 +35,6 @@ __all__ = [
     "NashReport",
     "nash_check",
 ]
-
-
-@dataclass
-class ClientState:
-    """Strategic state of one client, read from its lane of Players."""
-
-    id: int
-    chosen_eps: float
-    owned_model_round: int = 0
-    evicted: bool = False
-    stopped: bool = False
-    cumulative_payoff: float = 0.0
 
 
 @dataclass(eq=False)
@@ -82,17 +69,6 @@ class Players:
             evicted=np.zeros(lanes, dtype=bool),
             stopped=np.zeros(lanes, dtype=bool),
             cumulative_payoff=np.zeros(lanes),
-        )
-
-    def client(self, k: int) -> ClientState:
-        """Lane k as the state of client k."""
-        return ClientState(
-            id=k,
-            chosen_eps=float(self.eps[k]),
-            owned_model_round=int(self.owned_model_round[k]),
-            evicted=bool(self.evicted[k]),
-            stopped=bool(self.stopped[k]),
-            cumulative_payoff=float(self.cumulative_payoff[k]),
         )
 
 

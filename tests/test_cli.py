@@ -30,6 +30,16 @@ from tokenfl.presets import preset_config, preset_names
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def write_tiny_dataset(data, idx_builder):
+    """Random 28x28 images with cycling labels as the four IDX files in
+    `data`: 40 train rows, 20 test rows."""
+    rng = np.random.default_rng(0)
+    data.mkdir()
+    for prefix, count in (("train", 40), ("t10k", 20)):
+        images = rng.integers(0, 256, size=(count, 28, 28), dtype=np.uint8)
+        idx_builder(data, images, np.arange(count) % 10, prefix=prefix)
+
+
 def minimal_config(**overrides):
     data = {
         "mechanism": "strategic",
@@ -106,6 +116,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(["not", "a", "config"])
 
+    def test_integer_float_field_stays_an_integer(self):
+        echo = config_to_dict(parse_config(minimal_config(params={"C": 1, "n": 1})))
+        assert echo["params"]["C"] == 1 and isinstance(echo["params"]["C"], int)
+
     def test_null_stop_accuracy_disables_the_stop(self):
         config = parse_config(minimal_config(stop_accuracy=None))
         assert config.stop_accuracy is None
@@ -166,11 +180,12 @@ class TestMetricsCsv:
         ]
 
     def test_layout_and_formatting(self, tmp_path):
+        # numpy floats print as plain floats, not as np.float64(...).
         rows = [
             ClientRound(
                 client=0, eps=15.0, scheduled=True, participated=True,
-                bought=True, evicted=False, earned=1.0, spent=1.0,
-                expired=0.0, balance=0.0, utility=2.5, local_accuracy=0.75,
+                bought=True, evicted=False, earned=np.float64(1.0), spent=1.0,
+                expired=0.0, balance=0.0, utility=np.float64(2.5), local_accuracy=0.75,
             ),
             ClientRound(
                 client=1, eps=25.0, scheduled=True, participated=False,
@@ -178,7 +193,7 @@ class TestMetricsCsv:
                 expired=0.5, balance=0.0, utility=None, local_accuracy=0.5,
             ),
         ]
-        records = [RoundRecord(round=1, clients=rows, global_accuracy=0.625)]
+        records = [RoundRecord(round=1, clients=rows, global_accuracy=np.float64(0.625))]
         out = tmp_path / "metrics.csv"
         write_metrics_csv(records, out)
         lines = out.read_text(encoding="utf-8").splitlines()
@@ -187,6 +202,11 @@ class TestMetricsCsv:
         assert lines[2] == "1,1,25.0,1,0,0,1,0.0,0.0,0.5,0.0,,0.5,"
         assert lines[3] == "1,global,,,,,,,,,,,,0.625"
         assert len(lines) == 4
+
+    def test_readme_metrics_block_shows_the_header(self):
+        section = README.read_text(encoding="utf-8").split("### Metrics CSV", 1)[1]
+        block = section.split("```\n", 1)[1].split("```", 1)[0]
+        assert block.splitlines() == [",".join(METRICS_HEADER)]
 
 
 class TestRunCommand:
@@ -234,6 +254,64 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 9
 
+    @pytest.fixture
+    def offline_config(self, tmp_path, idx_builder):
+        """minimal_config on a tiny hand-built IDX dataset, as a file."""
+        write_tiny_dataset(tmp_path / "data", idx_builder)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(minimal_config(data_dir=str(tmp_path / "data"))))
+        return config_path
+
+    def test_run_writes_metrics_and_manifest_offline(self, tmp_path, offline_config):
+        out = tmp_path / "out"
+        assert main(["run", str(offline_config), "--out-dir", str(out)]) == 0
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * (2 + 1)
+        assert lines[0] == ",".join(METRICS_HEADER)
+        assert all(len(line.split(",")) == len(METRICS_HEADER) for line in lines)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifact"] == "tokenfl"
+        assert manifest["rounds_recorded"] == 2
+        assert manifest["config"]["eps"] == [15.0, 15.0]
+        assert set(manifest["dataset"]) == {
+            "train-images-idx3-ubyte",
+            "train-labels-idx1-ubyte",
+            "t10k-images-idx3-ubyte",
+            "t10k-labels-idx1-ubyte",
+        }
+
+    def test_rerun_is_byte_identical_offline(self, tmp_path, offline_config):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", str(offline_config), "--out-dir", str(a)]) == 0
+        assert main(["run", str(offline_config), "--out-dir", str(b)]) == 0
+        assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+
+    def test_manifest_replay_reproduces_the_run_offline(self, tmp_path, offline_config):
+        first = tmp_path / "first"
+        assert main(["run", str(offline_config), "--out-dir", str(first)]) == 0
+        replay = tmp_path / "replay"
+        assert main(["run", str(first / "manifest.json"), "--out-dir", str(replay)]) == 0
+        assert (first / "metrics.csv").read_bytes() == (replay / "metrics.csv").read_bytes()
+        assert (first / "manifest.json").read_bytes() == (replay / "manifest.json").read_bytes()
+
+    def test_seed_override_lands_in_the_manifest_offline(self, tmp_path, offline_config):
+        out = tmp_path / "out"
+        assert main(["run", str(offline_config), "--seed", "9", "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 9
+
+    def test_replay_refuses_a_changed_dataset(self, tmp_path, offline_config, capsys):
+        first = tmp_path / "first"
+        assert main(["run", str(offline_config), "--out-dir", str(first)]) == 0
+        labels = tmp_path / "data" / "t10k-labels-idx1-ubyte"
+        raw = bytearray(labels.read_bytes())
+        raw[-1] = (raw[-1] + 1) % 10
+        labels.write_bytes(bytes(raw))
+        replay = tmp_path / "replay"
+        assert main(["run", str(first / "manifest.json"), "--out-dir", str(replay)]) == 1
+        assert not replay.exists()
+        assert "t10k-labels-idx1-ubyte" in capsys.readouterr().err
+
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(minimal_config(rounds=5)))
@@ -243,6 +321,12 @@ class TestRunCommand:
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text("{not json")
+        assert main(["run", str(config_path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_integer_literal_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"seed": ' + "9" * 5000 + "}")
         assert main(["run", str(config_path), "--out-dir", str(tmp_path / "o")]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
@@ -282,6 +366,9 @@ class TestRunCommand:
             ({"params": "ab"}, ".params: expected an object"),
             ({"params": {"n": 1.5}}, ".params.n: expected an integer"),
             ({"learning": {"batch_size": "64"}}, ".learning.batch_size: expected an integer"),
+            ({"params": {"C": 10**400, "n": 1}}, ".params.C: expected a finite number"),
+            ({"clip_radius": 10**400}, ".clip_radius: expected a finite number"),
+            ({"eps": [15, -10**400]}, ".eps[1]: expected a finite number"),
         ],
     )
     def test_malformed_field_exits_2_with_its_path_before_the_dataset(
@@ -381,12 +468,8 @@ class TestRunCommand:
         assert ("fetch-data" if dataset == "missing" else "truncated") in capsys.readouterr().err
 
     def test_each_dataset_file_is_read_once(self, tmp_path, idx_builder, monkeypatch):
-        rng = np.random.default_rng(0)
         data = tmp_path / "data"
-        data.mkdir()
-        for prefix, count in (("train", 40), ("t10k", 20)):
-            images = rng.integers(0, 256, size=(count, 28, 28), dtype=np.uint8)
-            idx_builder(data, images, np.arange(count) % 10, prefix=prefix)
+        write_tiny_dataset(data, idx_builder)
         for name in MNIST_FILES["test"]:  # one split gzipped, one raw
             (data / (name + ".gz")).write_bytes(gzip.compress((data / name).read_bytes()))
             (data / name).unlink()

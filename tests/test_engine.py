@@ -153,7 +153,7 @@ class TestRunSimulation:
         cfg = config(horizon=1)
         state = init_state(cfg, synthetic_datasets)
         run_round(state, cfg)
-        assert all(p.owned_model_round == 1 for p in state.schedule.players)
+        assert (state.schedule.players.owned_model_round == 1).all()
         assert state.round == 1
 
     def test_round_past_the_horizon_is_rejected(self, synthetic_datasets):
@@ -336,9 +336,9 @@ class TestOracleAgreement:
         cfg = config(clients=6, eps=None, batches=1, horizon=30, params=params)
         state, records = run_with_state(cfg, synthetic_datasets)
         (payoff,), (participated,) = trajectories([params.eps_a], 30, params)
-        for p in state.schedule.players:
-            assert p.cumulative_payoff == payoff
-            assert sum(r.clients[p.id].participated for r in records) == participated
+        for k, got in enumerate(state.schedule.players.cumulative_payoff.tolist()):
+            assert got == payoff
+            assert sum(r.clients[k].participated for r in records) == participated
 
     def test_eviction_round_matches_trajectory(self, synthetic_datasets, C, n):
         params = MechanismParams(C=C, n=n)

@@ -172,9 +172,9 @@ def test_lane_game_equals_the_scalar_oracle(config):
                   r.expired, r.balance, r.utility))
             for r in got
         ] == [bits(row) for row in want]
-    assert [bits((p.cumulative_payoff, p.owned_model_round)) for p in schedule.players] == [
-        bits(p) for p in players
-    ]
+    lanes = schedule.players
+    got = zip(lanes.cumulative_payoff.tolist(), lanes.owned_model_round.tolist())
+    assert [bits(p) for p in got] == [bits(p) for p in players]
 
 
 @settings(max_examples=60, deadline=None)
