@@ -214,6 +214,10 @@ def cmd_run(args) -> int:
     except (FileNotFoundError, IdxParseError) as err:
         print(f"run: {err}", file=sys.stderr)
         return 1
+    if config.clients > len(datasets[0]):
+        print(f"run: {source}.clients: {config.clients} clients exceed the "
+              f"{len(datasets[0])} rows of the train split", file=sys.stderr)
+        return 2
     for name, md5 in sorted(recorded.items()):
         if checksums.get(name) != md5:
             print(f"run: dataset file {name} has md5 {checksums.get(name)}, "

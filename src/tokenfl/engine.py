@@ -3,25 +3,25 @@
 play_game first plays a run's whole token game from its config alone,
 with no dataset or model: round by round, strategy.play_round settles
 token expiry, group scheduling, freshness bar and forced eviction,
-participation decision, token credit, model purchase and payoff for
-all clients at once, each client a lane of its arrays. Then run_round runs each round's learning step from that
-round's rows of the schedule: local training on each participant's
-owned model, gradient randomization, weighted aggregation, handing each
-buyer the new global model, and evaluation. Each client's training and
-randomization is one task on learning's thread pool. Model arrays are
-read-only, so all holders of one global model share its array and one
-dict of its scores, and each array is scored once per test split.
-Clients evicted in an earlier round keep training locally on their
-stale model, outside the federation; each one's training and scoring is
-one pool task.
-Everything is deterministic given the run seed: every random stream is
-derived from (seed, purpose, client, round).
+participation decision, token credit, model purchase and payoff for all
+clients at once, each client a lane of its arrays. The played game is a
+Schedule of (horizon, clients) arrays, one per economic ClientRound
+field, which economy-only callers read without building rows. Then
+run_round runs each round's learning step from that round's trainer,
+buyer and drifter masks: local training on each participant's owned
+model, gradient randomization, weighted aggregation, handing each buyer
+the new global model, and evaluation, each client's training one task
+on learning's thread pool. Model arrays are read-only, so all holders
+of one global model share its array and one dict of its scores. Clients
+evicted in an earlier round keep training locally on their stale model,
+outside the federation. Every random stream is derived from (seed,
+purpose, client, round), so a run is a pure function of its config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, get_args
+from typing import Literal, get_args, get_type_hints
 
 import numpy as np
 
@@ -66,6 +66,7 @@ __all__ = [
     "SimConfig",
     "ClientRound",
     "RoundRecord",
+    "COLUMNS",
     "EngineState",
     "Schedule",
     "schedule_group",
@@ -173,11 +174,8 @@ class SimConfig:
                 raise ValueError(f"baseline eps {e} outside [eps_low, eps_high] = [{low}, {high}]")
 
     def client_eps(self) -> list:
-        if self.eps is None:
-            return [choose_epsilon(self.params) for _ in range(self.clients)]
-        if isinstance(self.eps, (list, tuple)):
-            return [choose_epsilon(self.params, override=e) for e in self.eps]
-        return [choose_epsilon(self.params, override=self.eps) for _ in range(self.clients)]
+        eps = self.eps if isinstance(self.eps, (list, tuple)) else [self.eps] * self.clients
+        return [choose_epsilon(self.params, override=e) for e in eps]
 
     @property
     def stride(self) -> int:
@@ -205,7 +203,7 @@ class ClientRound:
     spent: float
     expired: float
     balance: float
-    utility: object
+    utility: float | None
     local_accuracy: float
 
 
@@ -215,19 +213,32 @@ class RoundRecord:
     clients: list
     global_accuracy: float
 
-    @property
-    def participants(self):
-        return [c.client for c in self.clients if c.participated]
+
+# The played game's columns: ClientRound's fields from eps through
+# utility, each bool or float64 by annotation. NaN is a cell with no value.
+COLUMNS = {name: bool if tp is bool else float
+           for name, tp in list(get_type_hints(ClientRound).items())[1:-1]}
 
 
-@dataclass
+@dataclass(eq=False)
 class Schedule:
-    """The token game of one run: rounds[r - 1] holds round r's
-    ClientRound of every client, in client order, and players the lanes
-    of every client after the last round."""
+    """The token game of one run: read-only columns[name][r - 1, k] is
+    field `name` of client k's ClientRound in round r, for each name in
+    COLUMNS, and players the lanes of every client after the last round."""
 
-    rounds: list
+    columns: dict
     players: Players
+
+    @property
+    def horizon(self) -> int:
+        return len(self.columns["eps"])
+
+    def rows(self, r: int) -> list:
+        """Round r's ClientRound of every client, local_accuracy unset;
+        .tolist() keeps each float's repr, and NaN reads as None."""
+        cells = zip(*(self.columns[name][r - 1].tolist() for name in COLUMNS))
+        return [ClientRound(k, *(None if x != x else x for x in row), local_accuracy=None)
+                for k, row in enumerate(cells)]
 
 
 @dataclass
@@ -270,9 +281,9 @@ def schedule_group(round_index: int, clients: int, G: int):
 
 def play_game(config: SimConfig) -> Schedule:
     """Play rounds 1..horizon of the token game for every client, from
-    the config alone, each client a lane of strategy.play_round. Rows
-    leave local_accuracy unset; an evicted client's rows are
-    unscheduled, move no tokens and keep its last balance."""
+    the config alone, each client a lane of strategy.play_round and each
+    round one row of the Schedule's columns. An evicted client's cells
+    are unscheduled, move no tokens and keep its last balance."""
     params = config.params
     eps = config.client_eps()
     if config.mechanism == "baseline":
@@ -285,8 +296,10 @@ def play_game(config: SimConfig) -> Schedule:
         price, stride = float(params.C), config.stride
     players = Players.start(eps, earn, params)
     values = value_table(config.horizon + config.stride)
+    shape = (config.horizon, config.clients)
+    columns = {name: np.empty(shape, dtype) for name, dtype in COLUMNS.items()}
+    columns["eps"] = np.broadcast_to(players.eps, shape)
     balance = np.zeros(config.clients)
-    rounds = []
     for r in range(1, config.horizon + 1):
         playing = ~players.evicted
         scheduled = np.zeros(config.clients, dtype=bool)
@@ -295,17 +308,15 @@ def play_game(config: SimConfig) -> Schedule:
             players, ledger, r, price, values, scheduled, stride
         )
         np.copyto(balance, ledger.balance(r), where=playing)
-        utilities = (
-            [None] * config.clients if stride is None
-            else round_utility(players, r, stride, values).tolist()
-        )
-        columns = zip(
-            eps, (scheduled & playing).tolist(), participated.tolist(), bought.tolist(),
-            players.evicted.tolist(), np.where(participated, players.earn, 0.0).tolist(),
-            np.where(bought, price, 0.0).tolist(), expired.tolist(), balance.tolist(), utilities,
-        )
-        rounds.append([ClientRound(k, *row, local_accuracy=None) for k, row in enumerate(columns)])
-    return Schedule(rounds=rounds, players=players)
+        cells = {
+            "scheduled": scheduled & playing, "participated": participated, "bought": bought,
+            "evicted": players.evicted, "earned": np.where(participated, players.earn, 0.0),
+            "spent": np.where(bought, price, 0.0), "expired": expired, "balance": balance,
+            "utility": np.nan if stride is None else round_utility(players, r, stride, values),
+        }
+        for name, cell in cells.items():
+            columns[name][r - 1] = cell
+    return Schedule(columns={name: _frozen(c) for name, c in columns.items()}, players=players)
 
 
 def init_state(config: SimConfig, datasets) -> EngineState:
@@ -347,12 +358,12 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
     upload, its buyers take the new global model, clients evicted in an
     earlier round drift, and every row gets its local accuracy."""
     r = state.round + 1
-    if r > len(state.schedule.rounds):
-        raise ValueError(f"round {r} is past the horizon of {len(state.schedule.rounds)}")
-    rows = state.schedule.rounds[r - 1]
-    previous = state.schedule.rounds[r - 2] if r > 1 else []
-    drifters = [c for c, row in zip(state.clients, previous) if row.evicted]
-    trainers = [c for c, row in zip(state.clients, rows) if row.participated]
+    game = state.schedule
+    if r > game.horizon:
+        raise ValueError(f"round {r} is past the horizon of {game.horizon}")
+    rows = game.rows(r)
+    drifters = [state.clients[k] for k in np.flatnonzero(game.columns["evicted"][: r - 1].any(0))]
+    trainers = [state.clients[k] for k in np.flatnonzero(game.columns["participated"][r - 1])]
 
     def gradient(c):
         return local_train(ModelParams(c.model, state.layers), state.train, c.part,
@@ -392,7 +403,7 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
         ).vector)
         state.server_scores = {}
     for c, row in zip(state.clients, rows):
-        if row.bought:
+        if game.columns["bought"][r - 1, c.id]:
             c.model, c.scores = state.server, state.server_scores
         row.local_accuracy = score(c.model, c.scores, state.local_test)
 

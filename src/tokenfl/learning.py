@@ -287,10 +287,10 @@ def partition(dataset: Dataset, clients: int, scheme: str, seed) -> list:
     a random half of the examples is split identically and the other
     half disjointly by label, concatenated per client.
     """
-    if clients < 1:
-        raise ValueError(f"clients must be >= 1, got {clients}")
-    rng = np.random.default_rng(seed)
     n = len(dataset)
+    if not 1 <= clients <= n:
+        raise ValueError(f"need 1 <= clients <= {n}, the dataset's rows, got {clients}")
+    rng = np.random.default_rng(seed)
 
     if scheme == "identical":
         perm = rng.permutation(n)

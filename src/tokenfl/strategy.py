@@ -14,7 +14,7 @@ its grid as a lane to price each single-client deviation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -189,23 +189,8 @@ class NashReport:
         return not self.profitable_deviations
 
     def to_dict(self) -> dict:
-        return {
-            "profile": list(self.profile),
-            "horizon": self.horizon,
-            "profile_payoffs": list(self.profile_payoffs),
-            "is_nash": self.is_nash,
-            "deviations": [
-                {
-                    "client": d.client,
-                    "eps": d.eps,
-                    "payoff": d.payoff,
-                    "delta": d.delta,
-                    "participated_rounds": d.participated_rounds,
-                    "profitable": d.profitable,
-                }
-                for d in self.deviations
-            ],
-        }
+        return {**asdict(self), "profile": list(self.profile),
+                "profile_payoffs": list(self.profile_payoffs), "is_nash": self.is_nash}
 
 
 def trajectories(budgets, horizon: int, params: MechanismParams):

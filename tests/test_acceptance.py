@@ -197,29 +197,25 @@ def test_preset_runs_reproduce_the_documented_dynamics(run_preset):
 
 def test_preset_games_reproduce_the_documented_dynamics_offline():
     def game(name):
-        return play_game(parse_config(preset_config(name), name)).rounds
+        return play_game(parse_config(preset_config(name), name)).columns
 
     sustained = game("strategic-10c-eps15")
-    assert len(sustained) == 50
-    assert all(row.participated and row.bought for rows in sustained for row in rows)
+    assert sustained["participated"].shape == (50, 10)
+    assert (sustained["participated"] & sustained["bought"]).all()
 
     collapsing = game("strategic-3c-eps25")
-    first_refusal = min(
-        t for t, rows in enumerate(collapsing, 1)
-        for row in rows if row.scheduled and not row.participated and not row.evicted
-    )
+    refused = collapsing["scheduled"] & ~collapsing["participated"] & ~collapsing["evicted"]
+    first_refusal = 1 + int(np.flatnonzero(refused.any(axis=1))[0])
     assert first_refusal == 11 == predict_collapse_round(25.0, 1, 50, MechanismParams())
-    eviction_rounds = [
-        min(t for t, rows in enumerate(collapsing, 1) if rows[c].evicted) for c in range(3)
-    ]
-    assert eviction_rounds == [12, 12, 12]
-    assert all(row.evicted for row in collapsing[-1])
+    assert collapsing["evicted"][-1].all()
+    eviction_rounds = 1 + collapsing["evicted"].argmax(axis=0)
+    assert eviction_rounds.tolist() == [12, 12, 12]
 
-    assert not any(row.evicted for rows in game("grouped-10c-eps20") for row in rows)
-    assert all(row.evicted for row in game("strategic-10c-eps20")[-1])
+    assert not game("grouped-10c-eps20")["evicted"].any()
+    assert game("strategic-10c-eps20")["evicted"][-1].all()
 
     baseline = game("baseline-3c")
-    assert [sum(rows[c].bought for rows in baseline) for c in range(3)] == [50, 39, 25]
+    assert baseline["bought"].sum(axis=0).tolist() == [50, 39, 25]
 
 
 def test_identical_configs_produce_byte_identical_outputs(tmp_path, mnist, run_preset):
@@ -244,3 +240,17 @@ def test_identical_configs_produce_byte_identical_outputs(tmp_path, mnist, run_p
     assert (tmp_path / f"{witness}-cached.csv").read_bytes() == (
         tmp_path / f"{witness}-fresh.csv"
     ).read_bytes()
+
+
+def test_identical_configs_produce_byte_identical_outputs_offline(tmp_path, synthetic_datasets):
+    for name in preset_names():
+        raw = preset_config(name)
+        raw["horizon"] = 4
+        raw["learning"]["batches"] = 5
+        config = parse_config(raw, name)
+        outputs = []
+        for attempt in ("a", "b"):
+            path = tmp_path / f"{name}-{attempt}.csv"
+            write_metrics_csv(run_simulation(config, datasets=synthetic_datasets), path)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1], name

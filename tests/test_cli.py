@@ -467,6 +467,23 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
         assert ("fetch-data" if dataset == "missing" else "truncated") in capsys.readouterr().err
 
+    def test_more_clients_than_train_rows_exits_2_before_training(
+        self, tmp_path, idx_builder, monkeypatch, capsys
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        for prefix, count in (("train", 50), ("t10k", 20)):
+            images = np.zeros((count, 28, 28), dtype=np.uint8)
+            idx_builder(data, images, np.arange(count) % 10, prefix=prefix)
+        monkeypatch.setattr(cli, "run_simulation", None)  # any training call fails
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(minimal_config(data_dir=str(data), clients=60)))
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{config_path}.clients: 60 clients exceed the 50 rows" in err
+
     def test_each_dataset_file_is_read_once(self, tmp_path, idx_builder, monkeypatch):
         data = tmp_path / "data"
         write_tiny_dataset(data, idx_builder)

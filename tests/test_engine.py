@@ -11,7 +11,7 @@ round bookkeeping.
 import multiprocessing
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ import pytest
 from tokenfl import engine, learning
 from tokenfl.engine import (
     BASELINE_PRICE,
+    COLUMNS,
     SimConfig,
     init_state,
     play_game,
@@ -28,7 +29,7 @@ from tokenfl.engine import (
 )
 from tokenfl.learning import Dataset, ModelParams, evaluate
 from tokenfl.mechanisms import MechanismParams, baseline_token_reward, reward
-from tokenfl.strategy import trajectories
+from tokenfl.strategy import Players, trajectories
 
 
 def config(**overrides):
@@ -139,10 +140,6 @@ class TestRunSimulation:
             accs = {c.local_accuracy for c in record.clients}
             assert len(accs) == 1
 
-    def test_participants_property(self, synthetic_datasets):
-        records = run_simulation(config(horizon=2), synthetic_datasets)
-        assert records[0].participants == [0, 1, 2]
-
     def test_stop_accuracy_halts_early(self, synthetic_datasets):
         records = run_simulation(
             config(horizon=4, stop_accuracy=0.0), synthetic_datasets
@@ -208,18 +205,22 @@ def baseline_records(synthetic_datasets):
     return run_simulation(BASELINE, synthetic_datasets)
 
 
-@pytest.mark.parametrize("records,cfg", [
-    ("eviction_records", EVICTION), ("grouped_records", GROUPED),
-    ("baseline_records", BASELINE),
-])
-def test_economic_columns_are_the_played_game(request, records, cfg):
+@pytest.mark.parametrize("cfg", [EVICTION, GROUPED, BASELINE])
+def test_economic_columns_are_the_played_game(synthetic_datasets, cfg):
     """The learning pass leaves every column but local_accuracy as
-    play_game, which sees no data, scheduled it."""
-    records = request.getfixturevalue(records)
+    play_game, which sees no data, scheduled it, and leaves the schedule
+    itself exactly as played."""
+    state, records = run_with_state(cfg, synthetic_datasets)
     game = play_game(cfg)
-    assert len(records) == len(game.rounds) == cfg.horizon
-    for record, rows in zip(records, game.rounds):
-        assert [replace(c, local_accuracy=None) for c in record.clients] == rows
+    assert len(records) == game.horizon == cfg.horizon
+    assert list(game.columns) == list(COLUMNS)
+    for name, column in game.columns.items():
+        want = [[None if x != x else x for x in row] for row in column.tolist()]
+        assert [[getattr(c, name) for c in r.clients] for r in records] == want, name
+        assert state.schedule.columns[name].tobytes() == column.tobytes(), name
+    for f in fields(Players):
+        got, want = (getattr(g.players, f.name) for g in (state.schedule, game))
+        assert got.tobytes() == want.tobytes(), f.name
 
 
 class TestEvictionDynamics:

@@ -4,15 +4,22 @@ engine.play_game plays every client of a run, and strategy.trajectories
 every budget of an equilibrium scan, as lanes of one array-backed
 strategy.play_round over a TokenLedger. The oracle here plays the same
 rules one client at a time over a list of token lots, the way the game
-reads on paper. Every row, every final player and every ledger balance
-must agree bit for bit.
+reads on paper. Every cell of the played game's columns, every final
+player and every ledger balance must agree bit for bit.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tokenfl.economy import FreshnessPolicy, TokenLedger
-from tokenfl.engine import BASELINE_PRICE, MECHANISMS, SimConfig, play_game, schedule_group
+from tokenfl.engine import (
+    BASELINE_PRICE,
+    COLUMNS,
+    MECHANISMS,
+    SimConfig,
+    play_game,
+    schedule_group,
+)
 from tokenfl.mechanisms import (
     MechanismParams,
     baseline_token_reward,
@@ -158,7 +165,7 @@ def games(draw):
     clients = G * draw(st.integers(1, 3))
     eps = draw(st.lists(st.floats(1.0, 25.0), min_size=clients, max_size=clients))
     return SimConfig(mechanism=mechanism, clients=clients, params=params, eps=eps,
-                     horizon=draw(st.integers(1, 40)))
+                     horizon=draw(st.integers(0, 40)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -166,11 +173,14 @@ def games(draw):
 def test_lane_game_equals_the_scalar_oracle(config):
     schedule = play_game(config)
     rounds, players = scalar_game(config)
-    for got, want in zip(schedule.rounds, rounds, strict=True):
+    assert schedule.columns["eps"].tolist() == [config.client_eps()] * config.horizon
+    # The oracle's columns; NaN is a utility with no value.
+    cells = [schedule.columns[name].tolist() for name in list(COLUMNS)[1:]]
+    assert [len(column) for column in cells] == [config.horizon] * len(cells)
+    for t, want in enumerate(rounds):
+        got = zip(*(column[t] for column in cells), strict=True)
         assert [
-            bits((r.scheduled, r.participated, r.bought, r.evicted, r.earned, r.spent,
-                  r.expired, r.balance, r.utility))
-            for r in got
+            bits(None if v != v else v for v in row) for row in got
         ] == [bits(row) for row in want]
     lanes = schedule.players
     got = zip(lanes.cumulative_payoff.tolist(), lanes.owned_model_round.tolist())
