@@ -27,7 +27,7 @@ from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .engine import ClientRound, SimConfig, run_simulation
-from .learning import MNIST_FILES, IdxParseError, default_data_dir, load_mnist
+from .learning import DEFAULT_LAYERS, MNIST_FILES, IdxParseError, default_data_dir, load_mnist
 from .mechanisms import MechanismParams, predict_collapse_round, utility
 from .presets import preset_config, preset_names
 from .strategy import nash_check
@@ -194,13 +194,17 @@ def cmd_run(args) -> int:
             print(f"run: {config_path} is not valid JSON: {err}", file=sys.stderr)
             return 2
         if isinstance(raw, dict) and "config" in raw and "artifact" in raw:
-            preset_name, recorded = raw.get("preset"), raw.get("dataset") or {}
+            preset_name, recorded = raw.get("preset"), raw.get("dataset", {})
+            if not isinstance(recorded, dict) or not all(
+                    isinstance(md5, str) for md5 in recorded.values()):
+                print(f"run: {config_path}.dataset: expected an object mapping file names "
+                      f"to md5 strings, got {recorded!r}", file=sys.stderr)
+                return 2
             raw = raw["config"]
         source = str(config_path)
 
-    if args.seed is not None:
-        raw = dict(raw)
-        raw["seed"] = args.seed
+    if args.seed is not None and isinstance(raw, dict):  # parse_config rejects a non-object
+        raw = {**raw, "seed": args.seed}
 
     try:
         config = parse_config(raw, source=source)
@@ -214,6 +218,11 @@ def cmd_run(args) -> int:
     except (FileNotFoundError, IdxParseError) as err:
         print(f"run: {err}", file=sys.stderr)
         return 1
+    for data, (images, _) in zip(datasets, MNIST_FILES.values()):
+        if data.images.shape[1] != DEFAULT_LAYERS[0]:
+            print(f"run: {images}: images of {data.images.shape[1]} pixels, but the model "
+                  f"takes {DEFAULT_LAYERS[0]}", file=sys.stderr)
+            return 1
     if config.clients > len(datasets[0]):
         print(f"run: {source}.clients: {config.clients} clients exceed the "
               f"{len(datasets[0])} rows of the train split", file=sys.stderr)

@@ -30,6 +30,7 @@ import numpy as np
 # patches them by name on this module.
 from .economy import FreshnessPolicy, TokenLedger, model_age
 from .learning import (
+    CLASSES,
     DataPartition,
     Dataset,
     ModelParams,
@@ -97,10 +98,6 @@ _KIND_PERTURB = 4
 
 _LOCAL_TEST_FRACTION = 0.2
 
-# Digit classes: the disjoint and intermediary schemes deal each client
-# at least one of them.
-_CLASSES = 10
-
 
 def _stream(seed, kind, client=0, round_index=0):
     return np.random.default_rng(
@@ -153,9 +150,9 @@ class SimConfig:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.stop_accuracy is not None and not 0.0 <= self.stop_accuracy <= 1.0:
             raise ValueError(f"stop_accuracy must be in [0, 1] or null, got {self.stop_accuracy}")
-        if self.scheme in ("disjoint", "intermediary") and self.clients > _CLASSES:
+        if self.scheme in ("disjoint", "intermediary") and self.clients > CLASSES:
             raise ValueError(
-                f"{self.scheme} scheme supports at most {_CLASSES} clients, got {self.clients}"
+                f"{self.scheme} scheme supports at most {CLASSES} clients, got {self.clients}"
             )
         if self.mechanism == "strategic-grouped":
             if self.params.G < 2:

@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "CLASSES",
     "DEFAULT_LAYERS",
     "DATA_DIR_ENV",
     "IdxParseError",
@@ -53,7 +54,9 @@ __all__ = [
     "pool_map",
 ]
 
-DEFAULT_LAYERS = (784, 128, 10)
+# Digit classes: the labels' range and the model's output width.
+CLASSES = 10
+DEFAULT_LAYERS = (784, 128, CLASSES)
 DATA_DIR_ENV = "TOKENFL_DATA_DIR"
 
 MNIST_FILES = {
@@ -91,8 +94,8 @@ class Dataset:
             raise ValueError(
                 f"image/label count mismatch: {len(self.images)} vs {len(self.labels)}"
             )
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() > 9):
-            raise ValueError("labels must be class ids in [0, 9]")
+        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= CLASSES):
+            raise ValueError(f"labels must be class ids in [0, {CLASSES - 1}]")
 
     def __len__(self):
         return len(self.labels)
@@ -235,7 +238,10 @@ def _parse_idx(images_path, img: bytes, labels_path, lab: bytes, split: str) -> 
     images = np.frombuffer(img, dtype=np.uint8, offset=16)
     images = images.reshape(count, rows * cols).astype(np.float32) / np.float32(255.0)
     labels = np.frombuffer(lab, dtype=np.uint8, offset=8).astype(np.int64)
-    return Dataset(images, labels, split=split)
+    try:
+        return Dataset(images, labels, split=split)
+    except ValueError as err:  # the label range: the shapes were checked above
+        raise IdxParseError(f"{labels_path}: {err}") from None
 
 
 def default_data_dir() -> Path:

@@ -10,7 +10,6 @@ simulation engine plays out.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -26,7 +25,6 @@ __all__ = [
     "reward",
     "utility",
     "predict_collapse_round",
-    "calibrate_cost_range",
 ]
 
 
@@ -39,9 +37,15 @@ class MechanismParams:
     full model price. C is the token price of one global model, n the
     freshness window in rounds, and G the number of client groups (1
     means everyone is scheduled every round). c_min/c_max bound the
-    real-valued privacy cost curve; their defaults come from
-    calibrate_cost_range(). eps_low/eps_high bound the legacy linear
-    reward only.
+    real-valued privacy cost curve. Their defaults were fitted so that
+    at stride 1 the first refusal lands at round 11 for eps 25, 27 for
+    eps 20 and 42 for eps 17, and eps 15 never refuses within 50 rounds
+    (test_mechanisms.py TestPredictCollapseRound.test_frozen_stride1_rounds,
+    TestCalibration.test_predictions_at_shipped_range); eps 20 never
+    refuses at stride 2 (test_stride2_keeps_eps20_alive), and eps 25
+    refuses later at stride 2 than at stride 1
+    (test_group_stride_delays_collapse). eps_low/eps_high bound the
+    legacy linear reward only.
     """
 
     eps_min: float = 1.0
@@ -165,82 +169,6 @@ def predict_collapse_round(eps, stride, horizon, params: MechanismParams):
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     v = value_table(horizon + stride)
-    return _collapse_from_increments(v[1 + stride :] - v[1 : horizon + 1], cost(eps, params))
-
-
-def _collapse_from_increments(gains: np.ndarray, c: float):
-    """Round (1-based index) of the first gain that does not cover the
-    cost c, checked as utility(t) = gains[t - 1] - c < 0, or None."""
-    below = np.flatnonzero(gains - c < 0)
-    if below.size == 0:
-        return None
-    return int(below[0]) + 1
-
-
-def calibrate_cost_range(
-    targets=((25.0, 10), (20.0, 28), (17.0, 42)),
-    never=(15.0,),
-    never_stride2=(20.0,),
-    horizon=50,
-    scan_rounds=200,
-    c_min_grid=None,
-    c_max_grid=None,
-    params: MechanismParams | None = None,
-):
-    """Least-squares fit of (c_min, c_max) to reference collapse rounds.
-
-    Scans a fixed grid of candidate cost ranges. A candidate is
-    admissible when every eps in `never` keeps positive utility through
-    `horizon` at stride 1, every eps in `never_stride2` does so at
-    stride 2, and the stride-2 collapse for the largest target eps lands
-    strictly after its stride-1 collapse. Among admissible candidates
-    the scan keeps the first one (row-major order) minimizing the
-    squared error between predicted and target collapse rounds.
-
-    The shipped MechanismParams defaults equal the output of this
-    function with its own defaults: (2.75, 18.0), predicting collapse
-    rounds (11, 27, 42) for eps (25, 20, 17).
-    """
-    if params is None:
-        params = MechanismParams()
-    if c_min_grid is None:
-        c_min_grid = np.arange(0.0, 5.01, 0.25)
-    if c_max_grid is None:
-        c_max_grid = np.arange(5.0, 40.01, 0.25)
-
-    ts = np.arange(1, scan_rounds + 1, dtype=float)
-    v = value_table(scan_rounds + 2)
-    gains1 = v[2 : scan_rounds + 2] - v[1 : scan_rounds + 1]
-    gains2 = v[3 : scan_rounds + 3] - v[1 : scan_rounds + 1]
-    assert gains1.shape == ts.shape
-
-    eps_top = max(e for e, _ in targets)
-    best = None
-    for c_min in c_min_grid:
-        for c_max in c_max_grid:
-            if c_max <= c_min:
-                continue
-            candidate = dataclasses.replace(params, c_min=c_min, c_max=c_max)
-            if any(
-                _collapse_from_increments(gains1[:horizon], cost(e, candidate)) is not None
-                for e in never
-            ):
-                continue
-            if any(
-                _collapse_from_increments(gains2[:horizon], cost(e, candidate)) is not None
-                for e in never_stride2
-            ):
-                continue
-            rounds = [_collapse_from_increments(gains1, cost(e, candidate)) for e, _ in targets]
-            if any(r is None for r in rounds):
-                continue
-            top_s1 = rounds[[e for e, _ in targets].index(eps_top)]
-            top_s2 = _collapse_from_increments(gains2, cost(eps_top, candidate))
-            if top_s2 is not None and top_s2 <= top_s1:
-                continue
-            obj = sum((r - want) ** 2 for r, (_, want) in zip(rounds, targets))
-            if best is None or obj < best[0]:
-                best = (obj, float(c_min), float(c_max))
-    if best is None:
-        raise ValueError("no admissible (c_min, c_max) on the scanned grid")
-    return best[1], best[2]
+    gains = v[1 + stride :] - v[1 : horizon + 1]  # v[t + stride] - v[t] for t = 1..horizon
+    below = np.flatnonzero(gains - cost(eps, params) < 0)
+    return int(below[0]) + 1 if below.size else None

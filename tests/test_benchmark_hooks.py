@@ -1,23 +1,34 @@
-"""The benchmark's per-layer tracer (perfbench/run.py instrument()) wraps
-tokenfl functions by name from outside the package. Installing and
-removing it must work on the current code, so a renamed or unbound name
-fails here rather than only in a traced benchmark run."""
+"""The benchmark (perfbench/run.py) drives tokenfl from outside the
+package. Its per-layer tracer wraps tokenfl functions by name, so a
+renamed or unbound name fails here rather than only in a traced
+benchmark run. Its correctness references pin the played game, so a
+change that moves them fails here rather than only as failed benchmark
+operations."""
 
 import importlib.util
+import json
 from pathlib import Path
 
+import pytest
+
 from tokenfl import cli, economy, engine, mechanisms, strategy
+from tokenfl.presets import preset_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 OWNERS = (cli, economy.TokenLedger, engine, mechanisms, strategy)
 
 
-def test_tracer_installs_and_removes_cleanly(monkeypatch):
+@pytest.fixture
+def run(monkeypatch):
+    """perfbench/run.py as a module; its `checks` is perfbench/checks.py."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
+
+def test_tracer_installs_and_removes_cleanly(run):
     before = [dict(vars(owner)) for owner in OWNERS]
     tracer = run.Tracer()
     run.instrument(tracer)
@@ -27,3 +38,34 @@ def test_tracer_installs_and_removes_cleanly(monkeypatch):
     finally:
         tracer.unpatch()
     assert [dict(vars(owner)) for owner in OWNERS] == before
+
+
+def test_training_presets_play_the_reference_economics(run):
+    # The economic columns do not depend on the data, so no training runs.
+    for name, spec in run.TRAINING.items():
+        csv_text = (PERFBENCH / "reference" / f"{name}.csv").read_text()
+        reference = run.checks.read_reference(csv_text)
+        schedule = engine.play_game(cli.parse_config(preset_config(spec["preset"]), name))
+        columns = [schedule.columns[c] for c in run.checks.ECONOMIC]
+        played = {
+            (r, k): tuple(float(col[r - 1, k]) for col in columns)
+            for r in range(1, schedule.horizon + 1)
+            for k in range(columns[0].shape[1])
+        }
+        assert played == reference, name
+
+
+def test_game_sweep_matches_its_reference(run):
+    reports = {}
+    for C, n in run.PAIRS:
+        params = mechanisms.MechanismParams(C=C, n=n)
+        reports[(C, n)] = strategy.nash_check([params.eps_a], run.GRID, run.SWEEP_HORIZON, params)
+    params = mechanisms.MechanismParams()
+    collapse = {
+        (stride, eps): mechanisms.predict_collapse_round(eps, stride, run.SWEEP_HORIZON, params)
+        for stride in run.STRIDES
+        for eps in run.GRID
+    }
+    reference = json.loads((PERFBENCH / "reference" / "game-sweep.json").read_text())
+    record = run.checks.sweep_record(reports, collapse)
+    assert run.checks.check_sweep(record, reference) == {}

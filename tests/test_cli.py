@@ -24,7 +24,7 @@ from tokenfl.cli import (
     write_metrics_csv,
 )
 from tokenfl.engine import ClientRound, RoundRecord, SimConfig
-from tokenfl.learning import MNIST_FILES, load_idx
+from tokenfl.learning import DATA_DIR_ENV, MNIST_FILES, load_idx
 from tokenfl.presets import preset_config, preset_names
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -483,6 +483,63 @@ class TestRunCommand:
         assert not out.exists()
         err = capsys.readouterr().err
         assert f"{config_path}.clients: 60 clients exceed the 50 rows" in err
+
+    @pytest.mark.parametrize("raw", [[], [["seed", 1]], "ab", 5])
+    def test_non_object_config_exits_2_before_the_dataset(
+        self, tmp_path, monkeypatch, capsys, raw
+    ):
+        # A config that got as far as the (missing) dataset would exit 1.
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path / "nowhere"))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["run", str(config_path), "--seed", "3", "--out-dir", str(out)]) == 2
+        assert f"{config_path}: expected an object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dataset", [[1], None, {"train-labels-idx1-ubyte": 5}])
+    def test_replayed_manifest_with_a_malformed_dataset_exits_2_before_the_dataset(
+        self, tmp_path, capsys, dataset
+    ):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "artifact": "tokenfl",
+            "config": minimal_config(data_dir=str(tmp_path / "nowhere")),
+            "dataset": dataset,
+        }))
+        assert main(["run", str(manifest), "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"{manifest}.dataset: expected an object" in capsys.readouterr().err
+
+    def test_label_outside_the_classes_exits_1_before_the_out_dir(
+        self, tmp_path, idx_builder, capsys
+    ):
+        data = tmp_path / "data"
+        write_tiny_dataset(data, idx_builder)
+        images = np.zeros((40, 28, 28), dtype=np.uint8)
+        _, labels = idx_builder(data, images, np.arange(40) % 11, prefix="train")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(minimal_config(data_dir=str(data))))
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        assert f"{labels}: labels must be class ids in [0, 9]" in capsys.readouterr().err
+
+    def test_images_the_model_cannot_take_exit_1_before_the_out_dir(
+        self, tmp_path, idx_builder, monkeypatch, capsys
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        for prefix, count in (("train", 40), ("t10k", 20)):
+            images = np.zeros((count, 10, 10), dtype=np.uint8)
+            idx_builder(data, images, np.arange(count) % 10, prefix=prefix)
+        monkeypatch.setattr(cli, "run_simulation", None)  # any training call fails
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(minimal_config(data_dir=str(data))))
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "train-images-idx3-ubyte: images of 100 pixels, but the model takes 784" in err
 
     def test_each_dataset_file_is_read_once(self, tmp_path, idx_builder, monkeypatch):
         data = tmp_path / "data"

@@ -2,6 +2,7 @@
 finite-difference gradient oracle, aggregation weights, and evaluation."""
 
 import gzip
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,12 @@ class TestIdxParsing:
         )
         with pytest.raises(IdxParseError, match="count mismatch"):
             load_idx(img, lab3)
+
+    def test_label_outside_the_classes_names_the_label_file(self, tmp_path, idx_builder):
+        images = np.zeros((2, 2, 2), dtype=np.uint8)
+        img, lab = idx_builder(tmp_path, images, np.array([3, 10], dtype=np.uint8))
+        with pytest.raises(IdxParseError, match=re.escape(f"{lab}: labels must be class ids")):
+            load_idx(img, lab)
 
     def test_official_train_split_shape(self, mnist):
         train, test = mnist

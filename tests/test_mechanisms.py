@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from tokenfl.mechanisms import (
     MechanismParams,
     baseline_token_reward,
-    calibrate_cost_range,
     cost,
     predict_collapse_round,
     reward,
@@ -38,9 +37,6 @@ ZERO_COST = MechanismParams(c_min=0.0, c_max=0.0)
 
 
 class TestMechanismParams:
-    def test_defaults_match_calibration(self):
-        assert (PARAMS.c_min, PARAMS.c_max) == calibrate_cost_range()
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -242,9 +238,6 @@ class TestPredictCollapseRound:
 
 
 class TestCalibration:
-    def test_grid_scan_reproduces_shipped_range(self):
-        assert calibrate_cost_range() == (2.75, 18.0)
-
     def test_predictions_at_shipped_range(self):
         rounds = {
             eps: predict_collapse_round(eps, 1, 200, PARAMS) for eps in (25.0, 20.0, 17.0)
