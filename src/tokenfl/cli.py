@@ -195,6 +195,10 @@ def cmd_run(args) -> int:
             return 2
         if isinstance(raw, dict) and "config" in raw and "artifact" in raw:
             preset_name, recorded = raw.get("preset"), raw.get("dataset", {})
+            if preset_name is not None and preset_name not in preset_names():
+                print(f"run: {config_path}.preset: expected null or a preset name, "
+                      f"got {preset_name!r}", file=sys.stderr)
+                return 2
             if not isinstance(recorded, dict) or not all(
                     isinstance(md5, str) for md5 in recorded.values()):
                 print(f"run: {config_path}.dataset: expected an object mapping file names "

@@ -323,7 +323,7 @@ def init_state(config: SimConfig, datasets) -> EngineState:
     The initial global model is handed to every client free of cost. A
     fifth of the test split is carved out as the shared local-evaluation
     set; the server scores on the rest. Both keep the loaded images'
-    dtype, which is the dtype models are scored in.
+    dtype: uint8 pixels stay uint8 and are scaled per chunk as scored.
     """
     schedule = play_game(config)
     train, test = datasets

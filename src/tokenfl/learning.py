@@ -8,12 +8,13 @@ not weights: local_train returns the sum of per-batch mean gradients
 evaluated at the incoming parameters, and aggregate applies the
 size-weighted server update w - lr * sum_k (n_k / n) g_k.
 
-local_train and evaluate compute in the dtype of the dataset's images:
-float32 for load_idx data, float64 for a float64 dataset. Each call
-casts the float64 model to that dtype once, and local_train sums its
-blocks' gradients in float64. Backpropagated deltas below the dtype's
-smallest normal number are flushed to zero, because subnormal operands
-slow a GEMM several-fold (a saturated single-class client makes many).
+IDX pixels stay uint8, and local_train and evaluate scale each block
+they use by 1/255 into float32. Float images are computed in their own
+dtype, float32 or float64. Each call casts the float64 model to that
+dtype once, and local_train sums its blocks' gradients in float64.
+Backpropagated deltas below the dtype's smallest normal number are
+flushed to zero, because subnormal operands slow a GEMM several-fold
+(a saturated single-class client makes many).
 
 Per-client work and evaluation chunks run on one shared thread pool
 (pool_map) with a worker per core this process may use. Each gradient
@@ -79,7 +80,8 @@ class IdxParseError(ValueError):
 
 @dataclass
 class Dataset:
-    """Flattened images in [0, 1] with integer class labels."""
+    """Flattened images with integer class labels: raw uint8 pixels
+    (scaled by 1/255 as each block is used) or floats in [0, 1]."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -90,6 +92,8 @@ class Dataset:
         self.labels = np.asarray(self.labels)
         if self.images.ndim != 2:
             raise ValueError(f"images must be 2-d (N, D), got shape {self.images.shape}")
+        if self.images.dtype not in (np.uint8, np.float32, np.float64):
+            raise ValueError(f"images must be uint8, float32 or float64, got {self.images.dtype}")
         if len(self.images) != len(self.labels):
             raise ValueError(
                 f"image/label count mismatch: {len(self.images)} vs {len(self.labels)}"
@@ -203,7 +207,7 @@ def _read_idx_file(path) -> tuple:
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     """Parse a big-endian IDX image/label file pair.
 
-    Pixels are scaled by 1/255 into float32; shapes and magics are
+    Pixels stay uint8, a view of the bytes read; shapes and magics are
     validated and violations raise IdxParseError with a distinct message
     per failure mode.
     """
@@ -235,8 +239,7 @@ def _parse_idx(images_path, img: bytes, labels_path, lab: bytes, split: str) -> 
     if count != lcount:
         raise IdxParseError(f"image/label count mismatch: {count} images, {lcount} labels")
 
-    images = np.frombuffer(img, dtype=np.uint8, offset=16)
-    images = images.reshape(count, rows * cols).astype(np.float32) / np.float32(255.0)
+    images = np.frombuffer(img, dtype=np.uint8, offset=16).reshape(count, rows * cols)
     labels = np.frombuffer(lab, dtype=np.uint8, offset=8).astype(np.int64)
     try:
         return Dataset(images, labels, split=split)
@@ -347,8 +350,16 @@ def init_model(seed, layers=DEFAULT_LAYERS) -> ModelParams:
 
 
 def _compute_dtype(images: np.ndarray):
-    """float32 for float32 images, float64 for anything else."""
-    return np.float32 if images.dtype == np.float32 else np.float64
+    """float64 for float64 images, float32 for uint8 or float32 ones."""
+    return np.float64 if images.dtype == np.float64 else np.float32
+
+
+def _as_compute(x: np.ndarray, dtype) -> np.ndarray:
+    """Rows of images in the compute dtype: uint8 pixels scaled by 1/255
+    (the same floats as astype(float32) / float32(255)), floats as is."""
+    if x.dtype == np.uint8:
+        return np.divide(x, np.float32(255.0), dtype=np.float32)
+    return x.astype(dtype, copy=False)
 
 
 def _forward(vector: np.ndarray, layers, x: np.ndarray):
@@ -409,7 +420,7 @@ def local_train(params: ModelParams, dataset: Dataset, part: DataPartition,
     one from the client's partition, all at the incoming parameters. That
     sum is computed as one pass over the distinct drawn rows, each weighted
     by its draw count over batch_size, in blocks of 256 rows, each in the
-    images' dtype and added into a float64 sum. The learning rate is
+    compute dtype and added into a float64 sum. The learning rate is
     applied server-side in aggregate().
     """
     if len(part) == 0:
@@ -425,7 +436,7 @@ def local_train(params: ModelParams, dataset: Dataset, part: DataPartition,
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
         grad += _batch_gradient(vector, params.layers,
-                                dataset.images[block].astype(dtype, copy=False),
+                                _as_compute(dataset.images[block], dtype),
                                 dataset.labels[block], weights[start : start + _BLOCK_ROWS])
     return grad
 
@@ -450,7 +461,7 @@ def aggregate(w_t: ModelParams, grads, sizes, lr: float) -> ModelParams:
 
 def evaluate(params: ModelParams, dataset: Dataset, chunk: int = _BLOCK_ROWS) -> float:
     """Fraction of examples whose argmax logit matches the label, scored
-    in the images' dtype on the thread pool, in chunks of rows small
+    in the compute dtype on the thread pool, in chunks of rows small
     enough to stay in cache."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -458,7 +469,7 @@ def evaluate(params: ModelParams, dataset: Dataset, chunk: int = _BLOCK_ROWS) ->
     vector = params.vector.astype(dtype, copy=False)
 
     def correct(start):
-        x = dataset.images[start : start + chunk].astype(dtype, copy=False)
+        x = _as_compute(dataset.images[start : start + chunk], dtype)
         logits = _forward(vector, params.layers, x)[-1]
         return int((logits.argmax(axis=1) == dataset.labels[start : start + chunk]).sum())
 

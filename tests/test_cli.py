@@ -510,6 +510,32 @@ class TestRunCommand:
         assert main(["run", str(manifest), "--out-dir", str(tmp_path / "o")]) == 2
         assert f"{manifest}.dataset: expected an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("preset", [{"x": [1]}, "no-such-preset", 5, ["baseline-3c"]])
+    def test_replayed_manifest_with_a_bad_preset_exits_2_before_the_dataset(
+        self, tmp_path, capsys, preset
+    ):
+        # A manifest that got as far as the (missing) dataset would exit 1.
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "artifact": "tokenfl",
+            "preset": preset,
+            "config": minimal_config(data_dir=str(tmp_path / "nowhere")),
+        }))
+        out = tmp_path / "o"
+        assert main(["run", str(manifest), "--out-dir", str(out)]) == 2
+        assert f"{manifest}.preset: expected null or a preset name" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replayed_manifest_with_a_preset_name_reaches_the_dataset(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "artifact": "tokenfl",
+            "preset": "baseline-3c",
+            "config": minimal_config(data_dir=str(tmp_path / "nowhere")),
+        }))
+        assert main(["run", str(manifest), "--out-dir", str(tmp_path / "o")]) == 1
+        assert "not found in" in capsys.readouterr().err
+
     def test_label_outside_the_classes_exits_1_before_the_out_dir(
         self, tmp_path, idx_builder, capsys
     ):

@@ -454,6 +454,9 @@ class TestSharedModels:
         state = init_state(config(), synthetic_datasets)
         assert state.local_test.images.dtype == np.float32
         assert state.global_test.images.dtype == np.float32
+        state = init_state(config(), (train, as_pixels(test)))
+        assert state.local_test.images.dtype == np.uint8
+        assert state.global_test.images.dtype == np.uint8
         wide = Dataset(test.images.astype(np.float64), test.labels, split=test.split)
         state = init_state(config(), (train, wide))
         assert state.local_test.images.dtype == np.float64
@@ -468,6 +471,19 @@ POOL_CONFIGS = {
     ),
     "all-evicted": config(eps=25, scheme="disjoint", horizon=14),
 }
+
+
+def as_pixels(ds):
+    """A uint8 copy of a [0, 1] float dataset, as an IDX file loads."""
+    return Dataset(np.round(ds.images * 255).astype(np.uint8), ds.labels, split=ds.split)
+
+
+@pytest.mark.parametrize("name", ["strategic", "all-evicted"])
+def test_uint8_pixels_give_the_records_of_their_float32_copy(synthetic_datasets, name):
+    pixels = tuple(as_pixels(ds) for ds in synthetic_datasets)
+    scaled = tuple(Dataset(ds.images.astype(np.float32) / np.float32(255.0), ds.labels,
+                           split=ds.split) for ds in pixels)
+    assert run_simulation(POOL_CONFIGS[name], pixels) == run_simulation(POOL_CONFIGS[name], scaled)
 
 
 def _run_and_send(cfg, datasets, conn):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tokenfl.learning import (
+    _as_compute,
     _batch_gradient,
     _forward,
     _softmax,
@@ -51,10 +52,27 @@ class TestIdxParsing:
         img, lab = idx_builder(tmp_path, images, labels)
         ds = load_idx(img, lab)
         assert ds.images.shape == (2, 4)
-        assert ds.images.dtype == np.float32
+        assert ds.images.dtype == np.uint8
+        assert np.array_equal(ds.images, images.reshape(2, 4))
+        scaled = _as_compute(ds.images, np.float32)
+        assert scaled.dtype == np.float32
         expected = images.reshape(2, 4).astype(np.float32) / np.float32(255.0)
-        assert np.array_equal(ds.images, expected)
+        assert scaled.tobytes() == expected.tobytes()
         assert ds.labels.tolist() == [7, 2]
+
+    def test_pixels_are_a_view_of_the_file_bytes(self, tmp_path, idx_builder):
+        # Held as read, not copied or widened: 47 MB for the MNIST train
+        # split, where float32 would take 188 MB.
+        images = np.arange(24, dtype=np.uint8).reshape(3, 2, 4)
+        img, lab = idx_builder(tmp_path, images, np.array([0, 1, 2], dtype=np.uint8))
+        ds = load_idx(img, lab)
+        assert ds.images.dtype == np.uint8
+        assert not ds.images.flags.owndata
+
+    def test_scaling_matches_the_whole_array_conversion_for_every_pixel(self):
+        pixels = np.arange(256, dtype=np.uint8).reshape(1, 256)
+        expected = pixels.astype(np.float32) / np.float32(255.0)
+        assert _as_compute(pixels, np.float32).tobytes() == expected.tobytes()
 
     def test_gzipped_files_parse_identically(self, tmp_path, idx_builder):
         images = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
@@ -124,6 +142,12 @@ class TestDatasetValidation:
     def test_label_range_enforced(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((1, 4)), np.array([11]))
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64, np.bool_, np.float16])
+    def test_uninterpretable_image_dtype_rejected(self, dtype):
+        images = np.zeros((2, 4), dtype=dtype)
+        with pytest.raises(ValueError, match=f"got {np.dtype(dtype)}"):
+            Dataset(images, np.array([0, 1]))
 
     def test_flat_images_required(self):
         with pytest.raises(ValueError):
@@ -349,6 +373,31 @@ class TestLocalTrain:
         assert len(operands) == 2 * (2 + 3)  # two forward GEMMs, three backward
         assert np.all(np.isfinite(grad))
         assert not any(subnormal(a) for a in operands)
+
+
+def uint8_and_float32(seed=6, examples=600, classes=3):
+    """A uint8 dataset and its float32 copy scaled the whole-array way."""
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=(examples, SMALL_LAYERS[0]), dtype=np.uint8)
+    u = Dataset(pixels, rng.integers(0, classes, size=examples))
+    return u, Dataset(u.images.astype(np.float32) / np.float32(255.0), u.labels)
+
+
+class TestPixelRepresentations:
+    """uint8 pixels scaled per block give the bits of a float32 copy."""
+
+    def test_local_train_gradients_are_equal(self):
+        u, f = uint8_and_float32()
+        part = DataPartition(np.arange(len(u)), owner=0, scheme="identical")
+        model = init_model(2, layers=SMALL_LAYERS)
+        runs = [local_train(model, ds, part, batches=40, batch_size=16, seed=8)
+                for ds in (u, f)]
+        assert np.array_equal(runs[0], runs[1])
+
+    def test_evaluate_scores_are_equal(self):
+        u, f = uint8_and_float32()
+        model = init_model(2, layers=SMALL_LAYERS)
+        assert evaluate(model, u) == evaluate(model, f)
 
 
 class TestAggregate:
