@@ -25,6 +25,8 @@ from pathlib import Path
 from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from . import __version__
 from .engine import ClientRound, SimConfig, run_simulation
 from .learning import DEFAULT_LAYERS, MNIST_FILES, IdxParseError, default_data_dir, load_mnist
@@ -227,9 +229,18 @@ def cmd_run(args) -> int:
             print(f"run: {images}: images of {data.images.shape[1]} pixels, but the model "
                   f"takes {DEFAULT_LAYERS[0]}", file=sys.stderr)
             return 1
+    if len(datasets[1]) < 2:  # init_state takes a local and a global test row at least
+        print(f"run: {MNIST_FILES['test'][0]}: {len(datasets[1])} test images, but scoring "
+              f"needs at least 2", file=sys.stderr)
+        return 1
     if config.clients > len(datasets[0]):
         print(f"run: {source}.clients: {config.clients} clients exceed the "
               f"{len(datasets[0])} rows of the train split", file=sys.stderr)
+        return 2
+    labels = len(np.unique(datasets[0].labels))
+    if config.scheme != "identical" and config.clients > labels:
+        print(f"run: {source}.clients: {config.clients} clients exceed the {labels} labels "
+              f"of the train split, which the {config.scheme} scheme deals out", file=sys.stderr)
         return 2
     for name, md5 in sorted(recorded.items()):
         if checksums.get(name) != md5:

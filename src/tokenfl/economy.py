@@ -3,12 +3,12 @@ age of an owned model.
 
 A lane is one player of the token game: a client of a run, or one
 budget of an equilibrium scan. A TokenLedger keeps the token lots of
-all its lanes in one (lanes, slots) array. Tokens arrive as lots
-stamped with the lane's age clock, are consumed oldest-first, and
-silently expire once they outlive the freshness window. The same window
-governs how stale a lane's owned global model may get before the lane
-is barred from training; strategy.play_round applies that bar and
-evicts a barred lane that cannot afford a fresh model.
+all its lanes in one (lanes, slots) array, each row in order of the
+lane's age clock. Lots are consumed oldest first and silently expire
+once they outlive the freshness window. The same window governs how
+stale a lane's owned global model may get before the lane is barred
+from training; strategy.play_round applies that bar and evicts a
+barred lane that cannot afford a fresh model.
 """
 
 from __future__ import annotations
@@ -65,17 +65,16 @@ def _oldest_first_sum(lots: np.ndarray) -> np.ndarray:
 
 
 class TokenLedger:
-    """Token lots of many lanes.
-
-    The lane's age clock (see `clock`) stamps each lot it earns, and a
-    lot stamped s sits in slot s % slots of the lane's row of `lots`,
-    with s in `stamps`. Rounds are played in order and every active lane
-    expires its lots each round, so the live lots of a lane are its
-    latest `slots` stamps and the slot a new lot lands in has expired or
-    been drained. Drained lots stay in place at zero until they expire.
+    """Token lots of many lanes, each lane's row of `lots` oldest first:
+    the last column holds the lot earned at the latest tick of the
+    lane's age clock (see `clock`), column k the lot earned
+    slots - 1 - k ticks before it. A credit shifts every row by the
+    rounds since the last credit on the calendar clock, or the credited
+    rows by one on the participation clock. Every active lane expires
+    its lots each round, so a shift drops only expired or drained lots.
     With policy None nothing expires (the baseline scheme); such a
-    ledger needs an explicit slot count, enough that the slot each
-    credit lands in has been drained, which `credit` checks.
+    ledger needs an explicit slot count large enough that each credit
+    drops only drained lots, which `credit` checks.
     """
 
     def __init__(self, lanes: int, policy: FreshnessPolicy | None, slots: int | None = None):
@@ -83,18 +82,15 @@ class TokenLedger:
             if policy is None:
                 raise ValueError("a ledger without a freshness policy needs a slot count")
             slots = policy.slots
+        elif policy is not None and slots < policy.slots:
+            raise ValueError(f"the freshness policy needs slots >= {policy.slots}, got {slots}")
         if lanes < 1 or slots < 1:
             raise ValueError(f"need lanes >= 1 and slots >= 1, got {lanes}, {slots}")
         self.policy = policy
         self.lots = np.zeros((lanes, slots))
-        self.stamps = np.zeros((lanes, slots), dtype=np.int64)
         self.participations = np.zeros(lanes, dtype=np.int64)
         self._counted = policy is not None and policy.counts_participated_only
         self._credited = 0  # the last round credited
-        self._rows = np.arange(lanes)
-        self._after = 1 + np.arange(slots)
-        # Calendar clocks share one age order per round, set by t % slots.
-        self._orders = [(slice(None), (t + self._after) % slots) for t in range(slots)]
 
     @property
     def slots(self) -> int:
@@ -106,15 +102,9 @@ class TokenLedger:
         (an array)."""
         return self.participations if self._counted else t
 
-    def _age_order(self, t: int):
-        """Index of `lots` that lists each lane's slots oldest first."""
-        if self._counted:
-            return self._rows[:, None], (self.participations[:, None] + self._after) % self.slots
-        return self._orders[t % self.slots]
-
-    def balance(self, t: int) -> np.ndarray:
-        """Each lane's tokens at round t, summed oldest lot first."""
-        return _oldest_first_sum(self.lots[self._age_order(t)])
+    def balance(self) -> np.ndarray:
+        """Each lane's tokens, summed oldest lot first."""
+        return _oldest_first_sum(self.lots)
 
     def credit(self, amount, t: int, lanes: np.ndarray) -> None:
         """Book the round-t participation of each of `lanes`: count it,
@@ -126,32 +116,31 @@ class TokenLedger:
             raise ValueError(f"credit round {t} is not after the last credited round {self._credited}")
         if np.count_nonzero(np.less(amount, 0)):
             raise ValueError(f"credit amount must be >= 0, got {amount}")
+        rows = lanes if self._counted else slice(None)
+        shift = 1 if self._counted else min(t - self._credited, self.slots)
+        # A non-credited lane drops only lots past the window, unless nothing expires.
+        watched = slice(None) if self.policy is None else lanes
+        if np.count_nonzero(self.lots[watched, :shift]):
+            raise ValueError(f"a round-{t} credit would overwrite a lot that still holds tokens")
         self._credited = t
         self.participations += lanes
-        clock = self.clock(t)
-        at = (self._rows, clock % self.slots) if self._counted else (slice(None), t % self.slots)
-        held = self.lots[at]
-        if np.count_nonzero(held[lanes]):
-            raise ValueError(f"a round-{t} credit would overwrite a lot that still holds tokens")
-        self.lots[at] = np.where(lanes, amount, held)
-        self.stamps[at] = np.where(lanes, clock, self.stamps[at])
+        kept = self.lots[rows, shift:]
+        earned = np.where(lanes, amount, 0.0)[rows, None]
+        self.lots[rows] = np.hstack((kept, np.zeros((len(kept), shift - 1)), earned))
 
-    def spend(self, amount: float, t: int, lanes: np.ndarray) -> np.ndarray:
+    def spend(self, amount: float, lanes: np.ndarray) -> np.ndarray:
         """Each of `lanes` whose balance covers `amount` pays it, oldest
         lots first; returns those lanes. The lots of every other lane
         are untouched."""
         if amount < 0:
             raise ValueError(f"spend amount must be >= 0, got {amount}")
-        order = self._age_order(t)
-        lots = self.lots[order]
-        paid = lanes & (_oldest_first_sum(lots) >= amount)
+        paid = lanes & (self.balance() >= amount)
         if np.count_nonzero(paid):
             remaining = np.where(paid, float(amount), 0.0)
-            for k in range(self.slots):
-                take = np.minimum(lots[:, k], remaining)
-                lots[:, k] -= take
+            for lot in self.lots.T:
+                take = np.minimum(lot, remaining)
+                lot -= take
                 remaining -= take
-            self.lots[order] = lots
         return paid
 
     def expire(self, t: int, lanes: np.ndarray) -> np.ndarray:
@@ -167,13 +156,13 @@ class TokenLedger:
         lost = np.zeros(len(self.lots))
         if self.policy is None:
             return lost
-        clock = self.clock(t)
-        ages = (clock[:, None] if self._counted else clock) - self.stamps
-        dead = (ages > self.policy.n) & lanes[:, None]
-        doomed = np.where(dead, self.lots, 0.0)
+        # Column k is since + slots - 1 - k ticks old.
+        since = 0 if self._counted else t - self._credited
+        dead = self.lots[:, :max(0, since + self.slots - 1 - self.policy.n)]
+        doomed = np.where(lanes[:, None], dead, 0.0)
         if np.count_nonzero(doomed):
-            lost = _oldest_first_sum(doomed[self._age_order(t)])
-            self.lots[dead] = 0.0
+            lost = _oldest_first_sum(doomed)
+            dead[lanes] = 0.0
         return lost
 
 

@@ -86,8 +86,9 @@ SCHEMES = get_args(Scheme)
 # force low-budget clients to skip purchases on some rounds.
 BASELINE_PRICE = 1.0
 # Baseline rewards are at least half that price and every affordable model
-# is bought, so at most two lots still hold tokens after a round: a third
-# slot takes the next round's credit.
+# is bought, oldest lots first, so at most the newest two lots still hold
+# tokens after a round: the oldest of three slots is drained when the next
+# round's credit shifts it out.
 BASELINE_SLOTS = 3
 
 _KIND_INIT = 0
@@ -304,7 +305,7 @@ def play_game(config: SimConfig) -> Schedule:
         expired, participated, bought = play_round(
             players, ledger, r, price, values, scheduled, stride
         )
-        np.copyto(balance, ledger.balance(r), where=playing)
+        np.copyto(balance, ledger.balance(), where=playing)
         cells = {
             "scheduled": scheduled & playing, "participated": participated, "bought": bought,
             "evicted": players.evicted, "earned": np.where(participated, players.earn, 0.0),

@@ -1,8 +1,8 @@
 """Per-coordinate randomization of gradient uploads with an eps-LDP bound.
 
 The default mechanism is the bounded two-point one: every (clipped)
-scalar is replaced by one of two fixed outputs around the clipping
-center, with probabilities linear in the input, which makes the output
+scalar is replaced by one of two fixed outputs symmetric about zero,
+with probabilities linear in the input, which makes the output
 unbiased while capping the log-probability ratio between any two inputs
 at eps. A Laplace variant sits behind the same interface. The module
 also ships an empirical estimator of the worst-case probability ratio
@@ -32,10 +32,9 @@ LDP_MECHANISMS = get_args(LdpMechanism)
 
 @dataclass(frozen=True)
 class LdpConfig:
-    """Privacy budget and per-coordinate clipping range [center - radius, center + radius]."""
+    """Privacy budget and per-coordinate clipping range [-radius, radius]."""
 
     eps: float
-    center: float = 0.0
     radius: float = 1.0
     mechanism: LdpMechanism = "two_point"
 
@@ -51,9 +50,9 @@ class LdpConfig:
 def _two_point_terms(cfg: LdpConfig):
     """Output offset B and the slope of the upper-output probability.
 
-    The upper/lower outputs are center +- B with B = radius * (e^eps + 1)
-    / (e^eps - 1), and P(upper | w) = ((w - center) * (e^eps - 1) +
-    radius * (e^eps + 1)) / (2 * radius * (e^eps + 1)). Both are
+    The upper/lower outputs are +-B with B = radius * (e^eps + 1) /
+    (e^eps - 1), and P(upper | w) = (w * (e^eps - 1) + radius *
+    (e^eps + 1)) / (2 * radius * (e^eps + 1)). Both are
     computed through tanh(eps / 2) = (e^eps - 1) / (e^eps + 1), which
     stays finite for arbitrarily large eps where e^eps alone overflows.
     """
@@ -63,8 +62,8 @@ def _two_point_terms(cfg: LdpConfig):
 
 def _upper_probability(w, cfg: LdpConfig):
     _, t = _two_point_terms(cfg)
-    clipped = np.clip(w, cfg.center - cfg.radius, cfg.center + cfg.radius)
-    return 0.5 * (1.0 + (clipped - cfg.center) / cfg.radius * t)
+    clipped = np.clip(w, -cfg.radius, cfg.radius)
+    return 0.5 * (1.0 + clipped / cfg.radius * t)
 
 
 def perturb_gradients(g, cfg: LdpConfig, rng: np.random.Generator) -> np.ndarray:
@@ -78,21 +77,21 @@ def perturb_gradients(g, cfg: LdpConfig, rng: np.random.Generator) -> np.ndarray
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient entries must be finite")
     if cfg.mechanism == "laplace":
-        clipped = np.clip(g, cfg.center - cfg.radius, cfg.center + cfg.radius)
+        clipped = np.clip(g, -cfg.radius, cfg.radius)
         return clipped + rng.laplace(0.0, 2.0 * cfg.radius / cfg.eps, size=g.shape)
     bound, _ = _two_point_terms(cfg)
     p_up = _upper_probability(g, cfg)
     u = rng.random(g.shape)
-    return np.where(u < p_up, cfg.center + bound, cfg.center - bound)
+    return np.where(u < p_up, bound, -bound)
 
 
 def analytic_ldp_ratio(cfg: LdpConfig) -> float:
     """Worst-case output probability ratio over any two in-range inputs.
 
-    For the two-point mechanism the extreme inputs center + radius and
-    center - radius put odds of e^eps : 1 and 1 : e^eps on the upper
-    output, so the worst ratio is exactly e^eps; the Laplace variant
-    attains the same bound through its density ratio. Returns e^eps.
+    For the two-point mechanism the extreme inputs radius and -radius
+    put odds of e^eps : 1 and 1 : e^eps on the upper output, so the
+    worst ratio is exactly e^eps; the Laplace variant attains the same
+    bound through its density ratio. Returns e^eps.
     """
     return math.exp(cfg.eps)
 
@@ -117,7 +116,7 @@ class RatioEstimate:
 
 def _outcome_counts(v, cfg, samples, rng):
     draws = perturb_gradients(np.full(samples, float(v)), cfg, rng)
-    upper = int((draws > cfg.center).sum())
+    upper = int((draws > 0).sum())
     return upper, samples - upper
 
 
@@ -132,7 +131,7 @@ def empirical_ldp_ratio(cfg: LdpConfig, v: float, v_prime: float, samples: int,
     """
     if cfg.mechanism != "two_point":
         raise ValueError("empirical ratio estimation is defined for the two_point mechanism")
-    lo, hi = cfg.center - cfg.radius, cfg.center + cfg.radius
+    lo, hi = -cfg.radius, cfg.radius
     for name, x in (("v", v), ("v_prime", v_prime)):
         if not lo <= x <= hi:
             raise ValueError(f"{name}={x} outside the clipping range [{lo}, {hi}]")

@@ -142,7 +142,7 @@ def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
     barred = age > window
     evict = active & barred & scheduled
     if np.count_nonzero(evict):
-        evict &= ledger.balance(t) < price
+        evict &= ledger.balance() < price
         players.evicted |= evict
         active &= ~evict
     participated = active & ~barred & ~players.stopped & scheduled
@@ -153,7 +153,7 @@ def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
     ledger.credit(players.earn, t, participated)
     if ledger.policy is not None and ledger.policy.counts_participated_only:
         age = model_age(players.model_clock, ledger.clock(t))  # the credited round counts
-    bought = ledger.spend(price, t, active & (age >= window))
+    bought = ledger.spend(price, active & (age >= window))
     gain = values[t] - values[players.owned_model_round]
     np.copyto(players.owned_model_round, t, where=bought)
     np.copyto(players.model_clock, ledger.clock(t), where=bought)

@@ -92,15 +92,15 @@ def test_token_flow_closes_exactly_at_the_eligibility_bar():
                 assert ledger.expire(t, lane)[0] == 0.0
                 ledger.credit(reward(params.eps_a, params), t, lane)
                 if t % n == 0:
-                    assert ledger.spend(params.C, t, lane)[0]
-                    assert ledger.balance(t)[0] == pytest.approx(0.0, abs=1e-9)
+                    assert ledger.spend(params.C, lane)[0]
+                    assert ledger.balance()[0] == pytest.approx(0.0, abs=1e-9)
 
     params = MechanismParams(C=3.0, n=3)
     ledger = TokenLedger(1, FreshnessPolicy(n=3))
     for t in (1, 2, 3):
         ledger.credit(reward(10.0, params), t, lane)
-    assert ledger.balance(3)[0] < params.C
-    assert not ledger.spend(params.C, 3, lane)[0]
+    assert ledger.balance()[0] < params.C
+    assert not ledger.spend(params.C, lane)[0]
 
 
 def test_local_privacy_ratio_is_certified():

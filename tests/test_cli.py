@@ -484,6 +484,45 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert f"{config_path}.clients: 60 clients exceed the 50 rows" in err
 
+    @pytest.mark.parametrize("scheme", ["disjoint", "intermediary"])
+    def test_more_clients_than_train_labels_exits_2_before_the_out_dir(
+        self, tmp_path, idx_builder, monkeypatch, capsys, scheme
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        for prefix, count in (("train", 40), ("t10k", 20)):
+            images = np.zeros((count, 28, 28), dtype=np.uint8)
+            idx_builder(data, images, np.arange(count) % 2, prefix=prefix)
+        monkeypatch.setattr(cli, "run_simulation", None)  # any training call fails
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps(minimal_config(data_dir=str(data), clients=3, scheme=scheme))
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{config_path}.clients: 3 clients exceed the 2 labels" in err
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_test_split_too_small_to_score_exits_1_before_the_out_dir(
+        self, tmp_path, idx_builder, monkeypatch, capsys, count
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        for prefix, rows in (("train", 40), ("t10k", count)):
+            images = np.zeros((rows, 28, 28), dtype=np.uint8)
+            idx_builder(data, images, np.arange(rows) % 10, prefix=prefix)
+        monkeypatch.setattr(cli, "run_simulation", None)  # any training call fails
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(minimal_config(data_dir=str(data))))
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"t10k-images-idx3-ubyte: {count} test images" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("raw", [[], [["seed", 1]], "ab", 5])
     def test_non_object_config_exits_2_before_the_dataset(
         self, tmp_path, monkeypatch, capsys, raw

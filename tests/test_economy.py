@@ -16,12 +16,6 @@ CALENDAR = FreshnessPolicy(n=1)
 COUNTED = FreshnessPolicy(n=1, counts_participated_only=True)
 
 
-def lot(ledger, stamp, lane=0):
-    """(amount, stamp) held in the slot of a lot stamped `stamp`."""
-    slot = stamp % ledger.slots
-    return ledger.lots[lane, slot], ledger.stamps[lane, slot]
-
-
 class TestLots:
     def test_negative_amount_rejected(self):
         with pytest.raises(ValueError):
@@ -35,25 +29,30 @@ class TestLots:
         with pytest.raises(ValueError):
             TokenLedger(1, None)
 
+    def test_fewer_slots_than_the_policy_needs_rejected(self):
+        # A calendar shift past a non-credited lane would drop a live lot.
+        with pytest.raises(ValueError, match="slots"):
+            TokenLedger(1, FreshnessPolicy(n=2), slots=2)
+
 
 class TestCredit:
     def test_single_credit_balance(self):
         ledger = TokenLedger(1, CALENDAR)
         ledger.credit(1.0, 1, ONE)
-        assert ledger.balance(1).tolist() == [1.0]
+        assert ledger.balance().tolist() == [1.0]
 
     def test_zero_credit_is_identity(self):
         ledger = TokenLedger(1, CALENDAR)
         ledger.credit(1.0, 1, ONE)
         ledger.credit(0.0, 2, ONE)
-        assert ledger.balance(2).tolist() == [1.0]
+        assert ledger.balance().tolist() == [1.0]
 
     def test_share_credits_accumulate_to_full_price(self):
         params = MechanismParams(C=3, n=3)
         ledger = TokenLedger(1, FreshnessPolicy(n=params.n))
         for r in range(1, params.n + 1):
             ledger.credit(reward(params.eps_a, params), r, ONE)
-        assert ledger.balance(params.n).tolist() == [params.C]
+        assert ledger.balance().tolist() == [params.C]
 
     def test_rounds_must_arrive_in_order(self):
         ledger = TokenLedger(1, CALENDAR)
@@ -66,7 +65,7 @@ class TestCredit:
             TokenLedger(1, CALENDAR).credit(-1.0, 1, ONE)
 
     def test_credit_never_overwrites_tokens(self):
-        # Without expiry a two-slot ring wraps onto the round-1 lot.
+        # Without expiry the third credit shifts the round-1 lot out of two slots.
         ledger = TokenLedger(1, None, slots=2)
         ledger.credit(1.0, 1, ONE)
         ledger.credit(1.0, 2, ONE)
@@ -78,27 +77,27 @@ class TestSpend:
     def test_exact_spend_empties_balance(self):
         ledger = TokenLedger(1, CALENDAR)
         ledger.credit(1.0, 1, ONE)
-        assert ledger.spend(1.0, 1, ONE).tolist() == [True]
-        assert ledger.balance(1).tolist() == [0.0]
+        assert ledger.spend(1.0, ONE).tolist() == [True]
+        assert ledger.balance().tolist() == [0.0]
 
     def test_shortfall_raises_and_leaves_ledger_untouched(self):
         # A lane whose balance cannot cover the amount does not pay.
         ledger = TokenLedger(1, CALENDAR)
         ledger.credit(0.9, 1, ONE)
-        assert ledger.spend(1.0, 1, ONE).tolist() == [False]
-        assert ledger.balance(1).tolist() == [0.9]
-        assert lot(ledger, 1) == (0.9, 1)
+        assert ledger.spend(1.0, ONE).tolist() == [False]
+        assert ledger.balance().tolist() == [0.9]
+        assert ledger.lots.tolist() == [[0.0, 0.9]]
 
     def test_fifo_consumption_traced_by_hand(self):
         ledger = TokenLedger(1, CALENDAR)
         ledger.credit(0.6, 1, ONE)
         ledger.credit(0.6, 2, ONE)
-        ledger.spend(1.0, 2, ONE)
-        assert [lot(ledger, 1), lot(ledger, 2)] == [(0.0, 1), (pytest.approx(0.2), 2)]
+        ledger.spend(1.0, ONE)
+        assert ledger.lots.tolist() == [[0.0, pytest.approx(0.2)]]
 
     def test_negative_spend_rejected(self):
         with pytest.raises(ValueError):
-            TokenLedger(1, CALENDAR).spend(-1.0, 1, ONE)
+            TokenLedger(1, CALENDAR).spend(-1.0, ONE)
 
 
 class TestExpire:
@@ -107,14 +106,27 @@ class TestExpire:
         ledger.credit(1.0, 1, ONE)
         lost = ledger.expire(3, ONE)
         assert lost.tolist() == [1.0]
-        assert ledger.balance(3).tolist() == [0.0]
+        assert ledger.balance().tolist() == [0.0]
 
     def test_lot_within_window_kept(self):
         ledger = TokenLedger(1, FreshnessPolicy(n=3))
         ledger.credit(1.0, 1, ONE)
         lost = ledger.expire(2, ONE)
         assert lost.tolist() == [0.0]
-        assert ledger.balance(2).tolist() == [1.0]
+        assert ledger.balance().tolist() == [1.0]
+
+    def test_calendar_lot_outlives_a_short_gap_and_expires_after_a_long_one(self):
+        # Credits at rounds 1 and 3 leave the round-1 lot two columns
+        # from the end; no credit between rounds 3 and 9, longer than
+        # the four slots, so expiry, not the next credit, drops it.
+        ledger = TokenLedger(1, FreshnessPolicy(n=3))
+        ledger.credit(1.0, 1, ONE)
+        ledger.credit(0.5, 3, ONE)
+        assert ledger.expire(4, ONE).tolist() == [0.0]
+        assert ledger.lots.tolist() == [[0.0, 1.0, 0.0, 0.5]]
+        assert ledger.expire(9, ONE).tolist() == [1.5]
+        ledger.credit(0.25, 9, ONE)
+        assert ledger.lots.tolist() == [[0.0, 0.0, 0.0, 0.25]]
 
     def test_participated_counting_ignores_skipped_rounds(self):
         # A lot earned at a participated round survives four calendar
@@ -125,7 +137,7 @@ class TestExpire:
         ledger.credit(0.0, 6, ONE)
         lost = ledger.expire(6, ONE)
         assert lost.tolist() == [0.0]
-        assert ledger.balance(6).tolist() == [1.0]
+        assert ledger.balance().tolist() == [1.0]
 
     def test_participated_counting_still_expires(self):
         ledger = TokenLedger(1, COUNTED)
@@ -137,14 +149,14 @@ class TestExpire:
     def test_participated_counting_spends_the_aged_lot_in_its_last_round(self):
         # The third participation ages the round-1 lot past the window,
         # yet it stays spendable until the next expiry: three live lots
-        # for n = 1, which is why the ring has n + 2 slots here.
+        # for n = 1, which is why the ledger has n + 2 slots here.
         ledger = TokenLedger(1, COUNTED)
         for r in (1, 2, 3):
             assert ledger.expire(r, ONE).tolist() == [0.0]
             ledger.credit(0.5, r, ONE)
-        assert ledger.balance(3).tolist() == [1.5]
-        assert ledger.spend(1.0, 3, ONE).tolist() == [True]
-        assert [lot(ledger, j)[0] for j in (1, 2, 3)] == [0.0, 0.0, 0.5]
+        assert ledger.balance().tolist() == [1.5]
+        assert ledger.spend(1.0, ONE).tolist() == [True]
+        assert ledger.lots.tolist() == [[0.0, 0.0, 0.5]]
 
     def test_round_validation(self):
         with pytest.raises(ValueError):
@@ -168,10 +180,10 @@ class TestLanes:
         ledger = TokenLedger(3, CALENDAR)
         ledger.credit(np.array([1.0, 0.5, 2.0]), 1, np.array([True, True, False]))
         assert ledger.participations.tolist() == [1, 1, 0]
-        assert ledger.spend(1.0, 1, np.array([True, True, True])).tolist() == [True, False, False]
-        assert ledger.balance(1).tolist() == [0.0, 0.5, 0.0]
+        assert ledger.spend(1.0, np.array([True, True, True])).tolist() == [True, False, False]
+        assert ledger.balance().tolist() == [0.0, 0.5, 0.0]
         assert ledger.expire(3, np.array([True, False, True])).tolist() == [0.0, 0.0, 0.0]
-        assert ledger.balance(3).tolist() == [0.0, 0.5, 0.0]
+        assert ledger.balance().tolist() == [0.0, 0.5, 0.0]
 
 
 def one_player(owned_model_round=0, earn=1.0):
@@ -231,8 +243,8 @@ class TestClosedLoop:
             assert ledger.expire(r, ONE).tolist() == [0.0]
             ledger.credit(reward(params.eps_a, params), r, ONE)
             if r % n == 0:
-                assert ledger.spend(params.C, r, ONE).tolist() == [True]
-                assert ledger.balance(r).tolist() == [0.0]
+                assert ledger.spend(params.C, ONE).tolist() == [True]
+                assert ledger.balance().tolist() == [0.0]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_low_budget_starves_at_first_window_purchase(self, n):
@@ -243,7 +255,7 @@ class TestClosedLoop:
         for r in range(1, n + 1):
             assert ledger.expire(r, ONE).tolist() == [0.0]
             ledger.credit(reward(eps, params), r, ONE)
-        assert ledger.spend(params.C, n, ONE).tolist() == [False]
+        assert ledger.spend(params.C, ONE).tolist() == [False]
 
 
 class TestConservation:
@@ -257,13 +269,13 @@ class TestConservation:
         )
     )
     def test_balance_tracks_flows_without_expiry(self, ops):
-        # No policy and a slot per round: nothing expires or wraps.
+        # No policy and a slot per round: nothing expires or shifts out.
         ledger = TokenLedger(1, None, slots=len(ops) + 1)
         expected = 0.0
         for r, (op, amount) in enumerate(ops, start=1):
             if op == "credit":
                 ledger.credit(amount, r, ONE)
                 expected += amount
-            elif ledger.spend(amount, r, ONE)[0]:
+            elif ledger.spend(amount, ONE)[0]:
                 expected -= amount
-        assert ledger.balance(len(ops) + 1)[0] == pytest.approx(expected, abs=1e-9)
+        assert ledger.balance()[0] == pytest.approx(expected, abs=1e-9)

@@ -206,7 +206,8 @@ def test_budget_lanes_equal_the_scalar_oracle(budgets, horizon, n, k, costs):
 @given(st.data())
 def test_ledger_equals_the_scalar_lots(data):
     """Arbitrary credits and spends, so lots of many sizes are live at
-    once and the order of every sum shows."""
+    once and the order of every sum shows. Each lane's row holds the
+    oracle's lots placed by age, the newest last."""
     n, counted = data.draw(st.integers(1, 3)), data.draw(st.booleans())
     lanes = data.draw(st.integers(1, 4))
     masks = st.lists(st.booleans(), min_size=lanes, max_size=lanes)
@@ -222,6 +223,11 @@ def test_ledger_equals_the_scalar_lots(data):
             if joined:
                 c.credit(amount, t)
         price, wants = data.draw(st.floats(0.0, 6.0)), data.draw(masks)
-        paid = ledger.spend(price, t, np.array(wants))
+        paid = ledger.spend(price, np.array(wants))
         assert paid.tolist() == [w and c.spend(price) for c, w in zip(clients, wants)]
-        assert bits(ledger.balance(t).tolist()) == bits(c.balance() for c in clients)
+        assert bits(ledger.balance().tolist()) == bits(c.balance() for c in clients)
+        for row, c in zip(ledger.lots.tolist(), clients):
+            by_age = [0.0] * ledger.slots
+            for amount, earned in c.lots:
+                by_age[ledger.slots - 1 - c.age(earned, t, counted)] = amount
+            assert bits(row) == bits(by_age)
