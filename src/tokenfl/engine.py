@@ -141,7 +141,7 @@ class SimConfig:
             raise ValueError(
                 f"ldp_mechanism must be one of {LDP_MECHANISMS}, got {self.ldp_mechanism!r}"
             )
-        if self.clip_radius <= 0:
+        if not self.clip_radius > 0:
             raise ValueError(f"clip_radius must be > 0, got {self.clip_radius}")
         if self.batches < 0 or self.batch_size < 1:
             raise ValueError(

@@ -11,10 +11,18 @@ size-weighted server update w - lr * sum_k (n_k / n) g_k.
 IDX pixels stay uint8, and local_train and evaluate scale each block
 they use by 1/255 into float32. Float images are computed in their own
 dtype, float32 or float64. Each call casts the float64 model to that
-dtype once, and local_train sums its blocks' gradients in float64.
-Backpropagated deltas below the dtype's smallest normal number are
-flushed to zero, because subnormal operands slow a GEMM several-fold
-(a saturated single-class client makes many).
+dtype once, and raises ValueError if the cast is not finite;
+local_train sums its blocks' gradients in float64. Backpropagated
+deltas below the dtype's smallest normal number are flushed to zero,
+because subnormal operands slow a GEMM several-fold (a saturated
+single-class client makes many). One mask per layer applies the flush
+and the ReLU's derivative together, writing masked entries as +0.0.
+
+The learning step is bound by its matrix products, so the elementwise
+work around them runs in place: bias and ReLU on the product, softmax on
+the logits, and one pixel block and one block gradient reused across a
+local_train call. Only arrays a call allocated are written, so model
+vectors, images and gradients passed in may be read-only.
 
 Per-client work and evaluation chunks run on one shared thread pool
 (pool_map) with a worker per core this process may use. Each gradient
@@ -354,12 +362,25 @@ def _compute_dtype(images: np.ndarray):
     return np.float64 if images.dtype == np.float64 else np.float32
 
 
-def _as_compute(x: np.ndarray, dtype) -> np.ndarray:
+def _compute_vector(params: ModelParams, dtype) -> np.ndarray:
+    """The model vector cast to the compute dtype, which must keep it finite."""
+    with np.errstate(over="ignore"):  # reported below, as a ValueError
+        vector = params.vector.astype(dtype, copy=False)
+    if not np.all(np.isfinite(vector)):
+        raise ValueError(f"model parameters overflow {np.dtype(dtype).name}, the compute dtype")
+    return vector
+
+
+def _as_compute(x: np.ndarray, dtype, out=None) -> np.ndarray:
     """Rows of images in the compute dtype: uint8 pixels scaled by 1/255
-    (the same floats as astype(float32) / float32(255)), floats as is."""
-    if x.dtype == np.uint8:
-        return np.divide(x, np.float32(255.0), dtype=np.float32)
-    return x.astype(dtype, copy=False)
+    (astype(float32) / float32(255), into the first rows of `out` when
+    given), floats as is."""
+    if x.dtype != np.uint8:
+        return x.astype(dtype, copy=False)
+    scaled = np.empty(x.shape, np.float32) if out is None else out[: len(x)]
+    scaled[...] = x
+    scaled /= np.float32(255.0)
+    return scaled
 
 
 def _forward(vector: np.ndarray, layers, x: np.ndarray):
@@ -367,38 +388,49 @@ def _forward(vector: np.ndarray, layers, x: np.ndarray):
     acts = [x]
     mats = _unpack(vector, layers)
     for i, (w, b) in enumerate(mats):
-        z = acts[-1] @ w + b
-        acts.append(np.maximum(z, 0.0) if i < len(mats) - 1 else z)
+        z = acts[-1] @ w
+        z += b
+        if i < len(mats) - 1:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
     return acts
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _batch_gradient(vector: np.ndarray, layers, x: np.ndarray, y: np.ndarray,
-                    weight: np.ndarray) -> np.ndarray:
+                    weight: np.ndarray, out=None) -> np.ndarray:
     """Gradient of the softmax cross-entropy of each row times its weight,
     summed over rows; weights of 1/len(y) give the batch mean. Computed
-    in the dtype of `vector`, which `x` must share."""
+    in the dtype of `vector`, which `x` must share, and written over
+    every entry of `out` when given."""
     acts = _forward(vector, layers, x)
     mats = _unpack(vector, layers)
-    grad = np.zeros_like(vector)
+    grad = np.empty_like(vector) if out is None else out
     gmats = _unpack(grad, layers)
     tiny = np.finfo(vector.dtype).tiny
     delta = _softmax(acts[-1])
     delta[np.arange(len(y)), y] -= 1.0
     delta *= weight[:, None]
+    keep = np.abs(delta) >= tiny
     for i in range(len(gmats) - 1, -1, -1):
-        # Subnormal operands would slow both GEMMs of this layer.
-        delta[np.abs(delta) < tiny] = 0.0
+        # Subnormal operands would slow both GEMMs of this layer. One mask
+        # flushes them and, below the output, the ReLU's dead units; the
+        # + 0.0 writes masked zeros as +0.0, not -0.0.
+        delta *= keep
+        delta += 0.0
         gw, gb = gmats[i]
         gw[:] = acts[i].T @ delta
         gb[:] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ mats[i][0].T) * (acts[i] > 0.0)
+            delta = delta @ mats[i][0].T
+            keep = np.abs(delta) >= tiny
+            keep &= acts[i] > 0.0
     return grad
 
 
@@ -430,14 +462,19 @@ def local_train(params: ModelParams, dataset: Dataset, part: DataPartition,
     draws = [rng.choice(part.indices, size=batch_size, replace=replace) for _ in range(batches)]
     rows, counts = np.unique(np.array(draws, dtype=np.int64), return_counts=True)
     dtype = _compute_dtype(dataset.images)
-    vector = params.vector.astype(dtype, copy=False)
+    vector = _compute_vector(params, dtype)
     weights = (counts / batch_size).astype(dtype, copy=False)
     grad = np.zeros_like(params.vector)
+    block_grad = np.empty_like(vector)
+    pixels = None
+    if dataset.images.dtype == np.uint8:
+        pixels = np.empty((min(len(rows), _BLOCK_ROWS), dataset.images.shape[1]), np.float32)
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
         grad += _batch_gradient(vector, params.layers,
-                                _as_compute(dataset.images[block], dtype),
-                                dataset.labels[block], weights[start : start + _BLOCK_ROWS])
+                                _as_compute(dataset.images[block], dtype, pixels),
+                                dataset.labels[block], weights[start : start + _BLOCK_ROWS],
+                                block_grad)
     return grad
 
 
@@ -449,14 +486,16 @@ def aggregate(w_t: ModelParams, grads, sizes, lr: float) -> ModelParams:
         raise ValueError(f"{len(grads)} gradients but {len(sizes)} sizes")
     total = float(sum(sizes))
     update = np.zeros_like(w_t.vector)
+    scaled = np.empty_like(w_t.vector)
     for g, n_k in zip(grads, sizes):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != w_t.vector.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {w_t.vector.shape}")
         if n_k <= 0:
             raise ValueError(f"partition sizes must be positive, got {n_k}")
-        update += (n_k / total) * g
-    return ModelParams(w_t.vector - lr * update, w_t.layers)
+        update += np.multiply(n_k / total, g, out=scaled)
+    update *= lr
+    return ModelParams(np.subtract(w_t.vector, update, out=update), w_t.layers)
 
 
 def evaluate(params: ModelParams, dataset: Dataset, chunk: int = _BLOCK_ROWS) -> float:
@@ -466,7 +505,7 @@ def evaluate(params: ModelParams, dataset: Dataset, chunk: int = _BLOCK_ROWS) ->
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     dtype = _compute_dtype(dataset.images)
-    vector = params.vector.astype(dtype, copy=False)
+    vector = _compute_vector(params, dtype)
 
     def correct(start):
         x = _as_compute(dataset.images[start : start + chunk], dtype)

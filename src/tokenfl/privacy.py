@@ -39,9 +39,9 @@ class LdpConfig:
     mechanism: LdpMechanism = "two_point"
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError(f"radius must be > 0, got {self.radius}")
         if self.mechanism not in LDP_MECHANISMS:
             raise ValueError(f"mechanism must be one of {LDP_MECHANISMS}, got {self.mechanism!r}")
@@ -62,8 +62,12 @@ def _two_point_terms(cfg: LdpConfig):
 
 def _upper_probability(w, cfg: LdpConfig):
     _, t = _two_point_terms(cfg)
-    clipped = np.clip(w, -cfg.radius, cfg.radius)
-    return 0.5 * (1.0 + clipped / cfg.radius * t)
+    p = np.clip(w, -cfg.radius, cfg.radius)
+    p /= cfg.radius
+    p *= t
+    p += 1.0
+    p *= 0.5
+    return p
 
 
 def perturb_gradients(g, cfg: LdpConfig, rng: np.random.Generator) -> np.ndarray:
@@ -82,7 +86,11 @@ def perturb_gradients(g, cfg: LdpConfig, rng: np.random.Generator) -> np.ndarray
     bound, _ = _two_point_terms(cfg)
     p_up = _upper_probability(g, cfg)
     u = rng.random(g.shape)
-    return np.where(u < p_up, bound, -bound)
+    # +-1.0 from the mask, then +-bound exactly, for any finite bound.
+    out = np.multiply(u < p_up, 2.0, out=u)
+    out -= 1.0
+    out *= bound
+    return out
 
 
 def analytic_ldp_ratio(cfg: LdpConfig) -> float:

@@ -300,6 +300,21 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 9
 
+    def test_model_past_float32_range_fails_the_run_without_metrics(
+        self, tmp_path, idx_builder, capsys
+    ):
+        # Uploads of +-1e308 step the float64 model past float32's range,
+        # where the next scoring would read inf/NaN logits.
+        write_tiny_dataset(tmp_path / "data", idx_builder)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(minimal_config(
+            data_dir=str(tmp_path / "data"), clip_radius=1e308, horizon=1, clients=3)))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="overflow float32"):
+            main(["run", str(config_path), "--out-dir", str(out)])
+        assert not (out / "metrics.csv").exists()
+        assert "run: simulation failed: model parameters overflow" in capsys.readouterr().err
+
     def test_replay_refuses_a_changed_dataset(self, tmp_path, offline_config, capsys):
         first = tmp_path / "first"
         assert main(["run", str(offline_config), "--out-dir", str(first)]) == 0

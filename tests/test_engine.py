@@ -89,6 +89,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             config(eps=[15, 15])
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+    def test_clip_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match="clip_radius must be > 0"):
+            config(clip_radius=radius)
+
     def test_eps_resolution(self):
         assert config(eps=None).client_eps() == [15.0, 15.0, 15.0]
         assert config(eps=20).client_eps() == [20.0, 20.0, 20.0]

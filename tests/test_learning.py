@@ -26,6 +26,7 @@ from tokenfl.learning import (
     param_count,
     partition,
 )
+from tokenfl.privacy import LdpConfig, perturb_gradients
 
 SMALL_LAYERS = (6, 5, 3)
 
@@ -375,6 +376,117 @@ class TestLocalTrain:
         assert not any(subnormal(a) for a in operands)
 
 
+def first_formulation_gradient(vector, layers, x, y, weight):
+    """_batch_gradient as first written: a fresh bias add and ReLU per
+    layer, and a boolean-index flush of each layer's delta. Returns the
+    gradient and how many nonzero subnormals the flushes zeroed."""
+    acts = [x]
+    mats = _unpack(vector, layers)
+    for i, (w, b) in enumerate(mats):
+        z = acts[-1] @ w + b
+        acts.append(np.maximum(z, 0.0) if i < len(mats) - 1 else z)
+    grad = np.zeros_like(vector)
+    gmats = _unpack(grad, layers)
+    tiny = np.finfo(vector.dtype).tiny
+    shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    delta = e / e.sum(axis=1, keepdims=True)
+    delta[np.arange(len(y)), y] -= 1.0
+    delta *= weight[:, None]
+    flushed = 0
+    for i in range(len(gmats) - 1, -1, -1):
+        small = np.abs(delta) < tiny
+        flushed += int(np.count_nonzero(delta[small]))
+        delta[small] = 0.0
+        gw, gb = gmats[i]
+        gw[:] = acts[i].T @ delta
+        gb[:] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ mats[i][0].T) * (acts[i] > 0.0)
+    return grad, flushed
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestKernelsMatchTheirFirstFormulation:
+    """The fused mask, in-place activations and reused buffers change no
+    output bit, the sign of a zero included."""
+
+    LAYERS = (12, 16, 4)
+
+    @pytest.mark.parametrize(
+        "margin,live_scale,subnormals",
+        [
+            (0.0, 1.0, False),
+            (69.0, 1e-9, True),  # saturated rows: hidden deltas ~1e-41
+            (100.0, 1.0, True),  # saturated rows: output deltas ~4e-46
+        ],
+    )
+    def test_batch_gradient(self, margin, live_scale, subnormals):
+        # Rows 0-63 are class 0, which the output bias `margin` favours;
+        # the rest alternate classes 1 and 2. Hidden units 0-3 are dead on
+        # every row, 4-7 on some, 8-15 on none. Dead units see a negative
+        # delta from class 3, so a masked entry is a -0.0 unless written
+        # as +0.0, and their bias gradient is a sum of masked entries only.
+        rng = np.random.default_rng(1)
+        x = rng.random((96, self.LAYERS[0])).astype(np.float32)
+        y = np.where(np.arange(96) < 64, 0, 1 + np.arange(96) % 2)
+        weight = np.full(96, 1.0 / 96, dtype=np.float32)
+        vector = init_model(5, layers=self.LAYERS).vector.astype(np.float32)
+        (w1, b1), (w2, b2) = _unpack(vector, self.LAYERS)
+        w1[:, :4] = -np.abs(w1[:, :4]) - 0.1
+        b1[:4] = -1.0
+        w1[:, 8:] = np.abs(w1[:, 8:]) + 0.1
+        w2[4:] *= live_scale
+        w2[:4] = [0.0, 0.0, 0.0, -1.0]
+        b2[0] = margin
+        hidden = _forward(vector, self.LAYERS, x)[1]
+        assert np.all(hidden[:, :4] == 0.0) and np.all(hidden[:, 8:] > 0.0)
+        assert np.any(hidden[:, 4:8] == 0.0) and np.any(hidden[:, 4:8] > 0.0)
+
+        operands = []
+
+        class Recorded(np.ndarray):
+            # Sees the operands of every product made from x, as above.
+            def __matmul__(self, other):
+                operands.extend([np.array(self), np.array(other)])
+                return super().__matmul__(other)
+
+        got = _batch_gradient(vector, self.LAYERS, x.view(Recorded), y, weight)
+        got_operands, operands[:] = operands[:], []
+        expected, flushed = first_formulation_gradient(
+            vector, self.LAYERS, x.view(Recorded), y, weight)
+        assert (flushed > 0) == subnormals
+        assert same_bits(got, expected)
+        # Sums and BLAS products happen to turn -0.0 into +0.0; the
+        # products' operands carry the mask's zeros as they are.
+        assert len(got_operands) == len(operands) == 2 * (2 + 3)
+        assert all(same_bits(a, b) for a, b in zip(got_operands, operands))
+
+    def test_local_train_over_several_blocks(self):
+        # Over 512 distinct uint8 rows, so the pixel and gradient buffers
+        # are reused and the last block fills only part of them.
+        u, _ = uint8_and_float32(examples=900)
+        part = DataPartition(np.arange(len(u)), owner=0, scheme="identical")
+        model = init_model(2, layers=SMALL_LAYERS)
+        rng = np.random.default_rng(8)
+        draws = [rng.choice(part.indices, size=16, replace=False) for _ in range(80)]
+        rows, counts = np.unique(np.array(draws), return_counts=True)
+        assert len(rows) > 2 * 256
+        vector = model.vector.astype(np.float32)
+        weights = (counts / 16).astype(np.float32)
+        expected = np.zeros_like(model.vector)
+        for start in range(0, len(rows), 256):
+            block = rows[start : start + 256]
+            x = u.images[block].astype(np.float32) / np.float32(255.0)
+            expected += first_formulation_gradient(
+                vector, SMALL_LAYERS, x, u.labels[block], weights[start : start + 256])[0]
+        got = local_train(model, u, part, batches=80, batch_size=16, seed=8)
+        assert same_bits(got, expected)
+
+
 def uint8_and_float32(seed=6, examples=600, classes=3):
     """A uint8 dataset and its float32 copy scaled the whole-array way."""
     rng = np.random.default_rng(seed)
@@ -475,3 +587,66 @@ class TestEvaluate:
         ds = Dataset(np.zeros((0, 4), dtype=np.float32), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
             evaluate(params, ds)
+
+
+def read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+class TestReadOnlyInputs:
+    """The kernels write in place, but never into their inputs: the
+    engine shares read-only model arrays between holders."""
+
+    @pytest.mark.parametrize("pixels", ["uint8", "float32", "float64"])
+    def test_outputs_equal_those_of_writable_copies(self, pixels):
+        u, f = uint8_and_float32(examples=300)
+        ds = {"uint8": u, "float32": f, "float64": float64_copy(f)}[pixels]
+        part = DataPartition(np.arange(0, len(ds), 2), owner=0, scheme="identical")
+        model = init_model(2, layers=SMALL_LAYERS)
+        cfg = LdpConfig(eps=2.0, radius=0.5)
+
+        def outputs(model, ds, part):
+            g = local_train(model, ds, part, batches=20, batch_size=16, seed=3)
+            up = perturb_gradients(g, cfg, np.random.default_rng(4))
+            new = aggregate(model, [g, up], [3, 1], lr=0.1)
+            return g, up, new.vector, evaluate(model, ds)
+
+        frozen_model = ModelParams(read_only(model.vector), SMALL_LAYERS)
+        frozen_ds = Dataset(read_only(ds.images), read_only(ds.labels))
+        frozen_part = DataPartition(read_only(part.indices), owner=0, scheme="identical")
+        expected = outputs(model, ds, part)
+        assert same_bits(model.vector, frozen_model.vector)
+        assert same_bits(ds.images, frozen_ds.images)
+        got = outputs(frozen_model, frozen_ds, frozen_part)
+        assert got[3] == expected[3]
+        assert all(same_bits(a, b) for a, b in zip(got[:3], expected[:3]))
+        g, up = expected[:2]
+        assert same_bits(perturb_gradients(read_only(g), cfg, np.random.default_rng(4)), up)
+        new = aggregate(frozen_model, [read_only(g), read_only(up)], [3, 1], lr=0.1)
+        assert same_bits(new.vector, expected[2])
+
+
+class TestComputeDtypeOverflow:
+    """A model finite in float64 but not in float32 would score and train
+    on inf/NaN logits."""
+
+    def big_model(self):
+        model = init_model(2, layers=SMALL_LAYERS)
+        model.vector[0] = 1e39  # float32's largest finite value is ~3.4e38
+        return model
+
+    def test_float32_training_and_scoring_raise(self):
+        ds, part = small_fixture()
+        with pytest.raises(ValueError, match="overflow float32"):
+            local_train(self.big_model(), ds, part, batches=1, batch_size=4, seed=0)
+        with pytest.raises(ValueError, match="overflow float32"):
+            evaluate(self.big_model(), ds)
+
+    def test_float64_data_computes_as_before(self):
+        ds, part = small_fixture()
+        ds = float64_copy(ds)
+        g = local_train(self.big_model(), ds, part, batches=1, batch_size=4, seed=0)
+        assert np.all(np.isfinite(g))
+        assert 0.0 <= evaluate(self.big_model(), ds) <= 1.0

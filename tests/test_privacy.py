@@ -24,6 +24,8 @@ class TestConfig:
         {"eps": -1.0},
         {"eps": 1.0, "radius": 0.0},
         {"eps": 1.0, "mechanism": "gaussian"},
+        {"eps": math.nan},
+        {"eps": 1.0, "radius": math.nan},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
@@ -71,6 +73,30 @@ class TestTwoPointSupport:
         cfg = LdpConfig(eps=1.0)
         with pytest.raises(ValueError):
             perturb_gradients(np.array([1.0, np.nan]), cfg, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("eps,radius", [
+        (1.0, 1.0),
+        (15.0, 0.37),
+        (15.0, 1e308),  # bound above max / 2: 2 * bound would overflow
+        (40.0, np.finfo(np.float64).max),  # tanh(20) rounds to 1: bound is max
+    ])
+    def test_outputs_equal_the_where_formulation_bit_for_bit(self, eps, radius):
+        # The two-point output written as np.where over the comparison,
+        # with P(upper) computed in one expression, on the same stream.
+        cfg = LdpConfig(eps=eps, radius=radius)
+        rng = np.random.default_rng(11)
+        top = np.finfo(np.float64).max
+        g = np.concatenate([radius * rng.uniform(-1.0, 1.0, 4000),
+                            [-top, -radius, -3.0, -0.0, 0.0, 3.0, radius, top]])
+        t = math.tanh(eps / 2.0)
+        bound = radius / t
+        assert math.isfinite(bound)
+        p_up = 0.5 * (1.0 + np.clip(g, -radius, radius) / radius * t)
+        expected = np.where(np.random.default_rng(5).random(g.shape) < p_up, bound, -bound)
+        out = perturb_gradients(g, cfg, np.random.default_rng(5))
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+        assert set(np.unique(out)) == {-bound, bound}
 
 
 class TestUnbiasedness:
