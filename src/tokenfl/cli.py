@@ -249,13 +249,16 @@ def cmd_run(args) -> int:
             return 1
 
     out_dir = Path(args.out_dir)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # innermost first
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
         records = run_simulation(config, datasets)
-    except Exception as err:
+    except ValueError as err:  # e.g. a model past float32's range
         print(f"run: simulation failed: {err}", file=sys.stderr)
-        raise
+        for d in created:
+            d.rmdir()
+        return 1
 
     metrics_path = out_dir / "metrics.csv"
     write_metrics_csv(records, metrics_path)

@@ -11,11 +11,15 @@ run_round runs each round's learning step from that round's trainer,
 buyer and drifter masks: local training on each participant's owned
 model, gradient randomization, weighted aggregation, handing each buyer
 the new global model, and evaluation, each client's training one task
-on learning's thread pool. Model arrays are read-only, so all holders
-of one global model share its array and one dict of its scores. Clients
-evicted in an earlier round keep training locally on their stale model,
-outside the federation. Every random stream is derived from (seed,
-purpose, client, round), so a run is a pure function of its config.
+on learning's thread pool. The uploads stream into aggregate in client
+order as the pool yields them, so a round holds about workers + 1 of
+them, not one per trainer, and the two test splits are row-index
+Subsets of the loaded test set, scored in place. Model arrays are
+read-only, so all holders of one global model share its array and one
+dict of its scores. Clients evicted in an earlier round keep training
+locally on their stale model, outside the federation. Every random
+stream is derived from (seed, purpose, client, round), so a run is a
+pure function of its config.
 """
 
 from __future__ import annotations
@@ -34,13 +38,14 @@ from .learning import (
     DataPartition,
     Dataset,
     ModelParams,
+    Subset,
     aggregate,
     evaluate,
     init_model,
     load_mnist,
     local_train,
     partition,
-    pool_map,
+    pool_imap,
 )
 from .mechanisms import (
     MechanismParams,
@@ -257,8 +262,8 @@ class EngineState:
     layers: tuple
     clients: list
     train: Dataset
-    local_test: Dataset
-    global_test: Dataset
+    local_test: Subset
+    global_test: Subset
 
 
 def _frozen(vector: np.ndarray) -> np.ndarray:
@@ -322,17 +327,16 @@ def init_state(config: SimConfig, datasets) -> EngineState:
     game, model, partitions, test split.
 
     The initial global model is handed to every client free of cost. A
-    fifth of the test split is carved out as the shared local-evaluation
-    set; the server scores on the rest. Both keep the loaded images'
-    dtype: uint8 pixels stay uint8 and are scaled per chunk as scored.
+    fifth of the test split, in a random order, is the shared
+    local-evaluation set; the server scores on the rest. Both are row
+    indices into the loaded test set, which is not copied: uint8 pixels
+    stay uint8 and are gathered and scaled per chunk as scored.
     """
     schedule = play_game(config)
     train, test = datasets
 
-    perm = _stream(config.seed, _KIND_SPLIT).permutation(len(test))
+    perm = _frozen(_stream(config.seed, _KIND_SPLIT).permutation(len(test)))
     cut = max(1, int(len(test) * _LOCAL_TEST_FRACTION))
-    local_test = Dataset(test.images[perm[:cut]], test.labels[perm[:cut]], split="local-test")
-    global_test = Dataset(test.images[perm[cut:]], test.labels[perm[cut:]], split="global-test")
 
     parts = partition(train, config.clients, config.scheme, _stream(config.seed, _KIND_PARTITION))
     server = init_model(_stream(config.seed, _KIND_INIT))
@@ -346,8 +350,8 @@ def init_state(config: SimConfig, datasets) -> EngineState:
         layers=server.layers,
         clients=[_Client(k, parts[k], server.vector, scores) for k in range(config.clients)],
         train=train,
-        local_test=local_test,
-        global_test=global_test,
+        local_test=Subset(test, perm[:cut], "local-test"),
+        global_test=Subset(test, perm[cut:], "global-test"),
     )
 
 
@@ -389,17 +393,16 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
         return model, scores
 
     # Clients work concurrently; results come back in client order, so
-    # aggregate sums them in the same order on any number of cores.
-    grads = pool_map(upload, trainers)
-    for c, (model, scores) in zip(drifters, pool_map(drift, drifters)):
-        c.model, c.scores = model, scores
-
-    if grads:
+    # aggregate sums them in the same order on any number of cores, each
+    # upload as it arrives.
+    if trainers:
         state.server = _frozen(aggregate(
-            ModelParams(state.server, state.layers), grads,
+            ModelParams(state.server, state.layers), pool_imap(upload, trainers),
             [len(c.part) for c in trainers], config.lr
         ).vector)
         state.server_scores = {}
+    for c, (model, scores) in zip(drifters, pool_imap(drift, drifters)):
+        c.model, c.scores = model, scores
     for c, row in zip(state.clients, rows):
         if game.columns["bought"][r - 1, c.id]:
             c.model, c.scores = state.server, state.server_scores

@@ -25,19 +25,29 @@ local_train call. Only arrays a call allocated are written, so model
 vectors, images and gradients passed in may be read-only.
 
 Per-client work and evaluation chunks run on one shared thread pool
-(pool_map) with a worker per core this process may use. Each gradient
-is computed within one task, and chunks only add up integer counts, so
-outputs do not depend on the number of cores. A pool_map called from
-inside a pool task runs inline in that task.
+with a worker per core this process may use. pool_imap yields the
+results in item order as the consumer asks, keeping at most one task
+more than there are workers ahead of it, so a caller that adds each
+result into a sum, as aggregate does, holds about workers + 1 results
+at a time whatever the item count; pool_map is its list form. Each
+gradient is computed within one task, and chunks only add up integer
+counts, so outputs do not depend on the number of cores. A pool map
+called from inside a pool task runs inline in that task.
+
+evaluate scores a Dataset, or a Subset of one: given rows of it, in a
+given order, gathered chunk by chunk, so a split of the test set is
+scored in place instead of copied.
 """
 
 from __future__ import annotations
 
 import functools
 import gzip
+import itertools
 import os
 import struct
 import threading
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +59,7 @@ __all__ = [
     "DATA_DIR_ENV",
     "IdxParseError",
     "Dataset",
+    "Subset",
     "DataPartition",
     "ModelParams",
     "param_count",
@@ -60,6 +71,7 @@ __all__ = [
     "local_train",
     "aggregate",
     "evaluate",
+    "pool_imap",
     "pool_map",
 ]
 
@@ -102,6 +114,8 @@ class Dataset:
             raise ValueError(f"images must be 2-d (N, D), got shape {self.images.shape}")
         if self.images.dtype not in (np.uint8, np.float32, np.float64):
             raise ValueError(f"images must be uint8, float32 or float64, got {self.images.dtype}")
+        if not np.issubdtype(self.labels.dtype, np.integer):
+            raise ValueError(f"labels must be integer class ids, got dtype {self.labels.dtype}")
         if len(self.images) != len(self.labels):
             raise ValueError(
                 f"image/label count mismatch: {len(self.images)} vs {len(self.labels)}"
@@ -111,6 +125,19 @@ class Dataset:
 
     def __len__(self):
         return len(self.labels)
+
+
+@dataclass(frozen=True)
+class Subset:
+    """Rows `rows` of a Dataset, in that order, named `split`: evaluate
+    gathers them chunk by chunk, so no copy of the rows is made."""
+
+    dataset: Dataset
+    rows: np.ndarray
+    split: str
+
+    def __len__(self):
+        return len(self.rows)
 
 
 @dataclass
@@ -157,15 +184,46 @@ def _task(fn, item):
         _in_task.active = False
 
 
-def pool_map(fn, items) -> list:
-    """[fn(item) for item in items], run on the thread pool, in item order.
+class pool_imap:
+    """fn(item) for each item, computed on the thread pool and yielded in
+    item order each time it is iterated; len() is the item count.
 
-    Called from inside a pool task, it runs inline in that task: a task
-    that waited on the pool could wait on itself.
+    Tasks are submitted as results are taken, at most one more than the
+    pool has workers ahead of the consumer, so the results it has not
+    taken yet stay few. Iterated from inside a pool task, it runs inline
+    in that task: a task that waited on the pool could wait on itself.
     """
-    if getattr(_in_task, "active", False):
-        return [fn(item) for item in items]
-    return list(_pool().map(functools.partial(_task, fn), items))
+
+    def __init__(self, fn, items):
+        self._fn, self._items = fn, list(items)
+
+    def __len__(self):
+        return len(self._items)
+
+    def __iter__(self):
+        if getattr(_in_task, "active", False):
+            return map(self._fn, self._items)
+        return self._ordered(_pool())
+
+    def _ordered(self, pool):
+        items = iter(self._items)
+        # ThreadPoolExecutor keeps its worker count only in _max_workers.
+        pending = deque(pool.submit(_task, self._fn, item)
+                        for item in itertools.islice(items, pool._max_workers + 1))
+        try:
+            while pending:
+                result = pending.popleft().result()
+                pending.extend(pool.submit(_task, self._fn, item)
+                               for item in itertools.islice(items, 1))
+                yield result
+        finally:
+            for future in pending:
+                future.cancel()
+
+
+def pool_map(fn, items) -> list:
+    """[fn(item) for item in items], run on the thread pool, in item order."""
+    return list(pool_imap(fn, items))
 
 
 def param_count(layers) -> int:
@@ -479,37 +537,49 @@ def local_train(params: ModelParams, dataset: Dataset, part: DataPartition,
 
 
 def aggregate(w_t: ModelParams, grads, sizes, lr: float) -> ModelParams:
-    """Server update: w - lr * sum_k (n_k / n) g_k with n = sum of n_k."""
-    if len(grads) == 0:
-        raise ValueError("need at least one gradient to aggregate")
-    if len(grads) != len(sizes):
-        raise ValueError(f"{len(grads)} gradients but {len(sizes)} sizes")
+    """Server update: w - lr * sum_k (n_k / n) g_k with n = sum of n_k.
+
+    `grads` may be any iterable, such as a pool_imap of the uploads: each
+    g_k is added into the update as it comes, in order, and then let go.
+    """
     total = float(sum(sizes))
     update = np.zeros_like(w_t.vector)
     scaled = np.empty_like(w_t.vector)
-    for g, n_k in zip(grads, sizes):
+    count = 0
+    for g in grads:
+        if count == len(sizes):
+            raise ValueError(f"more gradients than the {len(sizes)} sizes")
+        n_k = sizes[count]
+        count += 1
         g = np.asarray(g, dtype=np.float64)
         if g.shape != w_t.vector.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {w_t.vector.shape}")
         if n_k <= 0:
             raise ValueError(f"partition sizes must be positive, got {n_k}")
         update += np.multiply(n_k / total, g, out=scaled)
+    if count == 0:
+        raise ValueError("need at least one gradient to aggregate")
+    if count != len(sizes):
+        raise ValueError(f"{count} gradients but {len(sizes)} sizes")
     update *= lr
     return ModelParams(np.subtract(w_t.vector, update, out=update), w_t.layers)
 
 
-def evaluate(params: ModelParams, dataset: Dataset, chunk: int = _BLOCK_ROWS) -> float:
+def evaluate(params: ModelParams, dataset: Dataset | Subset, chunk: int = _BLOCK_ROWS) -> float:
     """Fraction of examples whose argmax logit matches the label, scored
     in the compute dtype on the thread pool, in chunks of rows small
-    enough to stay in cache."""
+    enough to stay in cache. A Subset's chunks are gathered by index."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    dtype = _compute_dtype(dataset.images)
+    source, rows = ((dataset.dataset, dataset.rows) if isinstance(dataset, Subset)
+                    else (dataset, None))
+    dtype = _compute_dtype(source.images)
     vector = _compute_vector(params, dtype)
 
     def correct(start):
-        x = _as_compute(dataset.images[start : start + chunk], dtype)
+        block = slice(start, start + chunk) if rows is None else rows[start : start + chunk]
+        x = _as_compute(source.images[block], dtype)
         logits = _forward(vector, params.layers, x)[-1]
-        return int((logits.argmax(axis=1) == dataset.labels[start : start + chunk]).sum())
+        return int((logits.argmax(axis=1) == source.labels[block]).sum())
 
-    return sum(pool_map(correct, range(0, len(dataset), chunk))) / len(dataset)
+    return sum(pool_imap(correct, range(0, len(dataset), chunk))) / len(dataset)

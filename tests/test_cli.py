@@ -310,10 +310,27 @@ class TestRunCommand:
         config_path.write_text(json.dumps(minimal_config(
             data_dir=str(tmp_path / "data"), clip_radius=1e308, horizon=1, clients=3)))
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match="overflow float32"):
-            main(["run", str(config_path), "--out-dir", str(out)])
-        assert not (out / "metrics.csv").exists()
-        assert "run: simulation failed: model parameters overflow" in capsys.readouterr().err
+        assert main(["run", str(config_path), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "run: simulation failed: model parameters overflow float32" in err
+        assert len(err.splitlines()) == 1
+
+    def test_failed_run_removes_only_the_directories_it_created(
+        self, tmp_path, idx_builder, capsys
+    ):
+        write_tiny_dataset(tmp_path / "data", idx_builder)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(minimal_config(
+            data_dir=str(tmp_path / "data"), clip_radius=1e308, horizon=1, clients=3)))
+        nested = tmp_path / "new" / "deeper" / "out"
+        assert main(["run", str(config_path), "--out-dir", str(nested)]) == 1
+        assert not (tmp_path / "new").exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert main(["run", str(config_path), "--out-dir", str(kept)]) == 1
+        assert kept.is_dir() and not any(kept.iterdir())
+        assert capsys.readouterr().err.count("run: simulation failed:") == 2
 
     def test_replay_refuses_a_changed_dataset(self, tmp_path, offline_config, capsys):
         first = tmp_path / "first"

@@ -10,6 +10,8 @@ round bookkeeping.
 
 import multiprocessing
 import threading
+import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
@@ -457,15 +459,91 @@ class TestSharedModels:
         train, test = synthetic_datasets
         assert test.images.dtype == np.float32
         state = init_state(config(), synthetic_datasets)
-        assert state.local_test.images.dtype == np.float32
-        assert state.global_test.images.dtype == np.float32
+        assert state.local_test.dataset.images.dtype == np.float32
+        assert state.global_test.dataset.images.dtype == np.float32
         state = init_state(config(), (train, as_pixels(test)))
-        assert state.local_test.images.dtype == np.uint8
-        assert state.global_test.images.dtype == np.uint8
+        assert state.local_test.dataset.images.dtype == np.uint8
+        assert state.global_test.dataset.images.dtype == np.uint8
         wide = Dataset(test.images.astype(np.float64), test.labels, split=test.split)
         state = init_state(config(), (train, wide))
-        assert state.local_test.images.dtype == np.float64
-        assert state.global_test.images.dtype == np.float64
+        assert state.local_test.dataset.images.dtype == np.float64
+        assert state.global_test.dataset.images.dtype == np.float64
+
+
+class TestRoundMemory:
+    """A round holds about workers + 1 uploads whatever its client count,
+    and the test splits are scored in place, not copied."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_live_uploads_do_not_grow_with_the_trainers(self, synthetic_datasets,
+                                                        monkeypatch, workers):
+        cfg = config(clients=30, horizon=2)
+        perturb = engine.perturb_gradients
+        lock = threading.Lock()
+        counts = {"made": 0, "live": 0, "peak": 0}
+
+        def release():
+            with lock:
+                counts["live"] -= 1
+
+        def tracked(*args, **kwargs):
+            g = perturb(*args, **kwargs)
+            with lock:
+                counts["made"] += 1
+                counts["live"] += 1
+                counts["peak"] = max(counts["peak"], counts["live"])
+            weakref.finalize(g, release)
+            return g
+
+        monkeypatch.setattr(engine, "perturb_gradients", tracked)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            monkeypatch.setattr(learning, "_pool", lambda: pool)
+            state = init_state(cfg, synthetic_datasets)
+            for _ in range(cfg.horizon):
+                run_round(state, cfg)
+        assert counts["made"] == cfg.clients * cfg.horizon
+        assert counts["live"] == 0
+        # Up to workers + 1 queued or running, one being added, one let go.
+        assert counts["peak"] <= 8
+
+    def test_init_state_keeps_the_test_split_uncopied(self, synthetic_datasets):
+        train, _ = synthetic_datasets
+        rng = np.random.default_rng(7)
+        test = Dataset(rng.random((4000, 784), dtype=np.float32),
+                       np.arange(4000) % 10, split="test")
+        tracemalloc.start()
+        try:
+            state = init_state(config(), (train, test))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < test.images.nbytes / 4
+        for split in (state.local_test, state.global_test):
+            assert split.dataset is test
+        assert len(state.local_test) + len(state.global_test) == len(test)
+
+    @pytest.mark.parametrize("pixels", ["uint8", "float32"])
+    def test_round_scores_equal_those_of_copied_splits(self, synthetic_datasets, pixels):
+        train, test = synthetic_datasets
+        if pixels == "uint8":
+            train, test = as_pixels(train), as_pixels(test)
+        cfg = POOL_CONFIGS["all-evicted"]
+        # The split init_state made before it scored in place: a fifth of
+        # the test rows in a seeded random order, copied out, and the rest.
+        perm = engine._stream(cfg.seed, engine._KIND_SPLIT).permutation(len(test))
+        cut = max(1, int(len(test) * 0.2))
+        local, global_ = (Dataset(test.images[rows], test.labels[rows])
+                          for rows in (perm[:cut], perm[cut:]))
+        state = init_state(cfg, (train, test))
+        assert np.array_equal(state.local_test.rows, perm[:cut])
+        assert np.array_equal(state.global_test.rows, perm[cut:])
+        for _ in range(cfg.horizon):
+            record = run_round(state, cfg)
+            assert record.global_accuracy == evaluate(ModelParams(state.server, state.layers),
+                                                      global_)
+            for c, row in zip(state.clients, record.clients):
+                assert row.local_accuracy == evaluate(ModelParams(c.model, state.layers), local)
+        assert all(c.evicted for c in record.clients)
 
 
 POOL_CONFIGS = {
@@ -532,6 +610,22 @@ class TestThreadPool:
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
         assert result == [[[10 * i + j for j in range(3)] for i in range(4)]]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_pool_imap_runs_at_most_one_task_more_than_workers_ahead(self, monkeypatch,
+                                                                      workers):
+        started = []
+        mapped = learning.pool_imap(lambda i: started.append(i) or i * i, range(20))
+        assert len(mapped) == 20
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            monkeypatch.setattr(learning, "_pool", lambda: pool)
+            results = iter(mapped)
+            for taken in range(1, 6):
+                assert next(results) == (taken - 1) ** 2
+                assert len(started) <= taken + workers + 1
+            results.close()  # the pending tasks are cancelled, not run
+        assert len(started) <= 5 + workers + 1
+        assert sorted(started) == list(range(len(started)))
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs the fork start method")

@@ -17,6 +17,7 @@ from tokenfl.learning import (
     DataPartition,
     IdxParseError,
     ModelParams,
+    Subset,
     aggregate,
     batch_loss,
     evaluate,
@@ -153,6 +154,16 @@ class TestDatasetValidation:
     def test_flat_images_required(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2, 2)), np.array([0, 1]))
+
+    @pytest.mark.parametrize("labels", [np.array([0.5, 1.0, 2.0]),
+                                        np.array([0.0, 1.0, 2.0]),
+                                        np.array([True, False, True])],
+                             ids=["fractional", "whole-float", "bool"])
+    def test_non_integer_labels_rejected(self, labels):
+        # Float or bool labels would fail only mid-round, as indices into
+        # the logits.
+        with pytest.raises(ValueError, match=f"integer class ids, got dtype {labels.dtype}"):
+            Dataset(np.zeros((3, 4)), labels)
 
 
 class TestPartition:
@@ -544,6 +555,31 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate(model, [g], [0], lr=0.1)
 
+    @staticmethod
+    def mixed():
+        model = init_model(0, layers=SMALL_LAYERS)
+        rng = np.random.default_rng(5)
+        return model, [rng.normal(size=model.vector.shape) for _ in range(4)], [3, 17, 1, 8]
+
+    def test_generator_sums_like_the_list(self):
+        model, grads, sizes = self.mixed()
+        streamed = aggregate(model, (g for g in grads), sizes, lr=0.2)
+        assert np.array_equal(streamed.vector, aggregate(model, grads, sizes, lr=0.2).vector)
+
+    def test_generator_validation(self):
+        model, grads, sizes = self.mixed()
+        cases = [
+            ("need at least one gradient", [], []),
+            ("more gradients than the 3 sizes", grads, sizes[:3]),
+            ("3 gradients but 4 sizes", grads[:3], sizes),
+            ("gradient shape", [grads[0], grads[1][:-1]], sizes[:2]),
+            ("partition sizes must be positive", grads[:2], [3, 0]),
+            ("partition sizes must be positive", grads[:2], [3, -2]),
+        ]
+        for message, gs, ns in cases:
+            with pytest.raises(ValueError, match=message):
+                aggregate(model, (g for g in gs), ns, lr=0.1)
+
 
 class TestEvaluate:
     def test_perfect_one_hot_logits(self):
@@ -575,6 +611,18 @@ class TestEvaluate:
         params = init_model(4, layers=SMALL_LAYERS)
         assert ds.images.dtype == np.float32
         assert evaluate(params, wide) == evaluate(params, ds)
+
+    @pytest.mark.parametrize("pixels", ["uint8", "float32", "float64"])
+    def test_subset_scores_like_a_copy_of_its_rows(self, pixels):
+        u, f = uint8_and_float32(examples=300)
+        ds = {"uint8": u, "float32": f, "float64": float64_copy(f)}[pixels]
+        rows = np.random.default_rng(6).permutation(len(ds))[:230]
+        subset = Subset(ds, rows, "local-test")
+        copy = Dataset(ds.images[rows], ds.labels[rows])
+        params = init_model(4, layers=SMALL_LAYERS)
+        assert len(subset) == 230
+        for chunk in (1, 7, 256):
+            assert evaluate(params, subset, chunk=chunk) == evaluate(params, copy, chunk=chunk)
 
     def test_untrained_model_is_chance_level(self, mnist):
         _, test = mnist
