@@ -25,11 +25,9 @@ from pathlib import Path
 from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from . import __version__
-from .engine import ClientRound, SimConfig, run_simulation
-from .learning import DEFAULT_LAYERS, MNIST_FILES, IdxParseError, default_data_dir, load_mnist
+from .engine import ClientRound, ConfigError, SimConfig, check_inputs, run_simulation
+from .learning import MNIST_FILES, IdxParseError, default_data_dir, load_mnist
 from .mechanisms import MechanismParams, predict_collapse_round, utility
 from .presets import preset_config, preset_names
 from .strategy import nash_check
@@ -47,10 +45,6 @@ MNIST_URLS = (
     "https://ossci-datasets.s3.amazonaws.com/mnist/",
     "https://storage.googleapis.com/cvdf-datasets/mnist/",
 )
-
-
-class ConfigError(ValueError):
-    """Config schema violation; the message names the offending field path."""
 
 
 # The SimConfig fields that the schema nests under "learning". Every
@@ -171,87 +165,63 @@ def write_metrics_csv(records, out_path: Path) -> None:
             writer.writerow([rec.round, "global", *blanks, _fmt(rec.global_accuracy)])
 
 
+def _make_out_dir(out_dir: Path) -> list:
+    """Make `out_dir` and its missing parents; returns those made, innermost first."""
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {out_dir}: {err.strerror}",
+                          exit_code=1) from None
+    return created
+
+
 def cmd_run(args) -> int:
     if bool(args.config) == bool(args.preset):
-        print("run: provide exactly one of a config file or --preset", file=sys.stderr)
-        return 2
-
+        raise ConfigError("provide exactly one of a config file or --preset")
     preset_name, recorded = None, {}
     if args.preset:
-        preset_name = args.preset
+        preset_name, source = args.preset, f"preset {args.preset}"
         try:
             raw = preset_config(args.preset)
         except KeyError as err:
-            print(f"run: {err.args[0]}", file=sys.stderr)
-            return 2
-        source = f"preset {args.preset}"
+            raise ConfigError(err.args[0]) from None
     else:
         config_path = Path(args.config)
+        source = str(config_path)
         if not config_path.exists():
-            print(f"run: config file {config_path} does not exist", file=sys.stderr)
-            return 2
+            raise ConfigError(f"config file {config_path} does not exist")
         try:
             raw = json.loads(config_path.read_text(encoding="utf-8"))
         except ValueError as err:  # JSONDecodeError, non-UTF-8 bytes, an integer of 4300+ digits
-            print(f"run: {config_path} is not valid JSON: {err}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"{config_path} is not valid JSON: {err}") from None
         if isinstance(raw, dict) and "config" in raw and "artifact" in raw:
             preset_name, recorded = raw.get("preset"), raw.get("dataset", {})
             if preset_name is not None and preset_name not in preset_names():
-                print(f"run: {config_path}.preset: expected null or a preset name, "
-                      f"got {preset_name!r}", file=sys.stderr)
-                return 2
+                raise ConfigError(f"{config_path}.preset: expected null or a preset name, "
+                                  f"got {preset_name!r}")
             if not isinstance(recorded, dict) or not all(
                     isinstance(md5, str) for md5 in recorded.values()):
-                print(f"run: {config_path}.dataset: expected an object mapping file names "
-                      f"to md5 strings, got {recorded!r}", file=sys.stderr)
-                return 2
+                raise ConfigError(f"{config_path}.dataset: expected an object mapping file "
+                                  f"names to md5 strings, got {recorded!r}")
             raw = raw["config"]
-        source = str(config_path)
-
     if args.seed is not None and isinstance(raw, dict):  # parse_config rejects a non-object
         raw = {**raw, "seed": args.seed}
-
-    try:
-        config = parse_config(raw, source=source)
-    except ConfigError as err:
-        print(f"run: {err}", file=sys.stderr)
-        return 2
+    config = parse_config(raw, source=source)
 
     checksums = {}
     try:
         datasets = load_mnist(config.data_dir, checksums)
     except (FileNotFoundError, IdxParseError) as err:
-        print(f"run: {err}", file=sys.stderr)
-        return 1
-    for data, (images, _) in zip(datasets, MNIST_FILES.values()):
-        if data.images.shape[1] != DEFAULT_LAYERS[0]:
-            print(f"run: {images}: images of {data.images.shape[1]} pixels, but the model "
-                  f"takes {DEFAULT_LAYERS[0]}", file=sys.stderr)
-            return 1
-    if len(datasets[1]) < 2:  # init_state takes a local and a global test row at least
-        print(f"run: {MNIST_FILES['test'][0]}: {len(datasets[1])} test images, but scoring "
-              f"needs at least 2", file=sys.stderr)
-        return 1
-    if config.clients > len(datasets[0]):
-        print(f"run: {source}.clients: {config.clients} clients exceed the "
-              f"{len(datasets[0])} rows of the train split", file=sys.stderr)
-        return 2
-    labels = len(np.unique(datasets[0].labels))
-    if config.scheme != "identical" and config.clients > labels:
-        print(f"run: {source}.clients: {config.clients} clients exceed the {labels} labels "
-              f"of the train split, which the {config.scheme} scheme deals out", file=sys.stderr)
-        return 2
+        raise ConfigError(str(err), exit_code=1) from None
+    check_inputs(config, datasets, source)
     for name, md5 in sorted(recorded.items()):
         if checksums.get(name) != md5:
-            print(f"run: dataset file {name} has md5 {checksums.get(name)}, "
-                  f"but the manifest records {md5}", file=sys.stderr)
-            return 1
+            raise ConfigError(f"dataset file {name} has md5 {checksums.get(name)}, "
+                              f"but the manifest records {md5}", exit_code=1)
 
     out_dir = Path(args.out_dir)
-    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # innermost first
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    created = _make_out_dir(out_dir)
     try:
         records = run_simulation(config, datasets)
     except ValueError as err:  # e.g. a model past float32's range
@@ -284,25 +254,19 @@ def cmd_analyze(args) -> int:
     params = MechanismParams()
     bad_eps = [e for e in args.eps if not params.eps_min <= e <= params.eps_max]
     if args.stride < 1 or args.horizon < 1 or bad_eps:
-        print(
-            f"analyze: need --stride >= 1, --horizon >= 1 and every --eps in "
-            f"[{params.eps_min}, {params.eps_max}], got {args.stride}, {args.horizon}, {bad_eps}",
-            file=sys.stderr,
+        raise ConfigError(
+            f"need --stride >= 1, --horizon >= 1 and every --eps in "
+            f"[{params.eps_min}, {params.eps_max}], got {args.stride}, {args.horizon}, {bad_eps}"
         )
-        return 2
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
 
     utilities_path = out_dir / "utilities.csv"
     with open(utilities_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["t", "eps", "stride", "utility"])
-        for eps in args.eps:
-            for t in range(1, args.horizon + 1):
-                writer.writerow(
-                    [t, _fmt(eps), args.stride,
-                     _fmt(utility(t, eps, args.stride, params))]
-                )
+        writer.writerows([t, _fmt(eps), args.stride, _fmt(utility(t, eps, args.stride, params))]
+                         for eps in args.eps for t in range(1, args.horizon + 1))
 
     collapse_path = out_dir / "collapse.csv"
     with open(collapse_path, "w", newline="", encoding="utf-8") as f:
@@ -322,14 +286,13 @@ def cmd_nash(args) -> int:
     try:
         report = nash_check(profile, args.grid, args.horizon, params)
     except ValueError as err:
-        print(f"nash: {err}", file=sys.stderr)
-        return 2
+        raise ConfigError(str(err)) from None
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    print(payload)
     if args.out_dir:
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _make_out_dir(out_dir)
         (out_dir / "nash.json").write_text(payload + "\n", encoding="utf-8")
+    print(payload)
     return 0 if report.is_nash else 1
 
 
@@ -354,7 +317,7 @@ def _write_atomically(target: Path, data: bytes) -> None:
 
 def cmd_fetch_data(args) -> int:
     dest = Path(args.dest) if args.dest else default_data_dir()
-    dest.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(dest)
     bases = [args.base_url] if args.base_url else list(MNIST_URLS)
     names = [name for pair in MNIST_FILES.values() for name in pair]
     for name in names:
@@ -417,7 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as err:  # a refused input, named by its field, file or directory
+        print(f"{args.command}: {err}", file=sys.stderr)
+        return err.exit_code
 
 
 if __name__ == "__main__":

@@ -35,6 +35,8 @@ import numpy as np
 from .economy import FreshnessPolicy, TokenLedger, model_age
 from .learning import (
     CLASSES,
+    DEFAULT_LAYERS,
+    MNIST_FILES,
     DataPartition,
     Dataset,
     ModelParams,
@@ -69,6 +71,7 @@ __all__ = [
     "MECHANISMS",
     "SCHEMES",
     "BASELINE_PRICE",
+    "ConfigError",
     "SimConfig",
     "ClientRound",
     "RoundRecord",
@@ -77,6 +80,7 @@ __all__ = [
     "Schedule",
     "schedule_group",
     "play_game",
+    "check_inputs",
     "init_state",
     "run_round",
     "run_simulation",
@@ -111,6 +115,15 @@ def _stream(seed, kind, client=0, round_index=0):
     )
 
 
+class ConfigError(ValueError):
+    """An input a run refuses, named by its config field path or dataset
+    file; exit_code is 2 for a config field, 1 for a file or directory."""
+
+    def __init__(self, message: str, exit_code: int = 2):
+        super().__init__(message)
+        self.exit_code = exit_code
+
+
 @dataclass
 class SimConfig:
     """Full description of one simulation run."""
@@ -132,20 +145,16 @@ class SimConfig:
     data_dir: str | None = None
 
     def __post_init__(self):
-        if self.mechanism not in MECHANISMS:
-            raise ValueError(f"mechanism must be one of {MECHANISMS}, got {self.mechanism!r}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        for name, choices in (("mechanism", MECHANISMS), ("scheme", SCHEMES),
+                              ("ldp_mechanism", LDP_MECHANISMS)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.clients < 1:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.ldp_mechanism not in LDP_MECHANISMS:
-            raise ValueError(
-                f"ldp_mechanism must be one of {LDP_MECHANISMS}, got {self.ldp_mechanism!r}"
-            )
         if not self.clip_radius > 0:
             raise ValueError(f"clip_radius must be > 0, got {self.clip_radius}")
         if self.batches < 0 or self.batch_size < 1:
@@ -322,9 +331,40 @@ def play_game(config: SimConfig) -> Schedule:
     return Schedule(columns={name: _frozen(c) for name, c in columns.items()}, players=players)
 
 
+def check_inputs(config: SimConfig, datasets, source: str = "config") -> None:
+    """Refuse (train, test) Datasets that `config` cannot run on with a
+    ConfigError naming the dataset file (exit_code 1) or `{source}.clients`.
+
+    Images must have DEFAULT_LAYERS[0] pixels, and the test split a local
+    and a global row. clients may exceed neither the train rows nor the
+    train labels a disjoint or intermediary scheme deals out, nor, under
+    intermediary, half the train rows, so each client gets a shared row:
+    sufficient, not exact, this also refuses some tiny splits that work.
+    """
+    train, test = datasets
+    for data, (images, _) in zip(datasets, MNIST_FILES.values()):
+        if data.images.shape[1] != DEFAULT_LAYERS[0]:
+            raise ConfigError(f"{images}: images of {data.images.shape[1]} pixels, but the "
+                              f"model takes {DEFAULT_LAYERS[0]}", exit_code=1)
+    if len(test) < 2:
+        raise ConfigError(f"{MNIST_FILES['test'][0]}: {len(test)} test images, but scoring "
+                          f"needs at least 2", exit_code=1)
+    exceed = f"{source}.clients: {config.clients} clients exceed the"
+    if config.clients > len(train):
+        raise ConfigError(f"{exceed} {len(train)} rows of the train split")
+    if config.scheme != "identical":
+        labels = np.count_nonzero(np.bincount(train.labels))
+        if config.clients > labels:
+            raise ConfigError(f"{exceed} {labels} labels of the train split, which the "
+                              f"{config.scheme} scheme deals out")
+    if config.scheme == "intermediary" and config.clients > len(train) // 2:
+        raise ConfigError(f"{exceed} {len(train) // 2} shared rows, half the train split, "
+                          f"which the intermediary scheme deals one or more of to each client")
+
+
 def init_state(config: SimConfig, datasets) -> EngineState:
     """Build round-zero state from the (train, test) Datasets: the played
-    game, model, partitions, test split.
+    game, model, partitions, test split, once check_inputs accepts them.
 
     The initial global model is handed to every client free of cost. A
     fifth of the test split, in a random order, is the shared
@@ -332,6 +372,7 @@ def init_state(config: SimConfig, datasets) -> EngineState:
     indices into the loaded test set, which is not copied: uint8 pixels
     stay uint8 and are gathered and scaled per chunk as scored.
     """
+    check_inputs(config, datasets)
     schedule = play_game(config)
     train, test = datasets
 

@@ -360,32 +360,23 @@ def partition(dataset: Dataset, clients: int, scheme: str, seed) -> list:
     to one example. disjoint: the ten digit classes are dealt
     round-robin so no label is shared between clients. intermediary:
     a random half of the examples is split identically and the other
-    half disjointly by label, concatenated per client.
+    half disjointly by label, concatenated per client. A client may get
+    no rows: engine.check_inputs refuses client counts the data cannot
+    fill before a run partitions it.
     """
     n = len(dataset)
-    if not 1 <= clients <= n:
-        raise ValueError(f"need 1 <= clients <= {n}, the dataset's rows, got {clients}")
     rng = np.random.default_rng(seed)
 
     if scheme == "identical":
+        chunks = np.array_split(rng.permutation(n), clients)
+    elif scheme == "disjoint":
+        chunks = [rng.permutation(c)
+                  for c in _deal_by_label(dataset.labels, np.arange(n), clients)]
+    elif scheme == "intermediary":
         perm = rng.permutation(n)
-        chunks = np.array_split(perm, clients)
-    elif scheme in ("disjoint", "intermediary"):
-        labels_present = np.unique(dataset.labels)
-        if clients > len(labels_present):
-            raise ValueError(
-                f"{scheme} scheme supports at most {len(labels_present)} clients "
-                f"(one or more labels each), got {clients}"
-            )
-        if scheme == "disjoint":
-            chunks = _deal_by_label(dataset.labels, np.arange(n), clients)
-        else:
-            perm = rng.permutation(n)
-            half = n // 2
-            shared = np.array_split(perm[:half], clients)
-            exclusive = _deal_by_label(dataset.labels, perm[half:], clients)
-            chunks = [np.concatenate([s, e]) for s, e in zip(shared, exclusive)]
-        chunks = [rng.permutation(c) for c in chunks]
+        shared = np.array_split(perm[: n // 2], clients)
+        exclusive = _deal_by_label(dataset.labels, perm[n // 2 :], clients)
+        chunks = [rng.permutation(np.concatenate([s, e])) for s, e in zip(shared, exclusive)]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 

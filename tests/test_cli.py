@@ -638,6 +638,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "train-images-idx3-ubyte: images of 100 pixels, but the model takes 784" in err
 
+    @pytest.mark.parametrize("rows", [11, 12, 14])
+    def test_intermediary_without_a_shared_row_each_exits_2_before_the_out_dir(
+        self, tmp_path, idx_builder, monkeypatch, capsys, rows
+    ):
+        # Ten clients on these train rows used to leave some partitions
+        # empty and fail in round 1.
+        data = tmp_path / "data"
+        data.mkdir()
+        for prefix, count in (("train", rows), ("t10k", 20)):
+            images = np.zeros((count, 28, 28), dtype=np.uint8)
+            idx_builder(data, images, np.arange(count) % 10, prefix=prefix)
+        monkeypatch.setattr(cli, "run_simulation", None)  # any training call fails
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            minimal_config(data_dir=str(data), clients=10, scheme="intermediary")))
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{config_path}.clients: 10 clients exceed the {rows // 2} shared rows" in err
+
     def test_each_dataset_file_is_read_once(self, tmp_path, idx_builder, monkeypatch):
         data = tmp_path / "data"
         write_tiny_dataset(data, idx_builder)
@@ -741,6 +762,32 @@ class TestNashCommand:
     def test_one_sided_grid_exits_2(self, capsys):
         assert main(["nash", "--grid", "15", "20", "25"]) == 2
         assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["run", "analyze", "nash", "fetch-data"])
+def test_out_dir_blocked_by_a_file_exits_1(tmp_path, idx_builder, monkeypatch, capsys,
+                                           command, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    argv = {
+        "analyze": ["analyze", "--out-dir"],
+        "nash": ["nash", "--clients", "2", "--horizon", "10", "--out-dir"],
+        "fetch-data": ["fetch-data", "--base-url", (tmp_path / "void").as_uri(), "--dest"],
+    }
+    if command == "run":
+        write_tiny_dataset(tmp_path / "data", idx_builder)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(minimal_config(data_dir=str(tmp_path / "data"))))
+        argv["run"] = ["run", str(config_path), "--out-dir"]
+        monkeypatch.setattr(cli, "run_simulation", None)  # any training call fails
+    assert main([*argv[command], str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{command}: cannot create output directory {out}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert blocker.read_text() == ""
 
 
 class TestFetchDataCommand:

@@ -22,7 +22,9 @@ from tokenfl import engine, learning
 from tokenfl.engine import (
     BASELINE_PRICE,
     COLUMNS,
+    ConfigError,
     SimConfig,
+    check_inputs,
     init_state,
     play_game,
     run_round,
@@ -109,6 +111,66 @@ class TestSimConfig:
         assert grouped.freshness.counts_participated_only
         assert config().stride == 1
         assert not config().freshness.counts_participated_only
+
+
+def blank_split(rows, labels=10, pixels=784, tag="train"):
+    """A blank split of `rows` images whose labels cycle through `labels` ids."""
+    return Dataset(np.zeros((rows, pixels), np.float32), np.arange(rows) % labels, split=tag)
+
+
+TEST_SPLIT = blank_split(20, tag="test")
+
+# Inputs each config accepts field by field but no run can use:
+# (config overrides, (train, test), exit code, message).
+BAD_INPUTS = {
+    "wide-pixels": (
+        {}, (blank_split(40, pixels=100), blank_split(20, pixels=100, tag="test")), 1,
+        "train-images-idx3-ubyte: images of 100 pixels, but the model takes 784"),
+    "test-split-0-rows": ({}, (blank_split(40), blank_split(0, tag="test")), 1,
+                          "t10k-images-idx3-ubyte: 0 test images, but scoring needs at least 2"),
+    "test-split-1-row": ({}, (blank_split(40), blank_split(1, tag="test")), 1,
+                         "t10k-images-idx3-ubyte: 1 test images, but scoring needs at least 2"),
+    "clients-over-rows": ({"clients": 6}, (blank_split(5), TEST_SPLIT), 2,
+                          "config.clients: 6 clients exceed the 5 rows of the train split"),
+    # SimConfig refuses more than ten disjoint clients before any data, so
+    # a client over the labels needs a train split short of a label.
+    "clients-over-labels-disjoint": (
+        {"clients": 10, "scheme": "disjoint"}, (blank_split(40, labels=9), TEST_SPLIT), 2,
+        "config.clients: 10 clients exceed the 9 labels of the train split, "
+        "which the disjoint scheme deals out"),
+    # Eleven rows share out five, so clients 5-9 get no shared row, and
+    # the label deal leaves some of them no row at all.
+    "intermediary-over-half-rows": (
+        {"clients": 10, "scheme": "intermediary"}, (blank_split(11), TEST_SPLIT), 2,
+        "config.clients: 10 clients exceed the 5 shared rows, half the train split"),
+}
+
+
+class TestCheckInputs:
+    @pytest.mark.parametrize("name", BAD_INPUTS)
+    def test_refused_before_any_training(self, monkeypatch, name):
+        overrides, datasets, exit_code, message = BAD_INPUTS[name]
+        calls = []
+        monkeypatch.setattr(engine, "local_train", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError) as err:
+            run_simulation(config(**overrides), datasets)
+        assert str(err.value).startswith(message)
+        assert err.value.exit_code == exit_code
+        assert calls == []
+
+    def test_source_names_the_field(self):
+        with pytest.raises(ConfigError, match=r"^preset x\.clients: 6 clients exceed"):
+            check_inputs(config(clients=6), (blank_split(5), TEST_SPLIT), source="preset x")
+
+    @pytest.mark.parametrize("overrides,train", [
+        ({"clients": 5}, blank_split(5)),
+        ({"clients": 10, "scheme": "disjoint"}, blank_split(10)),
+        ({"clients": 10, "scheme": "intermediary"}, blank_split(20)),
+    ], ids=["a-row-each", "a-label-each", "a-shared-row-each"])
+    def test_boundaries_give_every_client_rows(self, overrides, train):
+        cfg = config(**overrides)
+        state = init_state(cfg, (train, blank_split(2, tag="test")))
+        assert [len(c.part) > 0 for c in state.clients] == [True] * cfg.clients
 
 
 class TestRunSimulation:

@@ -207,17 +207,6 @@ class TestPartition:
             shared_only = counts[1 - k :: 2]
             assert exclusive.min() > shared_only.max()
 
-    def test_too_many_clients_for_label_exclusive_schemes(self, synthetic_datasets):
-        train, _ = synthetic_datasets
-        with pytest.raises(ValueError):
-            partition(train, 11, "disjoint", seed=0)
-
-    def test_more_clients_than_rows_rejected(self):
-        tiny = Dataset(np.zeros((5, 4)), np.arange(5))
-        assert [len(p) for p in partition(tiny, 5, "identical", seed=0)] == [1] * 5
-        with pytest.raises(ValueError, match="clients <= 5"):
-            partition(tiny, 6, "identical", seed=0)
-
     def test_unknown_scheme_rejected(self, synthetic_datasets):
         train, _ = synthetic_datasets
         with pytest.raises(ValueError):
