@@ -20,13 +20,13 @@ import sys
 import tempfile
 import urllib.request
 import zlib
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from . import __version__
-from .engine import ClientRound, ConfigError, SimConfig, check_inputs, run_simulation
+from .engine import COLUMNS, ConfigError, SimConfig, check_inputs, run_simulation
 from .learning import MNIST_FILES, IdxParseError, default_data_dir, load_mnist
 from .mechanisms import MechanismParams, predict_collapse_round, utility
 from .presets import preset_config, preset_names
@@ -34,10 +34,9 @@ from .strategy import nash_check
 
 __all__ = ["main", "parse_config", "config_to_dict", "ConfigError"]
 
-# A client row's columns: its round, then ClientRound's fields in order,
-# then global_accuracy, which only the round's global row fills.
-_CLIENT_COLUMNS = [f.name for f in fields(ClientRound)]
-METRICS_HEADER = ["round", *_CLIENT_COLUMNS, "global_accuracy"]
+# A client row fills every column but global_accuracy, which only the
+# round's global row fills.
+METRICS_HEADER = ["round", "client", *COLUMNS, "local_accuracy", "global_accuracy"]
 
 DEFAULT_NASH_GRID = [1, 5, 10, 13, 15, 17, 20, 23, 25]
 
@@ -143,7 +142,7 @@ def config_to_dict(config: SimConfig) -> dict:
 
 
 def _fmt(x) -> str:
-    if x is None:
+    if x is None or x != x:  # NaN is a cell with no value
         return ""
     if isinstance(x, bool):
         return "1" if x else "0"
@@ -152,17 +151,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_metrics_csv(records, out_path: Path) -> None:
-    """One row per (round, client) plus one global row per round."""
+def write_metrics_csv(run, out_path: Path) -> None:
+    """One row per (round, client) plus one global row per round, from a
+    Run's columns; .tolist() keeps each float's repr."""
+    names = [*COLUMNS, "local_accuracy"]
+    columns = [run.columns[name].tolist() for name in names]
     with open(out_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(METRICS_HEADER)
-        blanks = [""] * (len(_CLIENT_COLUMNS) - 1)
-        for rec in records:
-            for c in rec.clients:
-                row = (_fmt(getattr(c, name)) for name in _CLIENT_COLUMNS)
-                writer.writerow([rec.round, *row, ""])
-            writer.writerow([rec.round, "global", *blanks, _fmt(rec.global_accuracy)])
+        blanks = [""] * len(names)
+        for r, accuracy in enumerate(run.global_accuracy.tolist(), 1):
+            for k, cells in enumerate(zip(*(column[r - 1] for column in columns))):
+                writer.writerow([r, k, *map(_fmt, cells), ""])
+            writer.writerow([r, "global", *blanks, _fmt(accuracy)])
 
 
 def _make_out_dir(out_dir: Path) -> list:
@@ -223,7 +224,7 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out_dir)
     created = _make_out_dir(out_dir)
     try:
-        records = run_simulation(config, datasets)
+        run = run_simulation(config, datasets)
     except ValueError as err:  # e.g. a model past float32's range
         print(f"run: simulation failed: {err}", file=sys.stderr)
         for d in created:
@@ -231,7 +232,7 @@ def cmd_run(args) -> int:
         return 1
 
     metrics_path = out_dir / "metrics.csv"
-    write_metrics_csv(records, metrics_path)
+    write_metrics_csv(run, metrics_path)
     manifest = {
         "artifact": "tokenfl",
         "version": __version__,
@@ -239,13 +240,13 @@ def cmd_run(args) -> int:
         "config": config_to_dict(config),
         "dataset": checksums,
         "outputs": {"metrics": metrics_path.name},
-        "rounds_recorded": len(records),
+        "rounds_recorded": run.rounds,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    final = records[-1].global_accuracy if records else float("nan")
-    print(f"run: {len(records)} rounds recorded, final global accuracy {final:.4f}")
+    final = run.global_accuracy[-1] if run.rounds else float("nan")
+    print(f"run: {run.rounds} rounds recorded, final global accuracy {final:.4f}")
     print(f"run: wrote {metrics_path} and {out_dir / 'manifest.json'}")
     return 0
 

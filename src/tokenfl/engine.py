@@ -5,16 +5,17 @@ with no dataset or model: round by round, strategy.play_round settles
 token expiry, group scheduling, freshness bar and forced eviction,
 participation decision, token credit, model purchase and payoff for all
 clients at once, each client a lane of its arrays. The played game is a
-Schedule of (horizon, clients) arrays, one per economic ClientRound
-field, which economy-only callers read without building rows. Then
+Schedule of (horizon, clients) arrays, one per COLUMNS entry. Then
 run_round runs each round's learning step from that round's trainer,
 buyer and drifter masks: local training on each participant's owned
 model, gradient randomization, weighted aggregation, handing each buyer
-the new global model, and evaluation, each client's training one task
-on learning's thread pool. The uploads stream into aggregate in client
-order as the pool yields them, so a round holds about workers + 1 of
-them, not one per trainer, and the two test splits are row-index
-Subsets of the loaded test set, scored in place. Model arrays are
+the new global model, and evaluation into a local_accuracy and a
+global_accuracy array, each client's training one task on learning's
+thread pool. run_simulation returns the recorded rounds of all these
+arrays as a Run. The uploads stream into aggregate in client order as
+the pool yields them, so a round holds about workers + 1 of them, not
+one per trainer, and the two test splits are row-index Subsets of the
+loaded test set, scored in place. Model arrays are
 read-only, so all holders of one global model share its array and one
 dict of its scores. Clients evicted in an earlier round keep training
 locally on their stale model, outside the federation. Every random
@@ -25,7 +26,7 @@ pure function of its config.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, get_args, get_type_hints
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -73,11 +74,10 @@ __all__ = [
     "BASELINE_PRICE",
     "ConfigError",
     "SimConfig",
-    "ClientRound",
-    "RoundRecord",
     "COLUMNS",
     "EngineState",
     "Schedule",
+    "Run",
     "schedule_group",
     "play_game",
     "check_inputs",
@@ -201,42 +201,20 @@ class SimConfig:
         )
 
 
-@dataclass
-class ClientRound:
-    """Per-client slice of one round's record."""
-
-    client: int
-    eps: float
-    scheduled: bool
-    participated: bool
-    bought: bool
-    evicted: bool
-    earned: float
-    spent: float
-    expired: float
-    balance: float
-    utility: float | None
-    local_accuracy: float
-
-
-@dataclass
-class RoundRecord:
-    round: int
-    clients: list
-    global_accuracy: float
-
-
-# The played game's columns: ClientRound's fields from eps through
-# utility, each bool or float64 by annotation. NaN is a cell with no value.
-COLUMNS = {name: bool if tp is bool else float
-           for name, tp in list(get_type_hints(ClientRound).items())[1:-1]}
+# The played game's columns, in metrics.csv order, each a client's bool or
+# float64 cell of a round. NaN is a cell with no value.
+COLUMNS = {
+    "eps": float, "scheduled": bool, "participated": bool, "bought": bool,
+    "evicted": bool, "earned": float, "spent": float, "expired": float,
+    "balance": float, "utility": float,
+}
 
 
 @dataclass(eq=False)
 class Schedule:
     """The token game of one run: read-only columns[name][r - 1, k] is
-    field `name` of client k's ClientRound in round r, for each name in
-    COLUMNS, and players the lanes of every client after the last round."""
+    client k's `name` in round r, for each name in COLUMNS, and players
+    the lanes of every client after the last round."""
 
     columns: dict
     players: Players
@@ -245,12 +223,19 @@ class Schedule:
     def horizon(self) -> int:
         return len(self.columns["eps"])
 
-    def rows(self, r: int) -> list:
-        """Round r's ClientRound of every client, local_accuracy unset;
-        .tolist() keeps each float's repr, and NaN reads as None."""
-        cells = zip(*(self.columns[name][r - 1].tolist() for name in COLUMNS))
-        return [ClientRound(k, *(None if x != x else x for x in row), local_accuracy=None)
-                for k, row in enumerate(cells)]
+
+@dataclass(eq=False)
+class Run:
+    """The recorded rounds of a run: columns[name][r - 1, k] is client
+    k's `name` in round r, for each name in COLUMNS and local_accuracy,
+    and global_accuracy[r - 1] the server model's in round r."""
+
+    columns: dict
+    global_accuracy: np.ndarray
+
+    @property
+    def rounds(self) -> int:
+        return len(self.global_accuracy)
 
 
 @dataclass
@@ -273,6 +258,9 @@ class EngineState:
     train: Dataset
     local_test: Subset
     global_test: Subset
+    # NaN until run_round scores round r into row r - 1.
+    local_accuracy: np.ndarray
+    global_accuracy: np.ndarray
 
 
 def _frozen(vector: np.ndarray) -> np.ndarray:
@@ -393,18 +381,20 @@ def init_state(config: SimConfig, datasets) -> EngineState:
         train=train,
         local_test=Subset(test, perm[:cut], "local-test"),
         global_test=Subset(test, perm[cut:], "global-test"),
+        local_accuracy=np.full((config.horizon, config.clients), np.nan),
+        global_accuracy=np.full(config.horizon, np.nan),
     )
 
 
-def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
+def run_round(state: EngineState, config: SimConfig) -> float:
     """Run the learning step of the next scheduled round: its trainers
     upload, its buyers take the new global model, clients evicted in an
-    earlier round drift, and every row gets its local accuracy."""
+    earlier round drift, and every client's model and the server's are
+    scored into the state's accuracy rows. Returns the global accuracy."""
     r = state.round + 1
     game = state.schedule
     if r > game.horizon:
         raise ValueError(f"round {r} is past the horizon of {game.horizon}")
-    rows = game.rows(r)
     drifters = [state.clients[k] for k in np.flatnonzero(game.columns["evicted"][: r - 1].any(0))]
     trainers = [state.clients[k] for k in np.flatnonzero(game.columns["participated"][r - 1])]
 
@@ -416,7 +406,7 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
     def upload(c):
         g = gradient(c)
         if config.ldp:
-            cfg = LdpConfig(rows[c.id].eps, radius=config.clip_radius,
+            cfg = LdpConfig(float(game.columns["eps"][r - 1, c.id]), radius=config.clip_radius,
                             mechanism=config.ldp_mechanism)
             g = perturb_gradients(g, cfg, _stream(config.seed, _KIND_PERTURB, c.id, r))
         return g
@@ -444,25 +434,26 @@ def run_round(state: EngineState, config: SimConfig) -> RoundRecord:
         state.server_scores = {}
     for c, (model, scores) in zip(drifters, pool_imap(drift, drifters)):
         c.model, c.scores = model, scores
-    for c, row in zip(state.clients, rows):
+    for c in state.clients:
         if game.columns["bought"][r - 1, c.id]:
             c.model, c.scores = state.server, state.server_scores
-        row.local_accuracy = score(c.model, c.scores, state.local_test)
+        state.local_accuracy[r - 1, c.id] = score(c.model, c.scores, state.local_test)
 
-    global_accuracy = score(state.server, state.server_scores, state.global_test)
+    accuracy = state.global_accuracy[r - 1] = score(state.server, state.server_scores,
+                                                    state.global_test)
     state.round = r
-    return RoundRecord(round=r, clients=rows, global_accuracy=global_accuracy)
+    return accuracy
 
 
-def run_simulation(config: SimConfig, datasets) -> list:
+def run_simulation(config: SimConfig, datasets) -> Run:
     """Run the configured number of rounds on the (train, test) Datasets,
     stopping early at the accuracy threshold when one is set.
     Deterministic given the seed."""
     state = init_state(config, datasets)
-    records = []
     for _ in range(config.horizon):
-        record = run_round(state, config)
-        records.append(record)
-        if config.stop_accuracy is not None and record.global_accuracy >= config.stop_accuracy:
+        accuracy = run_round(state, config)
+        if config.stop_accuracy is not None and accuracy >= config.stop_accuracy:
             break
-    return records
+    columns = {**state.schedule.columns, "local_accuracy": state.local_accuracy}
+    return Run({name: c[: state.round] for name, c in columns.items()},
+               state.global_accuracy[: state.round])

@@ -29,10 +29,10 @@ with a worker per core this process may use. pool_imap yields the
 results in item order as the consumer asks, keeping at most one task
 more than there are workers ahead of it, so a caller that adds each
 result into a sum, as aggregate does, holds about workers + 1 results
-at a time whatever the item count; pool_map is its list form. Each
-gradient is computed within one task, and chunks only add up integer
-counts, so outputs do not depend on the number of cores. A pool map
-called from inside a pool task runs inline in that task.
+at a time whatever the item count. Each gradient is computed within
+one task, and chunks only add up integer counts, so outputs do not
+depend on the number of cores. A pool_imap iterated from inside a pool
+task runs inline in that task.
 
 evaluate scores a Dataset, or a Subset of one: given rows of it, in a
 given order, gathered chunk by chunk, so a split of the test set is
@@ -72,7 +72,6 @@ __all__ = [
     "aggregate",
     "evaluate",
     "pool_imap",
-    "pool_map",
 ]
 
 # Digit classes: the labels' range and the model's output width.
@@ -172,7 +171,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-# Set while the current thread runs a pool_map task.
+# Set while the current thread runs a pool_imap task.
 _in_task = threading.local()
 
 
@@ -219,11 +218,6 @@ class pool_imap:
         finally:
             for future in pending:
                 future.cancel()
-
-
-def pool_map(fn, items) -> list:
-    """[fn(item) for item in items], run on the thread pool, in item order."""
-    return list(pool_imap(fn, items))
 
 
 def param_count(layers) -> int:

@@ -70,7 +70,7 @@ def idx_builder():
 
 @pytest.fixture(scope="session")
 def run_preset(mnist):
-    """Run a named preset once per session and memoize the records."""
+    """Run a named preset once per session and memoize its Run."""
     cache = {}
 
     def run(name):

@@ -155,43 +155,33 @@ def test_noiseless_training_reaches_target_accuracy(mnist):
         mechanism="strategic", clients=3, scheme="identical", eps=15.0,
         horizon=50, seed=0, ldp=False, stop_accuracy=0.90,
     )
-    records = run_simulation(config, datasets=mnist)
-    assert len(records) <= 50
-    assert records[-1].global_accuracy >= 0.90
+    run = run_simulation(config, datasets=mnist)
+    assert run.rounds <= 50
+    assert run.global_accuracy[-1] >= 0.90
 
 
 def test_preset_runs_reproduce_the_documented_dynamics(run_preset):
     sustained = run_preset("strategic-10c-eps15")
-    assert len(sustained) == 50
-    for record in sustained:
-        assert all(row.participated and row.bought for row in record.clients)
-        assert len({row.local_accuracy for row in record.clients}) == 1
+    assert sustained.rounds == 50
+    c = sustained.columns
+    assert (c["participated"] & c["bought"]).all()
+    assert (c["local_accuracy"] == c["local_accuracy"][:, :1]).all()
 
-    collapsing = run_preset("strategic-3c-eps25")
-    final = collapsing[-1]
-    assert all(row.evicted for row in final.clients)
-    eviction_rounds = [
-        min(rec.round for rec in collapsing if rec.clients[c].evicted)
-        for c in range(3)
-    ]
+    collapsing = run_preset("strategic-3c-eps25").columns
+    evicted = collapsing["evicted"]
+    assert evicted[-1].all()
+    eviction_rounds = 1 + evicted.argmax(axis=0)
     assert all(4 <= r <= 16 for r in eviction_rounds)
     first = min(eviction_rounds)
 
-    def best_local(rec):
-        return max(row.local_accuracy for row in rec.clients)
+    best_local = collapsing["local_accuracy"].max(axis=1)
+    pre_eviction_peak = best_local[: first - 1].max()
+    assert best_local[-1] < pre_eviction_peak
 
-    pre_eviction_peak = max(best_local(rec) for rec in collapsing if rec.round < first)
-    assert best_local(collapsing[-1]) < pre_eviction_peak
+    assert not run_preset("grouped-10c-eps20").columns["evicted"].any()
+    assert run_preset("strategic-10c-eps20").columns["evicted"][-1].all()
 
-    grouped = run_preset("grouped-10c-eps20")
-    assert not any(row.evicted for rec in grouped for row in rec.clients)
-    individual = run_preset("strategic-10c-eps20")
-    assert all(row.evicted for row in individual[-1].clients)
-
-    baseline = run_preset("baseline-3c")
-    buys = [
-        sum(rec.clients[c].bought for rec in baseline) for c in range(3)
-    ]
+    buys = run_preset("baseline-3c").columns["bought"].sum(axis=0)
     assert buys[0] > buys[1] > buys[2]
 
 
@@ -226,17 +216,16 @@ def test_identical_configs_produce_byte_identical_outputs(tmp_path, mnist, run_p
         config = parse_config(raw, name)
         outputs = []
         for attempt in ("a", "b"):
-            records = run_simulation(config, datasets=mnist)
             path = tmp_path / f"{name}-{attempt}.csv"
-            write_metrics_csv(records, path)
+            write_metrics_csv(run_simulation(config, datasets=mnist), path)
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1], name
 
     witness = "strategic-3c-eps25"
     cached = run_preset(witness)
     fresh = run_simulation(parse_config(preset_config(witness), witness), datasets=mnist)
-    for tag, records in (("cached", cached), ("fresh", fresh)):
-        write_metrics_csv(records, tmp_path / f"{witness}-{tag}.csv")
+    for tag, run in (("cached", cached), ("fresh", fresh)):
+        write_metrics_csv(run, tmp_path / f"{witness}-{tag}.csv")
     assert (tmp_path / f"{witness}-cached.csv").read_bytes() == (
         tmp_path / f"{witness}-fresh.csv"
     ).read_bytes()

@@ -9,6 +9,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tokenfl import cli, economy, engine, mechanisms, strategy
@@ -69,3 +70,26 @@ def test_game_sweep_matches_its_reference(run):
     reference = json.loads((PERFBENCH / "reference" / "game-sweep.json").read_text())
     record = run.checks.sweep_record(reports, collapse)
     assert run.checks.check_sweep(record, reference) == {}
+
+
+def test_cli_metrics_pass_the_benchmark_check(run, tmp_path, idx_builder):
+    # The check reads the economic columns, token flows and accuracy
+    # ranges, none of which depends on what the model learns, so a tiny
+    # dataset and one noiseless batch a round stand in for MNIST.
+    data = tmp_path / "data"
+    data.mkdir()
+    for prefix, rows in (("train", 100), ("t10k", 20)):
+        idx_builder(data, np.zeros((rows, 28, 28), np.uint8), np.arange(rows) % 10, prefix=prefix)
+    for name, spec in run.TRAINING.items():
+        raw = preset_config(spec["preset"])
+        raw.update(data_dir=str(data), ldp=False)
+        raw["learning"].update(batches=1, batch_size=8)
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps(raw))
+        out = tmp_path / name
+        assert cli.main(["run", str(config_path), "--out-dir", str(out)]) == 0
+        reference = run.checks.read_reference((PERFBENCH / "reference" / f"{name}.csv").read_text())
+        rules = dict(spec["rules"], first_refusal=mechanisms.predict_collapse_round(
+            raw["eps"], 1, 50, mechanisms.MechanismParams()))
+        text = (out / "metrics.csv").read_text()
+        assert run.checks.check_metrics(text, reference, rules) == {}, name

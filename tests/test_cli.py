@@ -23,7 +23,7 @@ from tokenfl.cli import (
     parse_config,
     write_metrics_csv,
 )
-from tokenfl.engine import ClientRound, RoundRecord, SimConfig
+from tokenfl.engine import COLUMNS, Run, SimConfig
 from tokenfl.learning import DATA_DIR_ENV, MNIST_FILES, load_idx
 from tokenfl.presets import preset_config, preset_names
 
@@ -180,22 +180,19 @@ class TestMetricsCsv:
         ]
 
     def test_layout_and_formatting(self, tmp_path):
-        # numpy floats print as plain floats, not as np.float64(...).
-        rows = [
-            ClientRound(
-                client=0, eps=15.0, scheduled=True, participated=True,
-                bought=True, evicted=False, earned=np.float64(1.0), spent=1.0,
-                expired=0.0, balance=0.0, utility=np.float64(2.5), local_accuracy=0.75,
-            ),
-            ClientRound(
-                client=1, eps=25.0, scheduled=True, participated=False,
-                bought=False, evicted=True, earned=0.0, spent=0.0,
-                expired=0.5, balance=0.0, utility=None, local_accuracy=0.5,
-            ),
-        ]
-        records = [RoundRecord(round=1, clients=rows, global_accuracy=np.float64(0.625))]
+        # numpy floats print as plain floats, not as np.float64(...), and
+        # a NaN cell is left empty.
+        clients = {
+            "eps": [15.0, 25.0], "scheduled": [True, True], "participated": [True, False],
+            "bought": [True, False], "evicted": [False, True], "earned": [1.0, 0.0],
+            "spent": [1.0, 0.0], "expired": [0.0, 0.5], "balance": [0.0, 0.0],
+            "utility": [2.5, np.nan], "local_accuracy": [0.75, 0.5],
+        }
+        assert list(clients) == [*COLUMNS, "local_accuracy"]
+        run = Run({name: np.array([cells]) for name, cells in clients.items()},
+                  global_accuracy=np.array([0.625]))
         out = tmp_path / "metrics.csv"
-        write_metrics_csv(records, out)
+        write_metrics_csv(run, out)
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ",".join(METRICS_HEADER)
         assert lines[1] == "1,0,15.0,1,1,1,0,1.0,1.0,0.0,0.0,2.5,0.75,"

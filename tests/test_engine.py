@@ -173,47 +173,45 @@ class TestCheckInputs:
         assert [len(c.part) > 0 for c in state.clients] == [True] * cfg.clients
 
 
+def run_bytes(run):
+    """Every column of a Run, and its global accuracy, as (shape, bytes)."""
+    arrays = {**run.columns, "global_accuracy": run.global_accuracy}
+    return {name: (a.shape, a.tobytes()) for name, a in arrays.items()}
+
+
 class TestRunSimulation:
     def test_zero_horizon_records_nothing(self, synthetic_datasets):
-        assert run_simulation(config(horizon=0), synthetic_datasets) == []
+        run = run_simulation(config(horizon=0), synthetic_datasets)
+        assert run.rounds == 0
+        assert [len(c) for c in run.columns.values()] == [0] * (len(COLUMNS) + 1)
 
     def test_deterministic_replay(self, synthetic_datasets):
         a = run_simulation(config(horizon=3), synthetic_datasets)
         b = run_simulation(config(horizon=3), synthetic_datasets)
-        for ra, rb in zip(a, b):
-            assert ra.global_accuracy == rb.global_accuracy
-            for ca, cb in zip(ra.clients, rb.clients):
-                assert ca == cb
+        assert a.rounds == 3
+        assert run_bytes(a) == run_bytes(b)
 
     def test_per_round_token_conservation(self, synthetic_datasets):
         params = MechanismParams()
-        records = run_simulation(config(horizon=4), synthetic_datasets)
-        for record in records:
-            for c in record.clients:
-                if c.participated:
-                    assert c.earned == reward(c.eps, params)
-                else:
-                    assert c.earned == 0.0
+        c = run_simulation(config(horizon=4), synthetic_datasets).columns
+        rewards = [[reward(e, params) for e in row] for row in c["eps"].tolist()]
+        assert (c["earned"] == np.where(c["participated"], rewards, 0.0)).all()
 
     def test_acceptable_budget_buys_every_round(self, synthetic_datasets):
-        records = run_simulation(config(horizon=4), synthetic_datasets)
-        for record in records:
-            for c in record.clients:
-                assert c.participated and c.bought and not c.evicted
-                assert c.balance == 0.0
-                assert c.spent == 1.0
+        c = run_simulation(config(horizon=4), synthetic_datasets).columns
+        assert (c["participated"] & c["bought"] & ~c["evicted"]).all()
+        assert (c["balance"] == 0.0).all()
+        assert (c["spent"] == 1.0).all()
 
     def test_identical_buyers_share_local_accuracy(self, synthetic_datasets):
-        records = run_simulation(config(horizon=3), synthetic_datasets)
-        for record in records:
-            accs = {c.local_accuracy for c in record.clients}
-            assert len(accs) == 1
+        accuracy = run_simulation(config(horizon=3), synthetic_datasets).columns["local_accuracy"]
+        assert accuracy.shape == (3, 3)
+        assert (accuracy == accuracy[:, :1]).all()
 
     def test_stop_accuracy_halts_early(self, synthetic_datasets):
-        records = run_simulation(
-            config(horizon=4, stop_accuracy=0.0), synthetic_datasets
-        )
-        assert len(records) == 1
+        run = run_simulation(config(horizon=4, stop_accuracy=0.0), synthetic_datasets)
+        assert run.rounds == 1
+        assert [len(c) for c in run.columns.values()] == [1] * (len(COLUMNS) + 1)
 
     def test_first_purchase_marks_model_ownership(self, synthetic_datasets):
         cfg = config(horizon=1)
@@ -242,9 +240,8 @@ class TestRunSimulation:
             return original(state, cfg)
 
         monkeypatch.setattr(engine, "run_round", counting)
-        records = run_simulation(config(horizon=3, stop_accuracy=stop_accuracy),
-                                 synthetic_datasets)
-        assert calls == [r.round for r in records]
+        run = run_simulation(config(horizon=3, stop_accuracy=stop_accuracy), synthetic_datasets)
+        assert calls == list(range(1, run.rounds + 1))
         assert len(calls) == (3 if stop_accuracy is None else 1)
 
 
@@ -260,17 +257,17 @@ BASELINE = config(mechanism="baseline", eps=[25, 15, 1], horizon=10)
 
 
 @pytest.fixture(scope="module")
-def eviction_records(synthetic_datasets):
+def eviction_run(synthetic_datasets):
     return run_simulation(EVICTION, synthetic_datasets)
 
 
 @pytest.fixture(scope="module")
-def grouped_records(synthetic_datasets):
+def grouped_run(synthetic_datasets):
     return run_simulation(GROUPED, synthetic_datasets)
 
 
 @pytest.fixture(scope="module")
-def baseline_records(synthetic_datasets):
+def baseline_run(synthetic_datasets):
     return run_simulation(BASELINE, synthetic_datasets)
 
 
@@ -279,13 +276,14 @@ def test_economic_columns_are_the_played_game(synthetic_datasets, cfg):
     """The learning pass leaves every column but local_accuracy as
     play_game, which sees no data, scheduled it, and leaves the schedule
     itself exactly as played."""
-    state, records = run_with_state(cfg, synthetic_datasets)
+    state = run_with_state(cfg, synthetic_datasets)
+    run = run_simulation(cfg, synthetic_datasets)
     game = play_game(cfg)
-    assert len(records) == game.horizon == cfg.horizon
+    assert run.rounds == game.horizon == cfg.horizon
     assert list(game.columns) == list(COLUMNS)
+    assert list(run.columns) == [*COLUMNS, "local_accuracy"]
     for name, column in game.columns.items():
-        want = [[None if x != x else x for x in row] for row in column.tolist()]
-        assert [[getattr(c, name) for c in r.clients] for r in records] == want, name
+        assert run.columns[name].tobytes() == column.tobytes(), name
         assert state.schedule.columns[name].tobytes() == column.tobytes(), name
     for f in fields(Players):
         got, want = (getattr(g.players, f.name) for g in (state.schedule, game))
@@ -293,107 +291,87 @@ def test_economic_columns_are_the_played_game(synthetic_datasets, cfg):
 
 
 class TestEvictionDynamics:
-    def test_everyone_evicted_after_collapse(self, eviction_records):
-        final = eviction_records[-1]
-        assert all(c.evicted for c in final.clients)
-        first_evicted = min(
-            r.round for r in eviction_records for c in r.clients if c.evicted
-        )
+    def test_everyone_evicted_after_collapse(self, eviction_run):
+        evicted = eviction_run.columns["evicted"]
+        assert evicted[-1].all()
+        first_evicted = 1 + int(np.flatnonzero(evicted.any(axis=1))[0])
         assert 4 <= first_evicted <= 16
 
-    def test_evicted_never_participate_again(self, eviction_records):
-        evicted_at = {}
-        for r in eviction_records:
-            for c in r.clients:
-                if c.evicted and c.client not in evicted_at:
-                    evicted_at[c.client] = r.round
-        for r in eviction_records:
-            for c in r.clients:
-                if c.client in evicted_at and r.round > evicted_at[c.client]:
-                    assert not c.participated
-                    assert not c.scheduled
-                    assert not c.bought
+    def test_evicted_never_participate_again(self, eviction_run):
+        c = eviction_run.columns
+        # Rounds after the one a client was first evicted in.
+        after = np.zeros_like(c["evicted"])
+        after[1:] = np.logical_or.accumulate(c["evicted"], axis=0)[:-1]
+        assert after.any()
+        assert not (after & (c["participated"] | c["scheduled"] | c["bought"])).any()
 
-    def test_quit_precedes_eviction(self, eviction_records):
+    def test_quit_precedes_eviction(self, eviction_run):
         # Collapse order: a client first declines (negative utility),
         # then its model goes stale with an empty ledger, then it is
         # evicted. There must be a non-participating pre-eviction round.
-        for cid in (0, 1, 2):
-            rows = [next(c for c in r.clients if c.client == cid) for r in eviction_records]
-            quit_round = next(i for i, c in enumerate(rows) if not c.participated)
-            evict_round = next(i for i, c in enumerate(rows) if c.evicted)
-            assert quit_round < evict_round
+        c = eviction_run.columns
+        assert c["evicted"].any(axis=0).all()
+        quit_round = (~c["participated"]).argmax(axis=0)
+        evict_round = c["evicted"].argmax(axis=0)
+        assert (quit_round < evict_round).all()
 
 
 class TestGroupedMode:
-    def test_alternating_schedule(self, grouped_records):
-        for r in grouped_records:
-            scheduled = [c.client for c in r.clients if c.scheduled]
-            expected = [0, 1] if r.round % 2 == 1 else [2, 3]
-            assert scheduled == expected
+    def test_alternating_schedule(self, grouped_run):
+        scheduled = [np.flatnonzero(row).tolist() for row in grouped_run.columns["scheduled"]]
+        assert scheduled == [[0, 1], [2, 3]] * 4
 
-    def test_everyone_participates_when_scheduled(self, grouped_records):
-        for r in grouped_records:
-            for c in r.clients:
-                assert c.participated == c.scheduled
-                assert not c.evicted
+    def test_everyone_participates_when_scheduled(self, grouped_run):
+        c = grouped_run.columns
+        assert (c["participated"] == c["scheduled"]).all()
+        assert not c["evicted"].any()
 
-    def test_balanced_participation_counts(self, grouped_records):
-        counts = {cid: 0 for cid in range(4)}
-        for r in grouped_records:
-            for c in r.clients:
-                counts[c.client] += c.participated
-        assert set(counts.values()) == {4}
+    def test_balanced_participation_counts(self, grouped_run):
+        assert grouped_run.columns["participated"].sum(axis=0).tolist() == [4] * 4
 
-    def test_utility_reported_at_group_stride(self, grouped_records):
+    def test_utility_reported_at_group_stride(self, grouped_run):
         params = MechanismParams(G=2)
         from tokenfl.mechanisms import utility
 
-        for r in grouped_records:
-            for c in r.clients:
-                assert c.utility == pytest.approx(utility(r.round, 20.0, 2, params))
+        for r, row in enumerate(grouped_run.columns["utility"].tolist(), 1):
+            assert row == pytest.approx([utility(r, 20.0, 2, params)] * 4)
 
 
 class TestBaselineMode:
-    def test_everyone_participates_every_round(self, baseline_records):
-        for r in baseline_records:
-            assert all(c.participated for c in r.clients)
-            assert all(not c.evicted for c in r.clients)
+    def test_everyone_participates_every_round(self, baseline_run):
+        assert baseline_run.columns["participated"].all()
+        assert not baseline_run.columns["evicted"].any()
 
-    def test_legacy_reward_schedule(self, baseline_records):
+    def test_legacy_reward_schedule(self, baseline_run):
         params = MechanismParams()
-        for r in baseline_records:
-            for c in r.clients:
-                assert c.earned == baseline_token_reward(c.eps, params)
+        c = baseline_run.columns
+        rewards = [[baseline_token_reward(e, params) for e in row] for row in c["eps"].tolist()]
+        assert (c["earned"] == rewards).all()
 
-    def test_purchase_counts_follow_income(self, baseline_records):
-        buys = {c.client: 0 for c in baseline_records[0].clients}
-        for r in baseline_records:
-            for c in r.clients:
-                buys[c.client] += c.bought
+    def test_purchase_counts_follow_income(self, baseline_run):
+        buys = baseline_run.columns["bought"].sum(axis=0).tolist()
         assert buys[0] == 10
         assert buys[2] == 5
         assert buys[0] > buys[1] > buys[2]
 
-    def test_half_income_buys_every_other_round(self, baseline_records):
-        bought = [
-            next(c for c in r.clients if c.client == 2).bought for r in baseline_records
-        ]
-        assert bought == [False, True] * 5
+    def test_half_income_buys_every_other_round(self, baseline_run):
+        assert baseline_run.columns["bought"][:, 2].tolist() == [False, True] * 5
 
-    def test_no_utility_column_in_legacy_mode(self, baseline_records):
-        assert all(c.utility is None for r in baseline_records for c in r.clients)
+    def test_no_utility_column_in_legacy_mode(self, baseline_run):
+        assert np.isnan(baseline_run.columns["utility"]).all()
 
-    def test_price_is_one_token(self, baseline_records):
-        for r in baseline_records:
-            for c in r.clients:
-                if c.bought:
-                    assert c.spent == BASELINE_PRICE
+    def test_price_is_one_token(self, baseline_run):
+        c = baseline_run.columns
+        assert c["bought"].any()
+        assert (c["spent"][c["bought"]] == BASELINE_PRICE).all()
 
 
 def run_with_state(cfg, datasets):
+    """The engine state after every round of `cfg` ran."""
     state = init_state(cfg, datasets)
-    return state, [run_round(state, cfg) for _ in range(cfg.horizon)]
+    for _ in range(cfg.horizon):
+        run_round(state, cfg)
+    return state
 
 
 @pytest.mark.parametrize("C,n", [(1, 1), (2, 2), (4, 2)])
@@ -404,16 +382,15 @@ class TestOracleAgreement:
     def test_acceptable_budget_matches_trajectory(self, synthetic_datasets, C, n):
         params = MechanismParams(C=C, n=n)
         cfg = config(clients=6, eps=None, batches=1, horizon=30, params=params)
-        state, records = run_with_state(cfg, synthetic_datasets)
+        state = run_with_state(cfg, synthetic_datasets)
         (payoff,), (participated,) = trajectories([params.eps_a], 30, params)
-        for k, got in enumerate(state.schedule.players.cumulative_payoff.tolist()):
-            assert got == payoff
-            assert sum(r.clients[k].participated for r in records) == participated
+        assert state.schedule.players.cumulative_payoff.tolist() == [payoff] * 6
+        assert state.schedule.columns["participated"].sum(axis=0).tolist() == [participated] * 6
 
     def test_eviction_round_matches_trajectory(self, synthetic_datasets, C, n):
         params = MechanismParams(C=C, n=n)
         cfg = config(clients=6, eps=5, batches=1, horizon=30, params=params)
-        _, records = run_with_state(cfg, synthetic_datasets)
+        evicted = run_with_state(cfg, synthetic_datasets).schedule.columns["evicted"]
         # Every round a client survives moves its payoff (privacy cost or
         # model value), so the trajectory stops at the first horizon that
         # adds nothing.
@@ -421,8 +398,8 @@ class TestOracleAgreement:
             h for h in range(1, 31)
             if trajectories([5.0], h, params) == trajectories([5.0], h - 1, params)
         )
-        for k in range(6):
-            assert next(r.round for r in records if r.clients[k].evicted) == stop
+        assert evicted.any(axis=0).all()
+        assert (1 + evicted.argmax(axis=0)).tolist() == [stop] * 6
 
 
 def _count_evaluations(monkeypatch, split):
@@ -462,8 +439,8 @@ class TestSharedModels:
         state = init_state(cfg, synthetic_datasets)
         for _ in range(3):
             local_evals.clear()
-            record = run_round(state, cfg)
-            assert all(c.bought for c in record.clients)
+            run_round(state, cfg)
+            assert state.schedule.columns["bought"][state.round - 1].all()
             assert len(local_evals) == 1
             assert all(c.model is state.server for c in state.clients)
         self.assert_read_only(state)
@@ -474,12 +451,12 @@ class TestSharedModels:
         drifting_rounds = drifters = 0
         for _ in range(cfg.horizon):
             local_evals.clear()
-            record = run_round(state, cfg)
+            run_round(state, cfg)
             if drifters == cfg.clients:
                 drifting_rounds += 1
                 assert len(local_evals) == drifters
             # Clients evicted this round drift from the next one on.
-            drifters = sum(c.evicted for c in record.clients)
+            drifters = state.schedule.columns["evicted"][state.round - 1].sum()
         assert drifting_rounds > 0
         self.assert_read_only(state)
 
@@ -488,13 +465,13 @@ class TestSharedModels:
         cfg = config(eps=25, scheme="disjoint", horizon=14)
         state = init_state(cfg, synthetic_datasets)
         held, distinct = None, 0
-        for _ in range(cfg.horizon):
-            record = run_round(state, cfg)
+        for r in range(1, cfg.horizon + 1):
+            accuracy = run_round(state, cfg)
             distinct += state.server is not held
             held = state.server
-            assert record.global_accuracy == evaluate(
+            assert accuracy == state.global_accuracy[r - 1] == evaluate(
                 ModelParams(state.server, state.layers), state.global_test)
-        assert all(c.evicted for c in record.clients)
+        assert state.schedule.columns["evicted"][-1].all()
         assert 1 < distinct < cfg.horizon
         assert len(global_evals) == distinct
         assert len({id(v) for v in global_evals}) == distinct
@@ -505,15 +482,15 @@ class TestSharedModels:
         state = init_state(cfg, synthetic_datasets)
         run_round(state, cfg)  # scores the models clients hold from round 0 on
         kept = 0
-        for _ in range(cfg.horizon - 1):
+        for r in range(2, cfg.horizon + 1):
             before = [c.model for c in state.clients]
             local_evals.clear()
-            record = run_round(state, cfg)
-            for c, model, row in zip(state.clients, before, record.clients):
+            run_round(state, cfg)
+            for c, model in zip(state.clients, before):
                 if c.model is model:
                     kept += 1
                     assert not any(v is model for v in local_evals)
-                assert row.local_accuracy == evaluate(
+                assert state.local_accuracy[r - 1, c.id] == evaluate(
                     ModelParams(c.model, state.layers), state.local_test)
         assert kept > 0
 
@@ -599,13 +576,12 @@ class TestRoundMemory:
         state = init_state(cfg, (train, test))
         assert np.array_equal(state.local_test.rows, perm[:cut])
         assert np.array_equal(state.global_test.rows, perm[cut:])
-        for _ in range(cfg.horizon):
-            record = run_round(state, cfg)
-            assert record.global_accuracy == evaluate(ModelParams(state.server, state.layers),
-                                                      global_)
-            for c, row in zip(state.clients, record.clients):
-                assert row.local_accuracy == evaluate(ModelParams(c.model, state.layers), local)
-        assert all(c.evicted for c in record.clients)
+        for r in range(1, cfg.horizon + 1):
+            assert run_round(state, cfg) == evaluate(ModelParams(state.server, state.layers),
+                                                     global_)
+            assert state.local_accuracy[r - 1].tolist() == [
+                evaluate(ModelParams(c.model, state.layers), local) for c in state.clients]
+        assert state.schedule.columns["evicted"][-1].all()
 
 
 POOL_CONFIGS = {
@@ -628,7 +604,8 @@ def test_uint8_pixels_give_the_records_of_their_float32_copy(synthetic_datasets,
     pixels = tuple(as_pixels(ds) for ds in synthetic_datasets)
     scaled = tuple(Dataset(ds.images.astype(np.float32) / np.float32(255.0), ds.labels,
                            split=ds.split) for ds in pixels)
-    assert run_simulation(POOL_CONFIGS[name], pixels) == run_simulation(POOL_CONFIGS[name], scaled)
+    runs = [run_simulation(POOL_CONFIGS[name], datasets) for datasets in (pixels, scaled)]
+    assert run_bytes(runs[0]) == run_bytes(runs[1])
 
 
 def _run_and_send(cfg, datasets, conn):
@@ -649,26 +626,26 @@ class TestThreadPool:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 monkeypatch.setattr(learning, "_pool", lambda: pool)
                 runs.append(run_simulation(cfg, synthetic_datasets))
-        assert runs[0] == runs[1]
+        assert run_bytes(runs[0]) == run_bytes(runs[1])
         if name == "all-evicted":
-            assert all(c.evicted for c in runs[0][-1].clients)
+            assert runs[0].columns["evicted"][-1].all()
 
-    def test_nested_pool_map_runs_inline(self, monkeypatch):
+    def test_nested_pool_imap_runs_inline(self, monkeypatch):
         # With one worker, a nested call that waited on the pool would
         # wait on itself; the thread and its timeout turn that into a failure.
         def outer(i):
-            return learning.pool_map(lambda j: 10 * i + j, range(3))
+            return list(learning.pool_imap(lambda j: 10 * i + j, range(3)))
 
         result = []
         pool = ThreadPoolExecutor(max_workers=1)
         monkeypatch.setattr(learning, "_pool", lambda: pool)
         caller = threading.Thread(
-            target=lambda: result.append(learning.pool_map(outer, range(4))), daemon=True
+            target=lambda: result.append(list(learning.pool_imap(outer, range(4)))), daemon=True
         )
         try:
             caller.start()
             caller.join(timeout=30)
-            assert not caller.is_alive(), "nested pool_map did not finish within 30 s"
+            assert not caller.is_alive(), "nested pool_imap did not finish within 30 s"
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
         assert result == [[[10 * i + j for j in range(3)] for i in range(4)]]
@@ -702,8 +679,8 @@ class TestThreadPool:
         child.start()
         sender.close()
         try:
-            assert receiver.poll(60), "the forked child sent no records within 60 s"
-            assert receiver.recv() == expected
+            assert receiver.poll(60), "the forked child sent no run within 60 s"
+            assert run_bytes(receiver.recv()) == run_bytes(expected)
             child.join(timeout=60)
             assert child.exitcode == 0
         finally:
