@@ -13,6 +13,7 @@ barred lane that cannot afford a fresh model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,35 +109,42 @@ class TokenLedger:
 
     def credit(self, amount, t: int, lanes: np.ndarray) -> None:
         """Book the round-t participation of each of `lanes`: count it,
-        then add a lot of `amount` (a scalar or one per lane).
+        then add a lot of `amount` (a scalar or one per lane, each >= 0
+        and not NaN). The rows shift in place.
 
         Credits come once per round, in round order.
         """
         if t <= self._credited:
             raise ValueError(f"credit round {t} is not after the last credited round {self._credited}")
-        if np.count_nonzero(np.less(amount, 0)):
+        valid = np.greater_equal(amount, 0)  # False for NaN as for a negative amount
+        if np.count_nonzero(valid) != valid.size:
             raise ValueError(f"credit amount must be >= 0, got {amount}")
-        rows = lanes if self._counted else slice(None)
+        lots = self.lots
         shift = 1 if self._counted else min(t - self._credited, self.slots)
         # A non-credited lane drops only lots past the window, unless nothing expires.
         watched = slice(None) if self.policy is None else lanes
-        if np.count_nonzero(self.lots[watched, :shift]):
+        if np.count_nonzero(lots[watched, :shift]):
             raise ValueError(f"a round-{t} credit would overwrite a lot that still holds tokens")
         self._credited = t
         self.participations += lanes
-        kept = self.lots[rows, shift:]
-        earned = np.where(lanes, amount, 0.0)[rows, None]
-        self.lots[rows] = np.hstack((kept, np.zeros((len(kept), shift - 1)), earned))
+        if self._counted:
+            lots[lanes, :-1] = lots[lanes, 1:]
+            lots[:, -1] = np.where(lanes, amount, lots[:, -1])
+            return
+        lots[:, :-shift] = lots[:, shift:]
+        if shift > 1:
+            lots[:, -shift:-1] = 0.0
+        lots[:, -1] = np.where(lanes, amount, 0.0)
 
     def spend(self, amount: float, lanes: np.ndarray) -> np.ndarray:
         """Each of `lanes` whose balance covers `amount` pays it, oldest
         lots first; returns those lanes. The lots of every other lane
-        are untouched."""
-        if amount < 0:
-            raise ValueError(f"spend amount must be >= 0, got {amount}")
+        are untouched. `amount` must be finite and >= 0."""
+        if not 0 <= amount < math.inf:
+            raise ValueError(f"spend amount must be finite and >= 0, got {amount}")
         paid = lanes & (self.balance() >= amount)
         if np.count_nonzero(paid):
-            remaining = np.where(paid, float(amount), 0.0)
+            remaining = paid * float(amount)
             for lot in self.lots.T:
                 take = np.minimum(lot, remaining)
                 lot -= take
@@ -153,17 +161,17 @@ class TokenLedger:
         """
         if t < 1:
             raise ValueError(f"round must be >= 1, got {t}")
-        lost = np.zeros(len(self.lots))
-        if self.policy is None:
-            return lost
-        # Column k is since + slots - 1 - k ticks old.
-        since = 0 if self._counted else t - self._credited
-        dead = self.lots[:, :max(0, since + self.slots - 1 - self.policy.n)]
-        doomed = np.where(lanes[:, None], dead, 0.0)
-        if np.count_nonzero(doomed):
-            lost = _oldest_first_sum(doomed)
-            dead[lanes] = 0.0
-        return lost
+        if self.policy is not None:
+            # Column k is since + slots - 1 - k ticks old.
+            since = 0 if self._counted else t - self._credited
+            past = since + self.slots - 1 - self.policy.n
+            if past > 0:
+                dead = self.lots[:, :past]
+                doomed = np.where(lanes[:, None], dead, 0.0)
+                if np.count_nonzero(doomed):
+                    dead[lanes] = 0.0
+                    return _oldest_first_sum(doomed)
+        return np.zeros(len(self.lots))
 
 
 def model_age(owned_clock, clock):

@@ -73,7 +73,7 @@ class MechanismParams:
             raise ValueError(f"C must be a multiple of n, got C={self.C}, n={self.n}")
         if self.G < 1 or self.G != int(self.G):
             raise ValueError(f"G must be a positive integer, got {self.G}")
-        if self.c_min < 0 or self.c_max < self.c_min:
+        if not 0 <= self.c_min <= self.c_max:
             raise ValueError(f"need 0 <= c_min <= c_max, got ({self.c_min}, {self.c_max})")
         if not self.eps_low < self.eps_high:
             raise ValueError(f"need eps_low < eps_high, got ({self.eps_low}, {self.eps_high})")
@@ -116,7 +116,7 @@ def cost(eps, params: MechanismParams) -> float:
     Cubic ramp anchored at eps = 1 regardless of eps_min, clamped into
     [c_min, c_max], and pinned at c_max for eps >= eps_max.
     """
-    if eps < params.eps_min:
+    if not eps >= params.eps_min:
         raise ValueError(f"eps must be >= eps_min ({params.eps_min}), got {eps}")
     if eps >= params.eps_max:
         return params.c_max
@@ -135,7 +135,7 @@ def reward(eps, params: MechanismParams) -> float:
     undershooting the acceptable level strictly reduces income. C is a
     multiple of n, hence C/n >= 1 and the ramp is strictly increasing.
     """
-    if eps < params.eps_min:
+    if not eps >= params.eps_min:
         raise ValueError(f"eps must be >= eps_min ({params.eps_min}), got {eps}")
     full = params.C / params.n
     if eps >= params.eps_a:

@@ -113,7 +113,7 @@ def client_round_payoff(bought, value_gain, cost, participated) -> np.ndarray:
     gain = np.where(bought, value_gain, 0.0)
     if np.count_nonzero(gain < 0):
         raise ValueError(f"value_gain must be >= 0, got {value_gain}")
-    return gain - np.where(participated, cost, 0.0)
+    return np.subtract(gain, cost, out=gain, where=participated)
 
 
 def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
@@ -136,16 +136,20 @@ def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
     active = ~players.evicted
     expired = ledger.expire(t, active)
     if ledger.policy is None:
-        age, window = np.zeros_like(players.model_clock), 0
+        age, window = 0, 0
     else:
         age, window = model_age(players.model_clock, ledger.clock(t)), ledger.policy.n
     barred = age > window
-    evict = active & barred & scheduled
+    evict = active & barred
+    if scheduled is not True:
+        evict &= scheduled
     if np.count_nonzero(evict):
         evict &= ledger.balance() < price
         players.evicted |= evict
         active &= ~evict
-    participated = active & ~barred & ~players.stopped & scheduled
+    participated = active & ~(barred | players.stopped)
+    if scheduled is not True:
+        participated &= scheduled
     if stride is not None:
         refused = participated & ~decide_participation(players, t, stride, values)
         players.stopped |= refused
@@ -155,9 +159,10 @@ def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
         age = model_age(players.model_clock, ledger.clock(t))  # the credited round counts
     bought = ledger.spend(price, active & (age >= window))
     gain = values[t] - values[players.owned_model_round]
-    np.copyto(players.owned_model_round, t, where=bought)
-    np.copyto(players.model_clock, ledger.clock(t), where=bought)
     players.cumulative_payoff += client_round_payoff(bought, gain, players.cost, participated)
+    if np.count_nonzero(bought):
+        np.copyto(players.owned_model_round, t, where=bought)
+        np.copyto(players.model_clock, ledger.clock(t), where=bought)
     return expired, participated, bought
 
 

@@ -15,6 +15,8 @@ import pytest
 from tokenfl import cli, economy, engine, mechanisms, strategy
 from tokenfl.presets import preset_config
 
+from test_lane_game import bits, scalar_trajectory
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 OWNERS = (cli, economy.TokenLedger, engine, mechanisms, strategy)
 
@@ -70,6 +72,17 @@ def test_game_sweep_matches_its_reference(run):
     reference = json.loads((PERFBENCH / "reference" / "game-sweep.json").read_text())
     record = run.checks.sweep_record(reports, collapse)
     assert run.checks.check_sweep(record, reference) == {}
+
+
+def test_game_sweep_horizon_equals_the_scalar_oracle(run):
+    # The reference allows a relative error of 1e-9, which a reordered
+    # float sum passes; this pins every fourth budget, and eps_a, bit for bit.
+    for C, n in run.PAIRS:
+        params = mechanisms.MechanismParams(C=C, n=n)
+        budgets = sorted({*run.GRID[::4], params.eps_a})
+        payoffs, counts = strategy.trajectories(budgets, run.SWEEP_HORIZON, params)
+        want = [scalar_trajectory(e, run.SWEEP_HORIZON, params) for e in budgets]
+        assert [bits(pair) for pair in zip(payoffs, counts)] == [bits(w) for w in want], (C, n)
 
 
 def test_cli_metrics_pass_the_benchmark_check(run, tmp_path, idx_builder):

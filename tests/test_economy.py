@@ -64,6 +64,15 @@ class TestCredit:
         with pytest.raises(ValueError):
             TokenLedger(1, CALENDAR).credit(-1.0, 1, ONE)
 
+    @pytest.mark.parametrize("amount", [np.nan, np.array([np.nan]), np.array([1.0, np.nan])])
+    def test_nan_credit_rejected_and_books_nothing(self, amount):
+        # Also a NaN in the amount of a lane that does not participate.
+        ledger = TokenLedger(2, CALENDAR)
+        with pytest.raises(ValueError, match=">= 0"):
+            ledger.credit(amount, 1, np.array([True, False]))
+        assert ledger.lots.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert ledger.participations.tolist() == [0, 0]
+
     def test_credit_never_overwrites_tokens(self):
         # Without expiry the third credit shifts the round-1 lot out of two slots.
         ledger = TokenLedger(1, None, slots=2)
@@ -98,6 +107,14 @@ class TestSpend:
     def test_negative_spend_rejected(self):
         with pytest.raises(ValueError):
             TokenLedger(1, CALENDAR).spend(-1.0, ONE)
+
+    @pytest.mark.parametrize("amount", [np.nan, np.inf])
+    def test_nan_and_infinite_spend_rejected(self, amount):
+        ledger = TokenLedger(1, CALENDAR)
+        ledger.credit(1.0, 1, ONE)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ledger.spend(amount, ONE)
+        assert ledger.balance().tolist() == [1.0]
 
 
 class TestExpire:

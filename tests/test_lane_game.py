@@ -9,6 +9,7 @@ player and every ledger balance must agree bit for bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tokenfl.economy import FreshnessPolicy, TokenLedger
@@ -202,22 +203,39 @@ def test_budget_lanes_equal_the_scalar_oracle(budgets, horizon, n, k, costs):
     assert [bits(pair) for pair in zip(payoffs, counts)] == [bits(w) for w in want]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_ledger_equals_the_scalar_lots(data):
     """Arbitrary credits and spends, so lots of many sizes are live at
-    once and the order of every sum shows. Each lane's row holds the
-    oracle's lots placed by age, the newest last."""
+    once and the order of every sum shows, with calendar gaps of up to
+    two rounds more than the slots between credits. Each lane's row
+    holds the oracle's lots placed by age, the newest last. Without a
+    policy nothing expires, and a credit that would shift out a lot
+    still holding tokens must raise instead."""
     n, counted = data.draw(st.integers(1, 3)), data.draw(st.booleans())
     lanes = data.draw(st.integers(1, 4))
     masks = st.lists(st.booleans(), min_size=lanes, max_size=lanes)
-    ledger = TokenLedger(lanes, FreshnessPolicy(n=n, counts_participated_only=counted))
+    if data.draw(st.booleans()):
+        ledger = TokenLedger(lanes, FreshnessPolicy(n=n, counts_participated_only=counted))
+    else:
+        ledger, counted = TokenLedger(lanes, None, data.draw(st.integers(1, 5))), False
     clients = [ScalarClient(None) for _ in range(lanes)]
-    for t in range(1, data.draw(st.integers(1, 30)) + 1):
+    t = 0
+    for _ in range(data.draw(st.integers(1, 30))):
+        t += data.draw(st.integers(1, ledger.slots + 2))
         lost = ledger.expire(t, np.ones(lanes, dtype=bool))
-        assert bits(lost.tolist()) == bits(c.expire(t, n, counted) for c in clients)
+        if ledger.policy is None:
+            assert lost.tolist() == [0.0] * lanes
+        else:
+            assert bits(lost.tolist()) == bits(c.expire(t, n, counted) for c in clients)
         joins = data.draw(masks)
         amounts = data.draw(st.lists(st.floats(0.0, 3.0), min_size=lanes, max_size=lanes))
+        if ledger.policy is None and any(
+            amount and t - earned >= ledger.slots for c in clients for amount, earned in c.lots
+        ):
+            with pytest.raises(ValueError, match="overwrite"):
+                ledger.credit(np.array(amounts), t, np.array(joins))
+            return
         ledger.credit(np.array(amounts), t, np.array(joins))
         for c, joined, amount in zip(clients, joins, amounts):
             if joined:
@@ -229,5 +247,9 @@ def test_ledger_equals_the_scalar_lots(data):
         for row, c in zip(ledger.lots.tolist(), clients):
             by_age = [0.0] * ledger.slots
             for amount, earned in c.lots:
-                by_age[ledger.slots - 1 - c.age(earned, t, counted)] = amount
+                age = c.age(earned, t, counted)
+                if age < ledger.slots:
+                    by_age[ledger.slots - 1 - age] = amount
+                else:  # shifted out, drained
+                    assert amount == 0.0
             assert bits(row) == bits(by_age)

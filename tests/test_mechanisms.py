@@ -50,6 +50,8 @@ class TestMechanismParams:
             {"G": 0},
             {"c_min": -1.0},
             {"c_min": 5.0, "c_max": 4.0},
+            {"c_min": math.nan},
+            {"c_max": math.nan},
             {"eps_low": 25.0, "eps_high": 25.0},
         ],
     )
@@ -139,6 +141,10 @@ class TestCost:
         with pytest.raises(ValueError):
             cost(0.5, PARAMS)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            cost(math.nan, PARAMS)
+
     @given(
         st.floats(min_value=1.0, max_value=40.0),
         st.floats(min_value=1.0, max_value=40.0),
@@ -176,6 +182,10 @@ class TestReward:
     def test_below_eps_min_rejected(self):
         with pytest.raises(ValueError):
             reward(0.0, PARAMS)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            reward(math.nan, PARAMS)
 
     @given(
         st.floats(min_value=1.0, max_value=15.0),
@@ -218,6 +228,10 @@ class TestUtility:
         with pytest.raises(ValueError):
             utility(1, 15.0, 0, PARAMS)
 
+    def test_nan_eps_rejected(self):
+        with pytest.raises(ValueError):
+            utility(3, math.nan, 1, PARAMS)
+
 
 class TestPredictCollapseRound:
     @pytest.mark.parametrize("eps,expected", sorted(COLLAPSE_STRIDE1.items()))
@@ -235,6 +249,11 @@ class TestPredictCollapseRound:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             predict_collapse_round(25.0, 1, 0, PARAMS)
+
+    def test_nan_eps_rejected(self):
+        # Not None: NaN is no budget that never collapses.
+        with pytest.raises(ValueError):
+            predict_collapse_round(math.nan, 1, 50, PARAMS)
 
 
 class TestCalibration:
