@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import tempfile
-import urllib.request
 import zlib
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
@@ -299,6 +298,8 @@ def cmd_nash(args) -> int:
 
 def _download_idx(url: str) -> bytes:
     """The unpacked IDX bytes of one gzipped file."""
+    import urllib.request  # loads ssl, which only fetch-data needs
+
     with urllib.request.urlopen(url) as resp:
         return gzip.decompress(resp.read())
 

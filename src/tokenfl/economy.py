@@ -58,7 +58,8 @@ class FreshnessPolicy:
 
 def _oldest_first_sum(lots: np.ndarray) -> np.ndarray:
     """Row sums of lots ordered oldest first, added in that order: the
-    same floats as Python's sum() over the lots of each lane."""
+    same floats as Python's sum() over the lots of each lane. A single
+    column is returned as is, a view of `lots`."""
     total = lots[:, 0]
     for k in range(1, lots.shape[1]):
         total = total + lots[:, k]
@@ -104,21 +105,24 @@ class TokenLedger:
         return self.participations if self._counted else t
 
     def balance(self) -> np.ndarray:
-        """Each lane's tokens, summed oldest lot first."""
-        return _oldest_first_sum(self.lots)
+        """Each lane's tokens, summed oldest lot first, in a new array."""
+        lots = self.lots
+        return _oldest_first_sum(lots) if lots.shape[1] > 1 else lots[:, 0].copy()
 
     def credit(self, amount, t: int, lanes: np.ndarray) -> None:
         """Book the round-t participation of each of `lanes`: count it,
-        then add a lot of `amount` (a scalar or one per lane, each >= 0
-        and not NaN). The rows shift in place.
+        then add a lot of `amount` (a scalar or one per lane, each finite
+        and >= 0, but not -0.0). The rows shift in place.
 
         Credits come once per round, in round order.
         """
         if t <= self._credited:
             raise ValueError(f"credit round {t} is not after the last credited round {self._credited}")
-        valid = np.greater_equal(amount, 0)  # False for NaN as for a negative amount
+        # Below +inf if of positive sign, below -inf (never) if not: False for
+        # a NaN, infinite or negative amount, -0.0 included, in one more ufunc.
+        valid = np.less(amount, np.copysign(math.inf, amount))
         if np.count_nonzero(valid) != valid.size:
-            raise ValueError(f"credit amount must be >= 0, got {amount}")
+            raise ValueError(f"credit amount must be finite and >= 0, got {amount}")
         lots = self.lots
         shift = 1 if self._counted else min(t - self._credited, self.slots)
         # A non-credited lane drops only lots past the window, unless nothing expires.

@@ -14,8 +14,9 @@ global_accuracy array, each client's training one task on learning's
 thread pool. run_simulation returns the recorded rounds of all these
 arrays as a Run. The uploads stream into aggregate in client order as
 the pool yields them, so a round holds about workers + 1 of them, not
-one per trainer, and the two test splits are row-index Subsets of the
-loaded test set, scored in place. Model arrays are
+one per trainer. Each client's partition is a row-index Subset of the
+loaded train set, trained on in place, and the two test splits are
+Subsets of the loaded test set, scored in place. Model arrays are
 read-only, so all holders of one global model share its array and one
 dict of its scores. Clients evicted in an earlier round keep training
 locally on their stale model, outside the federation. Every random
@@ -38,8 +39,6 @@ from .learning import (
     CLASSES,
     DEFAULT_LAYERS,
     MNIST_FILES,
-    DataPartition,
-    Dataset,
     ModelParams,
     Subset,
     aggregate,
@@ -241,7 +240,7 @@ class Run:
 @dataclass
 class _Client:
     id: int
-    part: DataPartition
+    part: Subset
     model: np.ndarray
     # split -> accuracy of `model`, shared by every holder of the array.
     scores: dict
@@ -255,7 +254,6 @@ class EngineState:
     server_scores: dict
     layers: tuple
     clients: list
-    train: Dataset
     local_test: Subset
     global_test: Subset
     # NaN until run_round scores round r into row r - 1.
@@ -378,7 +376,6 @@ def init_state(config: SimConfig, datasets) -> EngineState:
         server_scores=scores,
         layers=server.layers,
         clients=[_Client(k, parts[k], server.vector, scores) for k in range(config.clients)],
-        train=train,
         local_test=Subset(test, perm[:cut], "local-test"),
         global_test=Subset(test, perm[cut:], "global-test"),
         local_accuracy=np.full((config.horizon, config.clients), np.nan),
@@ -399,9 +396,8 @@ def run_round(state: EngineState, config: SimConfig) -> float:
     trainers = [state.clients[k] for k in np.flatnonzero(game.columns["participated"][r - 1])]
 
     def gradient(c):
-        return local_train(ModelParams(c.model, state.layers), state.train, c.part,
-                           config.batches, config.batch_size,
-                           _stream(config.seed, _KIND_TRAIN, c.id, r))
+        return local_train(ModelParams(c.model, state.layers), c.part, config.batches,
+                           config.batch_size, _stream(config.seed, _KIND_TRAIN, c.id, r))
 
     def upload(c):
         g = gradient(c)

@@ -34,9 +34,11 @@ one task, and chunks only add up integer counts, so outputs do not
 depend on the number of cores. A pool_imap iterated from inside a pool
 task runs inline in that task.
 
-evaluate scores a Dataset, or a Subset of one: given rows of it, in a
-given order, gathered chunk by chunk, so a split of the test set is
-scored in place instead of copied.
+A Subset is given rows of a Dataset, in a given order: partition deals
+each client one of the train set, and a split of the test set is one.
+local_train draws from a Subset's rows and evaluate scores a Dataset or
+a Subset, both gathering rows block by block, so neither a partition
+nor a test split is copied.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ __all__ = [
     "IdxParseError",
     "Dataset",
     "Subset",
-    "DataPartition",
     "ModelParams",
     "param_count",
     "load_idx",
@@ -128,8 +129,9 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Subset:
-    """Rows `rows` of a Dataset, in that order, named `split`: evaluate
-    gathers them chunk by chunk, so no copy of the rows is made."""
+    """Rows `rows` of a Dataset, in that order, named `split`: a test
+    split or a client's partition. evaluate and local_train gather them
+    block by block, so no copy of the rows is made."""
 
     dataset: Dataset
     rows: np.ndarray
@@ -137,21 +139,6 @@ class Subset:
 
     def __len__(self):
         return len(self.rows)
-
-
-@dataclass
-class DataPartition:
-    """Index list handing one client its slice of a master dataset."""
-
-    indices: np.ndarray
-    owner: int
-    scheme: str
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-
-    def __len__(self):
-        return len(self.indices)
 
 
 @functools.cache
@@ -348,7 +335,8 @@ def load_mnist(data_dir=None, checksums=None):
 
 
 def partition(dataset: Dataset, clients: int, scheme: str, seed) -> list:
-    """Split a dataset's indices among clients.
+    """Split a dataset's rows among clients: one Subset per client k,
+    named client-k.
 
     identical: every client gets a uniform random share, sizes equal up
     to one example. disjoint: the ten digit classes are dealt
@@ -374,7 +362,7 @@ def partition(dataset: Dataset, clients: int, scheme: str, seed) -> list:
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    return [DataPartition(c, owner=k, scheme=scheme) for k, c in enumerate(chunks)]
+    return [Subset(dataset, c, f"client-{k}") for k, c in enumerate(chunks)]
 
 
 def _deal_by_label(labels: np.ndarray, pool: np.ndarray, clients: int):
@@ -487,22 +475,23 @@ def batch_loss(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     return float(-log_probs[np.arange(len(y)), y].mean())
 
 
-def local_train(params: ModelParams, dataset: Dataset, part: DataPartition,
-                batches: int, batch_size: int, seed) -> np.ndarray:
+def local_train(params: ModelParams, part: Subset, batches: int, batch_size: int,
+                seed) -> np.ndarray:
     """One round of local training: the gradient a client uploads.
 
     Returns the sum of the mean gradients of `batches` batches drawn one by
-    one from the client's partition, all at the incoming parameters. That
-    sum is computed as one pass over the distinct drawn rows, each weighted
-    by its draw count over batch_size, in blocks of 256 rows, each in the
-    compute dtype and added into a float64 sum. The learning rate is
+    one from the rows of the client's partition `part`, all at the incoming
+    parameters. That sum is one pass over the distinct drawn rows, each
+    weighted by its draw count over batch_size, in blocks of 256 rows, each
+    in the compute dtype and added into a float64 sum. The learning rate is
     applied server-side in aggregate().
     """
     if len(part) == 0:
-        raise ValueError(f"client {part.owner} has an empty partition")
+        raise ValueError(f"{part.split} has an empty partition")
+    dataset = part.dataset
     rng = np.random.default_rng(seed)
     replace = len(part) < batch_size
-    draws = [rng.choice(part.indices, size=batch_size, replace=replace) for _ in range(batches)]
+    draws = [rng.choice(part.rows, size=batch_size, replace=replace) for _ in range(batches)]
     rows, counts = np.unique(np.array(draws, dtype=np.int64), return_counts=True)
     dtype = _compute_dtype(dataset.images)
     vector = _compute_vector(params, dtype)

@@ -229,8 +229,16 @@ def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> Nash
     budget, prices the deviation trajectory against the client's profile
     trajectory and reports each comparison; a deviation is profitable
     when its payoff strictly exceeds the profile payoff. Every distinct
-    budget is priced once, all in one game. The all-eps_a profile must
-    come back with zero profitable deviations.
+    budget is priced once, all in one game.
+
+    The budgets are not priced the way a run plays its clients: every
+    lane always complies (play_round with stride None), never refusing
+    on utility as a run's clients do, and the game is played at stride 1
+    on every round, ignoring params.G. So an eps_a lane keeps paying its
+    privacy cost after its utility turns negative while a softer lane is
+    evicted early: `tokenfl nash --clients 3` finds no profitable
+    deviation from all-eps_a up to --horizon 194 and exits 1 from 195
+    on. ROADMAP.md item 1 prices the budgets under the engine's rule.
     """
     profile = tuple(float(e) for e in profile)
     grid = sorted(float(e) for e in eps_grid)

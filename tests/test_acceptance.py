@@ -19,9 +19,9 @@ from tokenfl.cli import parse_config, write_metrics_csv
 from tokenfl.economy import FreshnessPolicy, TokenLedger
 from tokenfl.engine import SimConfig, play_game, run_simulation
 from tokenfl.learning import (
-    DataPartition,
     Dataset,
     ModelParams,
+    Subset,
     batch_loss,
     init_model,
     local_train,
@@ -135,9 +135,9 @@ def test_local_gradient_matches_finite_differences():
     images = rng.random((10, layers[0])).astype(np.float32)
     labels = rng.integers(0, layers[-1], size=10).astype(np.int64)
     ds = Dataset(images, labels)
-    part = DataPartition(np.arange(10), owner=0, scheme="identical")
+    part = Subset(ds, np.arange(10), "client-0")
     model = init_model(3, layers=layers)
-    g = local_train(model, ds, part, batches=1, batch_size=10, seed=7)
+    g = local_train(model, part, batches=1, batch_size=10, seed=7)
     h = 1e-6
     for j in np.random.default_rng(0).choice(len(model.vector), size=20, replace=False):
         up, down = model.vector.copy(), model.vector.copy()

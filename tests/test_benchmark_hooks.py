@@ -85,20 +85,46 @@ def test_game_sweep_horizon_equals_the_scalar_oracle(run):
         assert [bits(pair) for pair in zip(payoffs, counts)] == [bits(w) for w in want], (C, n)
 
 
+def tiny_config(run, name, tmp_path, idx_builder, **overrides):
+    """The config file of a training workload on blank 28x28 images, 100
+    train and 20 test rows, with one batch of 8 rows a round."""
+    data = tmp_path / "data"
+    if not data.exists():
+        data.mkdir()
+        for prefix, rows in (("train", 100), ("t10k", 20)):
+            idx_builder(data, np.zeros((rows, 28, 28), np.uint8), np.arange(rows) % 10,
+                        prefix=prefix)
+    raw = preset_config(run.TRAINING[name]["preset"])
+    raw.update(data_dir=str(data), **overrides)
+    raw["learning"].update(batches=1, batch_size=8)
+    config_path = tmp_path / f"{name}.json"
+    config_path.write_text(json.dumps(raw))
+    return config_path, raw
+
+
+def test_traced_run_binds_every_measure(run, tmp_path, idx_builder):
+    # The tracer binds the arguments of a wrapped call by parameter name
+    # only when the call is made, so installing it proves nothing.
+    config_path, _ = tiny_config(run, "train-sustained", tmp_path, idx_builder,
+                                 ldp=True, horizon=2)
+    tracer = run.Tracer()
+    run.instrument(tracer)
+    try:
+        assert cli.main(["run", str(config_path), "--out-dir", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.unpatch()
+    for key in ("learning.local_train.samples", "privacy.perturb_gradients.coords",
+                "learning.aggregate.grads", "learning.evaluate.local.rows",
+                "learning.evaluate.global.rows", "cli.write_metrics_csv.bytes"):
+        assert tracer.quantities[key] > 0, key
+
+
 def test_cli_metrics_pass_the_benchmark_check(run, tmp_path, idx_builder):
     # The check reads the economic columns, token flows and accuracy
     # ranges, none of which depends on what the model learns, so a tiny
     # dataset and one noiseless batch a round stand in for MNIST.
-    data = tmp_path / "data"
-    data.mkdir()
-    for prefix, rows in (("train", 100), ("t10k", 20)):
-        idx_builder(data, np.zeros((rows, 28, 28), np.uint8), np.arange(rows) % 10, prefix=prefix)
     for name, spec in run.TRAINING.items():
-        raw = preset_config(spec["preset"])
-        raw.update(data_dir=str(data), ldp=False)
-        raw["learning"].update(batches=1, batch_size=8)
-        config_path = tmp_path / f"{name}.json"
-        config_path.write_text(json.dumps(raw))
+        config_path, raw = tiny_config(run, name, tmp_path, idx_builder, ldp=False)
         out = tmp_path / name
         assert cli.main(["run", str(config_path), "--out-dir", str(out)]) == 0
         reference = run.checks.read_reference((PERFBENCH / "reference" / f"{name}.csv").read_text())

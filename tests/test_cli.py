@@ -7,7 +7,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -788,6 +791,15 @@ def test_out_dir_blocked_by_a_file_exits_1(tmp_path, idx_builder, monkeypatch, c
 
 
 class TestFetchDataCommand:
+    def test_importing_the_cli_loads_no_ssl(self):
+        # Only fetch-data downloads, so only it pays for urllib's ssl.
+        code = ("import sys, tokenfl.cli; "
+                "print(sorted({'ssl', 'urllib.request'} & set(sys.modules)))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
+
     @pytest.fixture
     def mirror(self, tmp_path, idx_builder):
         mirror = tmp_path / "mirror"

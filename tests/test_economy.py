@@ -73,6 +73,17 @@ class TestCredit:
         assert ledger.lots.tolist() == [[0.0, 0.0], [0.0, 0.0]]
         assert ledger.participations.tolist() == [0, 0]
 
+    @pytest.mark.parametrize("amount", [np.inf, np.array([1.0, np.inf]), np.array([np.inf, 1.0])])
+    def test_infinite_credit_rejected_and_books_nothing(self, amount):
+        # An infinite lot would pay any finite price forever; a lane that
+        # does not participate is checked too.
+        ledger = TokenLedger(2, CALENDAR)
+        ledger.credit(1.0, 1, np.array([True, True]))
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ledger.credit(amount, 2, np.array([True, False]))
+        assert ledger.lots.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+        assert ledger.participations.tolist() == [1, 1]
+
     def test_credit_never_overwrites_tokens(self):
         # Without expiry the third credit shifts the round-1 lot out of two slots.
         ledger = TokenLedger(1, None, slots=2)
@@ -80,6 +91,14 @@ class TestCredit:
         ledger.credit(1.0, 2, ONE)
         with pytest.raises(ValueError, match="overwrite"):
             ledger.credit(1.0, 3, ONE)
+
+    def test_one_slot_balance_is_a_copy(self):
+        ledger = TokenLedger(1, None, slots=1)
+        ledger.credit(2.0, 1, ONE)
+        balance = ledger.balance()
+        balance[0] = 5.0
+        assert ledger.lots.tolist() == [[2.0]]
+        assert ledger.balance().tolist() == [2.0]
 
 
 class TestSpend:

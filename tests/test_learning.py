@@ -14,7 +14,6 @@ from tokenfl.learning import (
     _softmax,
     _unpack,
     Dataset,
-    DataPartition,
     IdxParseError,
     ModelParams,
     Subset,
@@ -36,13 +35,17 @@ def float64_copy(ds):
     return Dataset(ds.images.astype(np.float64), ds.labels, split=ds.split)
 
 
+def client_part(ds, rows=None):
+    """Rows of ds, all of them unless given, as client 0's partition."""
+    return Subset(ds, np.arange(len(ds)) if rows is None else rows, "client-0")
+
+
 def small_fixture(seed=3, examples=10, classes=3):
     rng = np.random.default_rng(seed)
     images = rng.random((examples, SMALL_LAYERS[0])).astype(np.float32)
     labels = rng.integers(0, classes, size=examples).astype(np.int64)
     ds = Dataset(images, labels)
-    part = DataPartition(np.arange(examples), owner=0, scheme="identical")
-    return ds, part
+    return ds, client_part(ds)
 
 
 class TestIdxParsing:
@@ -171,7 +174,9 @@ class TestPartition:
         train, _ = synthetic_datasets
         parts = partition(train, 3, "identical", seed=0)
         assert [len(p) for p in parts] == [200, 200, 200]
-        joined = np.concatenate([p.indices for p in parts])
+        assert [p.split for p in parts] == ["client-0", "client-1", "client-2"]
+        assert all(p.dataset is train for p in parts)
+        joined = np.concatenate([p.rows for p in parts])
         assert np.array_equal(np.sort(joined), np.arange(len(train)))
 
     def test_identical_full_scale_sizes(self, mnist):
@@ -183,12 +188,12 @@ class TestPartition:
         train, _ = synthetic_datasets
         parts = partition(train, 10, "disjoint", seed=0)
         for k, part in enumerate(parts):
-            assert set(np.unique(train.labels[part.indices])) == {k}
+            assert set(np.unique(train.labels[part.rows])) == {k}
 
     def test_disjoint_labels_never_shared(self, synthetic_datasets):
         train, _ = synthetic_datasets
         parts = partition(train, 4, "disjoint", seed=0)
-        owned = [set(np.unique(train.labels[p.indices])) for p in parts]
+        owned = [set(np.unique(train.labels[p.rows])) for p in parts]
         for i in range(len(owned)):
             for j in range(i + 1, len(owned)):
                 assert not owned[i] & owned[j]
@@ -199,10 +204,10 @@ class TestPartition:
         # five exclusive labels.
         train, _ = synthetic_datasets
         parts = partition(train, 2, "intermediary", seed=0)
-        joined = np.concatenate([p.indices for p in parts])
+        joined = np.concatenate([p.rows for p in parts])
         assert np.array_equal(np.sort(joined), np.arange(len(train)))
         for k, part in enumerate(parts):
-            counts = np.bincount(train.labels[part.indices], minlength=10)
+            counts = np.bincount(train.labels[part.rows], minlength=10)
             exclusive = counts[k::2]
             shared_only = counts[1 - k :: 2]
             assert exclusive.min() > shared_only.max()
@@ -217,7 +222,7 @@ class TestPartition:
         a = partition(train, 3, "intermediary", seed=42)
         b = partition(train, 3, "intermediary", seed=42)
         for pa, pb in zip(a, b):
-            assert np.array_equal(pa.indices, pb.indices)
+            assert np.array_equal(pa.rows, pb.rows)
 
 
 class TestModelInit:
@@ -254,7 +259,7 @@ class TestLocalTrain:
     def test_gradient_matches_finite_differences(self):
         ds, part = small_fixture()
         model = init_model(3, layers=SMALL_LAYERS)
-        g = local_train(model, ds, part, batches=1, batch_size=len(ds), seed=7)
+        g = local_train(model, part, batches=1, batch_size=len(ds), seed=7)
         x = ds.images.astype(np.float64)
         y = ds.labels
         h = 1e-6
@@ -275,22 +280,22 @@ class TestLocalTrain:
     def test_zero_batches_upload_zero(self):
         ds, part = small_fixture()
         model = init_model(3, layers=SMALL_LAYERS)
-        g = local_train(model, ds, part, batches=0, batch_size=4, seed=9)
+        g = local_train(model, part, batches=0, batch_size=4, seed=9)
         assert np.all(g == 0.0)
 
     def test_identical_inputs_identical_uploads(self):
         ds, part = small_fixture()
         model = init_model(3, layers=SMALL_LAYERS)
-        a = local_train(model, ds, part, batches=2, batch_size=4, seed=11)
-        b = local_train(model, ds, part, batches=2, batch_size=4, seed=11)
+        a = local_train(model, part, batches=2, batch_size=4, seed=11)
+        b = local_train(model, part, batches=2, batch_size=4, seed=11)
         assert np.array_equal(a, b)
 
     def test_empty_partition_rejected(self):
         ds, _ = small_fixture()
-        empty = DataPartition(np.empty(0, dtype=np.int64), owner=1, scheme="identical")
+        empty = Subset(ds, np.empty(0, dtype=np.int64), "client-1")
         model = init_model(3, layers=SMALL_LAYERS)
-        with pytest.raises(ValueError):
-            local_train(model, ds, empty, batches=1, batch_size=4, seed=0)
+        with pytest.raises(ValueError, match="client-1 has an empty partition"):
+            local_train(model, empty, batches=1, batch_size=4, seed=0)
 
     @pytest.mark.parametrize(
         "examples,batches,batch_size",
@@ -305,26 +310,27 @@ class TestLocalTrain:
         # local_train stands for this loop: the same draws, one mean
         # gradient per batch, summed. A float64 dataset takes the float64
         # path, so the two agree to float64 rounding.
-        ds, part = small_fixture(examples=examples)
+        ds, _ = small_fixture(examples=examples)
         ds = float64_copy(ds)
+        part = client_part(ds)
         model = init_model(3, layers=SMALL_LAYERS)
         rng = np.random.default_rng(5)
         expected = np.zeros_like(model.vector)
         for _ in range(batches):
-            idx = rng.choice(part.indices, size=batch_size, replace=examples < batch_size)
+            idx = rng.choice(part.rows, size=batch_size, replace=examples < batch_size)
             expected += _batch_gradient(
                 model.vector, SMALL_LAYERS, ds.images[idx],
                 ds.labels[idx], np.full(batch_size, 1.0 / batch_size),
             )
-        g = local_train(model, ds, part, batches=batches, batch_size=batch_size, seed=5)
+        g = local_train(model, part, batches=batches, batch_size=batch_size, seed=5)
         np.testing.assert_allclose(g, expected, rtol=0, atol=1e-12)
 
     def test_float32_data_matches_the_float64_path(self):
         ds, part = small_fixture(examples=600)
         assert ds.images.dtype == np.float32
         model = init_model(3, layers=SMALL_LAYERS)
-        narrow = local_train(model, ds, part, batches=30, batch_size=16, seed=5)
-        wide = local_train(model, float64_copy(ds), part, batches=30, batch_size=16, seed=5)
+        narrow = local_train(model, part, batches=30, batch_size=16, seed=5)
+        wide = local_train(model, client_part(float64_copy(ds)), batches=30, batch_size=16, seed=5)
         assert narrow.dtype == wide.dtype == np.float64
         assert np.abs(wide).max() > 0.0
         np.testing.assert_allclose(narrow, wide, rtol=0, atol=1e-5 * np.abs(wide).max())
@@ -469,10 +475,10 @@ class TestKernelsMatchTheirFirstFormulation:
         # Over 512 distinct uint8 rows, so the pixel and gradient buffers
         # are reused and the last block fills only part of them.
         u, _ = uint8_and_float32(examples=900)
-        part = DataPartition(np.arange(len(u)), owner=0, scheme="identical")
+        part = client_part(u)
         model = init_model(2, layers=SMALL_LAYERS)
         rng = np.random.default_rng(8)
-        draws = [rng.choice(part.indices, size=16, replace=False) for _ in range(80)]
+        draws = [rng.choice(part.rows, size=16, replace=False) for _ in range(80)]
         rows, counts = np.unique(np.array(draws), return_counts=True)
         assert len(rows) > 2 * 256
         vector = model.vector.astype(np.float32)
@@ -483,7 +489,7 @@ class TestKernelsMatchTheirFirstFormulation:
             x = u.images[block].astype(np.float32) / np.float32(255.0)
             expected += first_formulation_gradient(
                 vector, SMALL_LAYERS, x, u.labels[block], weights[start : start + 256])[0]
-        got = local_train(model, u, part, batches=80, batch_size=16, seed=8)
+        got = local_train(model, part, batches=80, batch_size=16, seed=8)
         assert same_bits(got, expected)
 
 
@@ -500,9 +506,8 @@ class TestPixelRepresentations:
 
     def test_local_train_gradients_are_equal(self):
         u, f = uint8_and_float32()
-        part = DataPartition(np.arange(len(u)), owner=0, scheme="identical")
         model = init_model(2, layers=SMALL_LAYERS)
-        runs = [local_train(model, ds, part, batches=40, batch_size=16, seed=8)
+        runs = [local_train(model, client_part(ds), batches=40, batch_size=16, seed=8)
                 for ds in (u, f)]
         assert np.array_equal(runs[0], runs[1])
 
@@ -640,23 +645,23 @@ class TestReadOnlyInputs:
     def test_outputs_equal_those_of_writable_copies(self, pixels):
         u, f = uint8_and_float32(examples=300)
         ds = {"uint8": u, "float32": f, "float64": float64_copy(f)}[pixels]
-        part = DataPartition(np.arange(0, len(ds), 2), owner=0, scheme="identical")
+        part = client_part(ds, np.arange(0, len(ds), 2))
         model = init_model(2, layers=SMALL_LAYERS)
         cfg = LdpConfig(eps=2.0, radius=0.5)
 
-        def outputs(model, ds, part):
-            g = local_train(model, ds, part, batches=20, batch_size=16, seed=3)
+        def outputs(model, part):
+            g = local_train(model, part, batches=20, batch_size=16, seed=3)
             up = perturb_gradients(g, cfg, np.random.default_rng(4))
             new = aggregate(model, [g, up], [3, 1], lr=0.1)
-            return g, up, new.vector, evaluate(model, ds)
+            return g, up, new.vector, evaluate(model, part.dataset)
 
         frozen_model = ModelParams(read_only(model.vector), SMALL_LAYERS)
         frozen_ds = Dataset(read_only(ds.images), read_only(ds.labels))
-        frozen_part = DataPartition(read_only(part.indices), owner=0, scheme="identical")
-        expected = outputs(model, ds, part)
+        frozen_part = client_part(frozen_ds, read_only(part.rows))
+        expected = outputs(model, part)
         assert same_bits(model.vector, frozen_model.vector)
         assert same_bits(ds.images, frozen_ds.images)
-        got = outputs(frozen_model, frozen_ds, frozen_part)
+        got = outputs(frozen_model, frozen_part)
         assert got[3] == expected[3]
         assert all(same_bits(a, b) for a, b in zip(got[:3], expected[:3]))
         g, up = expected[:2]
@@ -677,13 +682,13 @@ class TestComputeDtypeOverflow:
     def test_float32_training_and_scoring_raise(self):
         ds, part = small_fixture()
         with pytest.raises(ValueError, match="overflow float32"):
-            local_train(self.big_model(), ds, part, batches=1, batch_size=4, seed=0)
+            local_train(self.big_model(), part, batches=1, batch_size=4, seed=0)
         with pytest.raises(ValueError, match="overflow float32"):
             evaluate(self.big_model(), ds)
 
     def test_float64_data_computes_as_before(self):
-        ds, part = small_fixture()
+        ds, _ = small_fixture()
         ds = float64_copy(ds)
-        g = local_train(self.big_model(), ds, part, batches=1, batch_size=4, seed=0)
+        g = local_train(self.big_model(), client_part(ds), batches=1, batch_size=4, seed=0)
         assert np.all(np.isfinite(g))
         assert 0.0 <= evaluate(self.big_model(), ds) <= 1.0
