@@ -1,27 +1,27 @@
 """Round orchestration across the three incentive mechanisms, in two passes.
 
 play_game first plays a run's whole token game from its config alone,
-with no dataset or model: round by round, strategy.play_round settles
-token expiry, group scheduling, freshness bar and forced eviction,
+with no dataset or model: strategy.play_rounds, nash_check's loop too,
+settles token expiry, group scheduling, freshness bar and eviction,
 participation decision, token credit, model purchase and payoff for all
-clients at once, each client a lane of its arrays. The played game is a
-Schedule of (horizon, clients) arrays, one per COLUMNS entry. Then
-run_round runs each round's learning step from that round's trainer,
-buyer and drifter masks: local training on each participant's owned
-model, gradient randomization, weighted aggregation, handing each buyer
-the new global model, and evaluation into a local_accuracy and a
-global_accuracy array, each client's training one task on learning's
-thread pool. run_simulation returns the recorded rounds of all these
-arrays as a Run. The uploads stream into aggregate in client order as
-the pool yields them, so a round holds about workers + 1 of them, not
-one per trainer. Each client's partition is a row-index Subset of the
-loaded train set, trained on in place, and the two test splits are
-Subsets of the loaded test set, scored in place. Model arrays are
-read-only, so all holders of one global model share its array and one
-dict of its scores. Clients evicted in an earlier round keep training
-locally on their stale model, outside the federation. Every random
-stream is derived from (seed, purpose, client, round), so a run is a
-pure function of its config.
+clients at once, each client a lane of its arrays, and play_game records
+each round it yields. The played game is a Schedule of (horizon,
+clients) arrays, one per COLUMNS entry. Then run_round runs each round's
+learning step from that round's trainer, buyer and drifter masks: local
+training on each participant's owned model, gradient randomization,
+weighted aggregation, handing each buyer the new global model, and
+evaluation into a local_accuracy and a global_accuracy array, each
+client's training one task on learning's thread pool. run_simulation
+returns the recorded rounds of all these arrays as a Run. The uploads
+stream into aggregate in client order as the pool yields them, so a
+round holds about workers + 1 of them, not one per trainer. Each
+client's partition is a row-index Subset of the loaded train set,
+trained on in place, and the two test splits are Subsets of the loaded
+test set, scored in place. Model arrays are read-only, so all holders of
+one global model share its array and one dict of its scores. Clients
+evicted in an earlier round keep training locally on their stale model,
+outside the federation. Every random stream is derived from (seed,
+purpose, client, round), so a run is a pure function of its config.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .strategy import (
     choose_epsilon,
     client_round_payoff,
     decide_participation,
-    play_round,
+    play_rounds,
     round_utility,
 )
 
@@ -77,7 +77,6 @@ __all__ = [
     "EngineState",
     "Schedule",
     "Run",
-    "schedule_group",
     "play_game",
     "check_inputs",
     "init_state",
@@ -266,22 +265,12 @@ def _frozen(vector: np.ndarray) -> np.ndarray:
     return vector
 
 
-def schedule_group(round_index: int, clients: int, G: int):
-    """Ids scheduled this round: contiguous blocks rotating round-robin."""
-    if G < 1:
-        raise ValueError(f"G must be >= 1, got {G}")
-    if clients % G != 0:
-        raise ValueError(f"G={G} must divide the client count {clients}")
-    size = clients // G
-    start = ((round_index - 1) % G) * size
-    return list(range(start, start + size))
-
-
 def play_game(config: SimConfig) -> Schedule:
     """Play rounds 1..horizon of the token game for every client, from
-    the config alone, each client a lane of strategy.play_round and each
-    round one row of the Schedule's columns. An evicted client's cells
-    are unscheduled, move no tokens and keep its last balance."""
+    the config alone, each client a lane of strategy.play_rounds and each
+    round it yields one row of the Schedule's columns. An evicted
+    client's cells are unscheduled, move no tokens and keep its last
+    balance."""
     params = config.params
     eps = config.client_eps()
     if config.mechanism == "baseline":
@@ -297,14 +286,10 @@ def play_game(config: SimConfig) -> Schedule:
     shape = (config.horizon, config.clients)
     columns = {name: np.empty(shape, dtype) for name, dtype in COLUMNS.items()}
     columns["eps"] = np.broadcast_to(players.eps, shape)
-    balance = np.zeros(config.clients)
-    for r in range(1, config.horizon + 1):
-        playing = ~players.evicted
-        scheduled = np.zeros(config.clients, dtype=bool)
-        scheduled[schedule_group(r, config.clients, config.stride)] = True
-        expired, participated, bought = play_round(
-            players, ledger, r, price, values, scheduled, stride
-        )
+    balance, playing = np.zeros(config.clients), np.ones(config.clients, dtype=bool)
+    for r, scheduled, expired, participated, bought in play_rounds(
+        players, ledger, config.horizon, price, values, config.stride, stride
+    ):
         np.copyto(balance, ledger.balance(), where=playing)
         cells = {
             "scheduled": scheduled & playing, "participated": participated, "bought": bought,
@@ -314,6 +299,7 @@ def play_game(config: SimConfig) -> Schedule:
         }
         for name, cell in cells.items():
             columns[name][r - 1] = cell
+        playing = ~players.evicted
     return Schedule(columns={name: _frozen(c) for name, c in columns.items()}, players=players)
 
 

@@ -7,9 +7,10 @@ rewarded with exactly the model price there, while lower budgets earn
 too little to stay solvent and higher budgets pay more privacy cost for
 the same tokens. play_round is the single implementation of a round of
 the game (expiry, the freshness bar, eviction, participation, earning,
-purchase and payoff), played for many lanes at once: the engine plays
-every client of a run as a lane, and nash_check plays every budget of
-its grid as a lane to price each single-client deviation.
+purchase and payoff), played for many lanes at once, and play_rounds
+the single loop over a game's rounds: the engine records every round of
+a run's clients as lanes, and nash_check plays every budget of its grid
+as a lane, summing payoffs only, to price each single-client deviation.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ __all__ = [
     "decide_participation",
     "client_round_payoff",
     "play_round",
-    "trajectories",
+    "schedule_group",
+    "play_rounds",
     "Deviation",
     "NashReport",
     "nash_check",
@@ -166,6 +168,31 @@ def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
     return expired, participated, bought
 
 
+def schedule_group(round_index: int, clients: int, G: int):
+    """Ids scheduled this round: contiguous blocks rotating round-robin."""
+    if G < 1:
+        raise ValueError(f"G must be >= 1, got {G}")
+    if clients % G != 0:
+        raise ValueError(f"G={G} must divide the client count {clients}")
+    size = clients // G
+    start = ((round_index - 1) % G) * size
+    return list(range(start, start + size))
+
+
+def play_rounds(players: Players, ledger: TokenLedger, horizon: int, price: float,
+                values: np.ndarray, G: int = 1, stride: int | None = None):
+    """Play rounds 1..horizon, yielding (t, scheduled, expired,
+    participated, bought) as each is settled. Round t schedules the lanes
+    schedule_group(t, lanes, G), at G = 1 all of them, passed as True."""
+    lanes = len(players.eps)
+    for t in range(1, horizon + 1):
+        scheduled = True
+        if G != 1:
+            scheduled = np.zeros(lanes, dtype=bool)
+            scheduled[schedule_group(t, lanes, G)] = True
+        yield t, scheduled, *play_round(players, ledger, t, price, values, scheduled, stride)
+
+
 @dataclass(frozen=True)
 class Deviation:
     """Outcome of one client unilaterally switching to another budget."""
@@ -198,38 +225,17 @@ class NashReport:
                 "profile_payoffs": list(self.profile_payoffs), "is_nash": self.is_nash}
 
 
-def trajectories(budgets, horizon: int, params: MechanismParams):
-    """Cumulative payoff and participated-round count of one client
-    playing each budget for `horizon` rounds, all budgets as lanes of
-    one game.
-
-    The shared value curve is insensitive to any single client's noise
-    level, so each budget can be played out in isolation. The strategy
-    space of the game is the budget alone, so deviators comply with the
-    schedule and differ only in what they earn and what their privacy
-    costs. Returns (payoffs, participated counts), two lists.
-    """
-    budgets = [float(e) for e in budgets]
-    players = Players.start(budgets, [reward(e, params) for e in budgets], params)
-    ledger = TokenLedger(len(budgets), FreshnessPolicy(n=params.n))
-    values = value_table(horizon)
-    participated = np.zeros(len(budgets), dtype=np.int64)
-    for t in range(1, horizon + 1):
-        trained = play_round(players, ledger, t, params.C, values)[1]
-        if np.count_nonzero(players.evicted) == len(budgets):
-            break
-        participated += trained
-    return players.cumulative_payoff.tolist(), participated.tolist()
-
-
 def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> NashReport:
     """Brute-force unilateral-deviation scan over a budget grid.
 
     For every client and every grid budget different from its profile
     budget, prices the deviation trajectory against the client's profile
     trajectory and reports each comparison; a deviation is profitable
-    when its payoff strictly exceeds the profile payoff. Every distinct
-    budget is priced once, all in one game.
+    when its payoff strictly exceeds the profile payoff. The value curve
+    is insensitive to any one client's noise level, so every distinct
+    budget is priced once, as a lane of one play_rounds game that keeps
+    each lane's payoff and participated rounds and stops once all are
+    evicted.
 
     The budgets are not priced the way a run plays its clients: every
     lane always complies (play_round with stride None), never refusing
@@ -238,7 +244,7 @@ def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> Nash
     privacy cost after its utility turns negative while a softer lane is
     evicted early: `tokenfl nash --clients 3` finds no profitable
     deviation from all-eps_a up to --horizon 194 and exits 1 from 195
-    on. ROADMAP.md item 1 prices the budgets under the engine's rule.
+    on. ROADMAP.md item 2 prices the budgets under the engine's rule.
     """
     profile = tuple(float(e) for e in profile)
     grid = sorted(float(e) for e in eps_grid)
@@ -246,18 +252,25 @@ def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> Nash
         raise ValueError("profile must name at least one client")
     if not grid:
         raise ValueError("eps grid must be nonempty")
-    for e in grid:
+    budgets = sorted(set(profile) | set(grid))
+    for e in budgets:
         if not params.eps_min <= e <= params.eps_max:
-            raise ValueError(
-                f"grid eps {e} outside [{params.eps_min}, {params.eps_max}]"
-            )
+            raise ValueError(f"{'grid' if e in grid else 'profile'} eps {e} outside "
+                             f"[{params.eps_min}, {params.eps_max}]")
     if params.eps_a not in grid or grid[0] >= params.eps_a or grid[-1] <= params.eps_a:
         raise ValueError("grid must contain eps_a and at least one value on each side")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    budgets = sorted(set(profile) | set(grid))
-    priced = dict(zip(budgets, zip(*trajectories(budgets, horizon, params))))
+    players = Players.start(budgets, [reward(e, params) for e in budgets], params)
+    ledger = TokenLedger(len(budgets), FreshnessPolicy(n=params.n))
+    counts = np.zeros(len(budgets), dtype=np.int64)
+    for _, _, _, trained, _ in play_rounds(players, ledger, horizon, params.C,
+                                           value_table(horizon)):
+        if np.count_nonzero(players.evicted) == len(budgets):
+            break
+        counts += trained
+    priced = dict(zip(budgets, zip(players.cumulative_payoff.tolist(), counts.tolist())))
     profile_payoffs = tuple(priced[e][0] for e in profile)
     report = NashReport(profile, horizon, profile_payoffs)
     for i, base in enumerate(profile):

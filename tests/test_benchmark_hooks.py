@@ -7,6 +7,7 @@ operations."""
 
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from tokenfl import cli, economy, engine, mechanisms, strategy
 from tokenfl.presets import preset_config
 
-from test_lane_game import bits, scalar_trajectory
+from test_lane_game import bits, priced, scalar_trajectory
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 OWNERS = (cli, economy.TokenLedger, engine, mechanisms, strategy)
@@ -80,9 +81,22 @@ def test_game_sweep_horizon_equals_the_scalar_oracle(run):
     for C, n in run.PAIRS:
         params = mechanisms.MechanismParams(C=C, n=n)
         budgets = sorted({*run.GRID[::4], params.eps_a})
-        payoffs, counts = strategy.trajectories(budgets, run.SWEEP_HORIZON, params)
+        got = priced(budgets, run.SWEEP_HORIZON, params)
         want = [scalar_trajectory(e, run.SWEEP_HORIZON, params) for e in budgets]
-        assert [bits(pair) for pair in zip(payoffs, counts)] == [bits(w) for w in want], (C, n)
+        assert [bits(pair) for pair in got] == [bits(w) for w in want], (C, n)
+
+
+def test_game_sweep_oracle_keeps_no_round_columns(run):
+    # A pair's scan holds one round of lane arrays, about 0.05 MB; one
+    # recorded (horizon, lanes) float64 column would be 0.78 MB.
+    params = mechanisms.MechanismParams(C=2, n=2)
+    tracemalloc.start()
+    try:
+        strategy.nash_check([params.eps_a], run.GRID, run.SWEEP_HORIZON, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def tiny_config(run, name, tmp_path, idx_builder, **overrides):

@@ -29,11 +29,12 @@ from tokenfl.engine import (
     play_game,
     run_round,
     run_simulation,
-    schedule_group,
 )
 from tokenfl.learning import Dataset, ModelParams, evaluate
 from tokenfl.mechanisms import MechanismParams, baseline_token_reward, reward
-from tokenfl.strategy import Players, trajectories
+from tokenfl.strategy import Players, schedule_group
+
+from test_lane_game import priced
 
 
 def config(**overrides):
@@ -383,7 +384,7 @@ class TestOracleAgreement:
         params = MechanismParams(C=C, n=n)
         cfg = config(clients=6, eps=None, batches=1, horizon=30, params=params)
         state = run_with_state(cfg, synthetic_datasets)
-        (payoff,), (participated,) = trajectories([params.eps_a], 30, params)
+        ((payoff, participated),) = priced([params.eps_a], 30, params)
         assert state.schedule.players.cumulative_payoff.tolist() == [payoff] * 6
         assert state.schedule.columns["participated"].sum(axis=0).tolist() == [participated] * 6
 
@@ -393,11 +394,9 @@ class TestOracleAgreement:
         evicted = run_with_state(cfg, synthetic_datasets).schedule.columns["evicted"]
         # Every round a client survives moves its payoff (privacy cost or
         # model value), so the trajectory stops at the first horizon that
-        # adds nothing.
-        stop = next(
-            h for h in range(1, 31)
-            if trajectories([5.0], h, params) == trajectories([5.0], h - 1, params)
-        )
+        # adds nothing. Before round 1 it holds nothing.
+        trajectory = [[(0.0, 0)]] + [priced([5.0], h, params) for h in range(1, 31)]
+        stop = next(h for h in range(1, 31) if trajectory[h] == trajectory[h - 1])
         assert evicted.any(axis=0).all()
         assert (1 + evicted.argmax(axis=0)).tolist() == [stop] * 6
 

@@ -1,11 +1,12 @@
 """The lane game against a scalar oracle.
 
-engine.play_game plays every client of a run, and strategy.trajectories
-every budget of an equilibrium scan, as lanes of one array-backed
-strategy.play_round over a TokenLedger. The oracle here plays the same
-rules one client at a time over a list of token lots, the way the game
-reads on paper. Every cell of the played game's columns, every final
-player and every ledger balance must agree bit for bit.
+engine.play_game plays every client of a run, and strategy.nash_check
+every budget of an equilibrium scan, as lanes of strategy.play_rounds,
+one array-backed strategy.play_round a round over a TokenLedger. The
+oracle here plays the same rules one client at a time over a list of
+token lots, the way the game reads on paper. Every cell of the played
+game's columns, every final player and every ledger balance must agree
+bit for bit.
 """
 
 import numpy as np
@@ -19,7 +20,6 @@ from tokenfl.engine import (
     MECHANISMS,
     SimConfig,
     play_game,
-    schedule_group,
 )
 from tokenfl.mechanisms import (
     MechanismParams,
@@ -29,7 +29,7 @@ from tokenfl.mechanisms import (
     utility,
     value,
 )
-from tokenfl.strategy import trajectories
+from tokenfl.strategy import nash_check, schedule_group
 
 COST_RANGES = [(2.75, 18.0), (0.0, 1.0), (0.0, 0.0)]
 
@@ -151,6 +151,16 @@ def scalar_trajectory(eps, horizon, params):
     return c.payoff, participated
 
 
+def priced(budgets, horizon, params):
+    """nash_check's (payoff, participated rounds) of each budget: every
+    budget is in the grid, and each is a deviation of a client whose
+    profile budget, eps_min or eps_max, differs from it."""
+    grid = {*budgets, params.eps_min, params.eps_a, params.eps_max}
+    report = nash_check([params.eps_min, params.eps_max], grid, horizon, params)
+    found = {d.eps: (d.payoff, d.participated_rounds) for d in report.deviations}
+    return [found[float(e)] for e in budgets]
+
+
 def bits(values):
     """Floats as their exact hex spelling, everything else as is."""
     return tuple(v.hex() if isinstance(v, float) else v for v in values)
@@ -191,16 +201,15 @@ def test_lane_game_equals_the_scalar_oracle(config):
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(1.0, 25.0), min_size=1, max_size=6),
-    st.integers(0, 60),
+    st.integers(1, 60),
     st.integers(1, 3),
     st.integers(1, 3),
     st.sampled_from(COST_RANGES),
 )
 def test_budget_lanes_equal_the_scalar_oracle(budgets, horizon, n, k, costs):
     params = MechanismParams(C=n * k, n=n, c_min=costs[0], c_max=costs[1])
-    payoffs, counts = trajectories(budgets, horizon, params)
     want = [scalar_trajectory(e, horizon, params) for e in budgets]
-    assert [bits(pair) for pair in zip(payoffs, counts)] == [bits(w) for w in want]
+    assert [bits(pair) for pair in priced(budgets, horizon, params)] == [bits(w) for w in want]
 
 
 @settings(max_examples=150, deadline=None)

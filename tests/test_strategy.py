@@ -148,6 +148,13 @@ class TestNashCheck:
         with pytest.raises(ValueError):
             nash_check([15.0], [10.0, 15.0, 20.0], 0, PARAMS)
 
+    @pytest.mark.parametrize("eps", [30.0, math.inf])
+    def test_profile_budgets_are_checked_and_named(self, eps):
+        with pytest.raises(ValueError, match=f"^profile eps {eps} outside"):
+            nash_check([eps], [10.0, 15.0, 20.0], 10, PARAMS)
+        with pytest.raises(ValueError, match=f"^grid eps {eps} outside"):
+            nash_check([15.0], [10.0, 15.0, eps], 10, PARAMS)
+
 
 class TestReportMechanics:
     def test_profitable_filter_controls_the_verdict(self):
