@@ -4,11 +4,13 @@ age of an owned model.
 A lane is one player of the token game: a client of a run, or one
 budget of an equilibrium scan. A TokenLedger keeps the token lots of
 all its lanes in one (lanes, slots) array, each row in order of the
-lane's age clock. Lots are consumed oldest first and silently expire
-once they outlive the freshness window. The same window governs how
-stale a lane's owned global model may get before the lane is barred
-from training; strategy.play_round applies that bar and evicts a
-barred lane that cannot afford a fresh model.
+lane's age clock, and steps once per round: the lots shift one column
+per round on the round clock, or per participation on the participation
+clock. Lots are consumed oldest first and silently expire once they
+outlive the freshness window: expiry drops the oldest column. The same
+window governs how stale a lane's owned global model may get before the
+lane is barred from training; strategy.play_round applies that bar and
+evicts a barred lane that cannot afford a fresh model.
 """
 
 from __future__ import annotations
@@ -56,36 +58,25 @@ class FreshnessPolicy:
         return self.n + 1 + self.counts_participated_only
 
 
-def _oldest_first_sum(lots: np.ndarray) -> np.ndarray:
-    """Row sums of lots ordered oldest first, added in that order: the
-    same floats as Python's sum() over the lots of each lane. A single
-    column is returned as is, a view of `lots`."""
-    total = lots[:, 0]
-    for k in range(1, lots.shape[1]):
-        total = total + lots[:, k]
-    return total
-
-
 class TokenLedger:
     """Token lots of many lanes, each lane's row of `lots` oldest first:
     the last column holds the lot earned at the latest tick of the
     lane's age clock (see `clock`), column k the lot earned
-    slots - 1 - k ticks before it. A credit shifts every row by the
-    rounds since the last credit on the calendar clock, or the credited
-    rows by one on the participation clock. Every active lane expires
-    its lots each round, so a shift drops only expired or drained lots.
-    With policy None nothing expires (the baseline scheme); such a
-    ledger needs an explicit slot count large enough that each credit
-    drops only drained lots, which `credit` checks.
+    slots - 1 - k ticks before it. Rounds come one at a time, in order:
+    a round expires, then credits. A credit shifts every row by one
+    column on the round clock, or each credited row by one on the
+    participation clock, and expiry empties the oldest column, so each
+    shift drops only an expired or drained lot. With policy None
+    nothing expires (the baseline scheme); such a ledger needs an
+    explicit slot count large enough that each credit drops only
+    drained lots, which `credit` checks.
     """
 
     def __init__(self, lanes: int, policy: FreshnessPolicy | None, slots: int | None = None):
+        if (policy is None) == (slots is None):
+            raise ValueError("a ledger takes a freshness policy or, without one, a slot count")
         if slots is None:
-            if policy is None:
-                raise ValueError("a ledger without a freshness policy needs a slot count")
             slots = policy.slots
-        elif policy is not None and slots < policy.slots:
-            raise ValueError(f"the freshness policy needs slots >= {policy.slots}, got {slots}")
         if lanes < 1 or slots < 1:
             raise ValueError(f"need lanes >= 1 and slots >= 1, got {lanes}, {slots}")
         self.policy = policy
@@ -105,29 +96,34 @@ class TokenLedger:
         return self.participations if self._counted else t
 
     def balance(self) -> np.ndarray:
-        """Each lane's tokens, summed oldest lot first, in a new array."""
+        """Each lane's tokens, summed oldest lot first, in a new array:
+        the same floats as Python's sum() over the lots of each lane."""
         lots = self.lots
-        return _oldest_first_sum(lots) if lots.shape[1] > 1 else lots[:, 0].copy()
+        total = lots[:, 0].copy()
+        for k in range(1, lots.shape[1]):
+            total += lots[:, k]
+        return total
 
     def credit(self, amount, t: int, lanes: np.ndarray) -> None:
         """Book the round-t participation of each of `lanes`: count it,
         then add a lot of `amount` (a scalar or one per lane, each finite
         and >= 0, but not -0.0). The rows shift in place.
 
-        Credits come once per round, in round order.
+        Credits come once per round, in round order: t must be the
+        round after the last credited one.
         """
-        if t <= self._credited:
-            raise ValueError(f"credit round {t} is not after the last credited round {self._credited}")
+        if t != self._credited + 1:
+            raise ValueError(f"credit round {t} is not the round after the last "
+                             f"credited round {self._credited}")
         # Below +inf if of positive sign, below -inf (never) if not: False for
         # a NaN, infinite or negative amount, -0.0 included, in one more ufunc.
         valid = np.less(amount, np.copysign(math.inf, amount))
         if np.count_nonzero(valid) != valid.size:
             raise ValueError(f"credit amount must be finite and >= 0, got {amount}")
         lots = self.lots
-        shift = 1 if self._counted else min(t - self._credited, self.slots)
         # A non-credited lane drops only lots past the window, unless nothing expires.
         watched = slice(None) if self.policy is None else lanes
-        if np.count_nonzero(lots[watched, :shift]):
+        if np.count_nonzero(lots[watched, 0]):
             raise ValueError(f"a round-{t} credit would overwrite a lot that still holds tokens")
         self._credited = t
         self.participations += lanes
@@ -135,9 +131,7 @@ class TokenLedger:
             lots[lanes, :-1] = lots[lanes, 1:]
             lots[:, -1] = np.where(lanes, amount, lots[:, -1])
             return
-        lots[:, :-shift] = lots[:, shift:]
-        if shift > 1:
-            lots[:, -shift:-1] = 0.0
+        lots[:, :-1] = lots[:, 1:]
         lots[:, -1] = np.where(lanes, amount, 0.0)
 
     def spend(self, amount: float, lanes: np.ndarray) -> np.ndarray:
@@ -156,26 +150,24 @@ class TokenLedger:
         return paid
 
     def expire(self, t: int, lanes: np.ndarray) -> np.ndarray:
-        """Drop the lots of `lanes` older than the freshness window at
-        round t; return each lane's lost total (zero for other lanes).
+        """Drop the oldest lot of each of `lanes` at the start of round t,
+        the round after the last credited one: with the policy's slots
+        that column is n + 1 ticks of the age clock old, the only one
+        past the window. Return each lane's lost tokens (zero for other
+        lanes); without a policy nothing expires.
 
-        Meant to run at the start of each round, before the round's
-        participation is credited, so decisions see post-expiry
-        balances.
+        Meant to run before the round's participation is credited, so
+        decisions see post-expiry balances.
         """
-        if t < 1:
-            raise ValueError(f"round must be >= 1, got {t}")
-        if self.policy is not None:
-            # Column k is since + slots - 1 - k ticks old.
-            since = 0 if self._counted else t - self._credited
-            past = since + self.slots - 1 - self.policy.n
-            if past > 0:
-                dead = self.lots[:, :past]
-                doomed = np.where(lanes[:, None], dead, 0.0)
-                if np.count_nonzero(doomed):
-                    dead[lanes] = 0.0
-                    return _oldest_first_sum(doomed)
-        return np.zeros(len(self.lots))
+        if t != self._credited + 1:
+            raise ValueError(f"expire round {t} is not the round after the last "
+                             f"credited round {self._credited}")
+        if self.policy is None:
+            return np.zeros(len(self.lots))
+        oldest = self.lots[:, 0]
+        lost = np.where(lanes, oldest, 0.0)
+        oldest -= lost
+        return lost
 
 
 def model_age(owned_clock, clock):

@@ -174,6 +174,9 @@ class SimConfig:
                 raise ValueError(
                     f"G={self.params.G} must divide the client count {self.clients}"
                 )
+        elif self.params.G != 1:
+            raise ValueError(f"params.G must be 1 unless the mechanism is strategic-grouped, "
+                             f"got G={self.params.G} under {self.mechanism}")
         if isinstance(self.eps, (list, tuple)) and len(self.eps) != self.clients:
             raise ValueError(
                 f"eps list has {len(self.eps)} entries for {self.clients} clients"
@@ -288,7 +291,7 @@ def play_game(config: SimConfig) -> Schedule:
     columns["eps"] = np.broadcast_to(players.eps, shape)
     balance, playing = np.zeros(config.clients), np.ones(config.clients, dtype=bool)
     for r, scheduled, expired, participated, bought in play_rounds(
-        players, ledger, config.horizon, price, values, config.stride, stride
+        players, ledger, config.horizon, price, values, stride
     ):
         np.copyto(balance, ledger.balance(), where=playing)
         cells = {

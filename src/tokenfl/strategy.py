@@ -180,16 +180,18 @@ def schedule_group(round_index: int, clients: int, G: int):
 
 
 def play_rounds(players: Players, ledger: TokenLedger, horizon: int, price: float,
-                values: np.ndarray, G: int = 1, stride: int | None = None):
-    """Play rounds 1..horizon, yielding (t, scheduled, expired,
-    participated, bought) as each is settled. Round t schedules the lanes
-    schedule_group(t, lanes, G), at G = 1 all of them, passed as True."""
+                values: np.ndarray, stride: int | None = None):
+    """Play rounds 1..horizon with play_round's `stride`, yielding (t,
+    scheduled, expired, participated, bought) as each is settled. A
+    stride above 1 is the group count G: round t schedules the lanes
+    schedule_group(t, lanes, stride). Otherwise every lane is scheduled,
+    passed as True."""
     lanes = len(players.eps)
     for t in range(1, horizon + 1):
         scheduled = True
-        if G != 1:
+        if stride is not None and stride > 1:
             scheduled = np.zeros(lanes, dtype=bool)
-            scheduled[schedule_group(t, lanes, G)] = True
+            scheduled[schedule_group(t, lanes, stride)] = True
         yield t, scheduled, *play_round(players, ledger, t, price, values, scheduled, stride)
 
 

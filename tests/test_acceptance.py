@@ -5,11 +5,13 @@ collapse-round windows, the equilibrium of the uniform conservative
 profile, exact token-flow closure at the eligibility budget, the
 certified privacy ratio, the local gradient against finite
 differences, noiseless convergence, the documented preset dynamics
-(their token-game half also offline, with no dataset), and byte-level
-reproducibility. Tolerances are pinned here and nowhere
+(their token-game half also offline, with no dataset), every preset's
+played columns pinned by hash, and byte-level reproducibility.
+Tolerances are pinned here and nowhere
 else; a failure means the package broke its contract.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 
 from tokenfl.cli import parse_config, write_metrics_csv
 from tokenfl.economy import FreshnessPolicy, TokenLedger
-from tokenfl.engine import SimConfig, play_game, run_simulation
+from tokenfl.engine import COLUMNS, SimConfig, play_game, run_simulation
 from tokenfl.learning import (
     Dataset,
     ModelParams,
@@ -206,6 +208,152 @@ def test_preset_games_reproduce_the_documented_dynamics_offline():
 
     baseline = game("baseline-3c")
     assert baseline["bought"].sum(axis=0).tolist() == [50, 39, 25]
+
+
+# sha256 of the bytes of each played column, in engine.COLUMNS order, of
+# every preset's play_game.
+PLAYED_SHA256 = {
+    "baseline-10c": (
+        "6ebab28139553722ca4edad401abde242de2dfc662b594af608863b5b716cd33",
+        "13330b8c195c265485dfdd286579e2c161e47cc3d54356b90bbbf751eec8682d",
+        "13330b8c195c265485dfdd286579e2c161e47cc3d54356b90bbbf751eec8682d",
+        "7543b52315bb46ed94aea945c097aed5303cd02b6e547be3692b6507d5745846",
+        "e6304a473c65ecd0ccffbd2f5925a8f51c44b11f59b66cfcc055e4bb911b8fa0",
+        "2d8af190dd87eb86ed67388e5f1addc187ffca375b141a9bad492c0726584c78",
+        "41b915dda09f1834e998e4a4dc886e20d630ec50e038899c466b12c6be067f32",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+        "6081555b7a7e851974a6f3a36fad92fe6f3c5f6fd2d2dcb955a5831c6d6a8450",
+        "a043c6f4322ebe0976775e0b248b3c319549e262dde24c0472a1e0a5da0f6b4a",
+    ),
+    "baseline-3c": (
+        "368fe8351acad53b0c22ce451840e27969823aa104792052a488bb4e949c73b7",
+        "a795c048f28bc4307f8599dc5140fe6e971bce6a34a0349b6c18d6cbb197f75f",
+        "a795c048f28bc4307f8599dc5140fe6e971bce6a34a0349b6c18d6cbb197f75f",
+        "91bd589c85da4512e0375f332abaebc45542ac4da9fc0ba21f30f60abd2036aa",
+        "1d83518b897b14e2943990eff655838246cc0207a7c95a5f3dfccc2e395f8bbf",
+        "35f427a0f67c953f4fffc375ddecb46b16bc14e339d51dc1c1dde56010027d85",
+        "b075360e65d0b7ee9967445a835c3340813c18e40102b55adca1012b0a20a028",
+        "655a3ef0465a9f30fddf25f4dde0c19a05c6f9069b83961800c1944165955273",
+        "79c20bee1647d0b71eef11552edce17eb0bc70065bd4103dac7679a6737ef110",
+        "9ba589ed6bbc6658d1dfaf8a7f870e3273219e4f90f85c0e47589f361f5ecedf",
+    ),
+    "grouped-10c-eps20": (
+        "987baa1b00cf001c4297a2f78dc753c2aae7758d10ba38ef68f83a7f060c7086",
+        "34abed25e14bb3b48680167ca319826db7dd7e58ef0a2f56c7cdbbde5e0c32b7",
+        "34abed25e14bb3b48680167ca319826db7dd7e58ef0a2f56c7cdbbde5e0c32b7",
+        "34abed25e14bb3b48680167ca319826db7dd7e58ef0a2f56c7cdbbde5e0c32b7",
+        "e6304a473c65ecd0ccffbd2f5925a8f51c44b11f59b66cfcc055e4bb911b8fa0",
+        "f86b4335b74679e552a85e3a3005c633807d263fab1b57cd69e77d2bc91cba83",
+        "f86b4335b74679e552a85e3a3005c633807d263fab1b57cd69e77d2bc91cba83",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+        "edceaa2c95663e874eecfdbf51deccaaeb053a9f2ac41ec34040d874c6769d29",
+    ),
+    "grouped-10c-eps25": (
+        "2aff08196694834bfa1acdedd110fc59868ffa3447b83de2a7ff1568ac04cd9a",
+        "34abed25e14bb3b48680167ca319826db7dd7e58ef0a2f56c7cdbbde5e0c32b7",
+        "c5f9fa88176793b087595d7276c837b440e80b3be7dd3d127e90bf4522fd7849",
+        "c5f9fa88176793b087595d7276c837b440e80b3be7dd3d127e90bf4522fd7849",
+        "e6304a473c65ecd0ccffbd2f5925a8f51c44b11f59b66cfcc055e4bb911b8fa0",
+        "9ee3573385e539dff91279b201d6c3f177467dced1f1b2df29af80efe06183c9",
+        "9ee3573385e539dff91279b201d6c3f177467dced1f1b2df29af80efe06183c9",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+        "d93473f40d2cfcb9243f5bf962ba10179174b1c2cf7111342b5a81a674637bf9",
+    ),
+    "strategic-10c-eps15": (
+        "7c1b0b1c6ba1961aa79972f81cc06f6fc55a75c64cfaffce9f3516545fcb4e10",
+        "13330b8c195c265485dfdd286579e2c161e47cc3d54356b90bbbf751eec8682d",
+        "13330b8c195c265485dfdd286579e2c161e47cc3d54356b90bbbf751eec8682d",
+        "13330b8c195c265485dfdd286579e2c161e47cc3d54356b90bbbf751eec8682d",
+        "e6304a473c65ecd0ccffbd2f5925a8f51c44b11f59b66cfcc055e4bb911b8fa0",
+        "d1ddda0aa655c9a3ba69e12852de5a2ff86c3f40b57a7006741476c1bbf911e2",
+        "d1ddda0aa655c9a3ba69e12852de5a2ff86c3f40b57a7006741476c1bbf911e2",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+        "981e724d749038a0a648d9f3477ea6a0c2a3527eb1c87d1c3f27ce272d178cca",
+    ),
+    "strategic-10c-eps17": (
+        "712c9a873fa148dcb95f371cf6d971054dac7cb662ba03120519d08818e502aa",
+        "96337f1727ccedb55a11c6d8ec5d252469eb235b37481f30a8d09b1afdea54c0",
+        "0d3345cf3c1dd517efca0af1907ecafa94e6366f5b60212c878896062f6c2a04",
+        "0d3345cf3c1dd517efca0af1907ecafa94e6366f5b60212c878896062f6c2a04",
+        "78ef8ee0b987a2ae3edbc1b9f83eb13fa4ed995ba8c95a0fd953981757e032d7",
+        "48ca1685807693b21d1bd3aeee56c96933990dad98bba8799bccb0c92d192c44",
+        "48ca1685807693b21d1bd3aeee56c96933990dad98bba8799bccb0c92d192c44",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+        "e6f06fe65eccd56baa38fdb7e87b74910e0fdb85d1990d2eef475d1c79a1d0b4",
+    ),
+    "strategic-10c-eps20": (
+        "987baa1b00cf001c4297a2f78dc753c2aae7758d10ba38ef68f83a7f060c7086",
+        "28fcb3cc044938d9713cb0a7799efa1e239d5e778c6f84847b0048f5ae82886c",
+        "7ee335e378674b0b71ebca07ed44ecbfc055b8f3c084adc1c1d793fd3fc69e40",
+        "7ee335e378674b0b71ebca07ed44ecbfc055b8f3c084adc1c1d793fd3fc69e40",
+        "4e77bb6e53254232f1c817117f10e2da3b81f5d1a6ce7d840f033343ef0cff9d",
+        "6a1e139fcbca50a2029840fb3b99611bcebe11d93ca7c97acd36f006b494e5c4",
+        "6a1e139fcbca50a2029840fb3b99611bcebe11d93ca7c97acd36f006b494e5c4",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+        "e1ecdcf68ce13f63f3e23795849ab19580b40ecb4fce6423cea36d59860dc877",
+    ),
+    "strategic-10c-eps25": (
+        "2aff08196694834bfa1acdedd110fc59868ffa3447b83de2a7ff1568ac04cd9a",
+        "75e369ea7baa83d3c0af7e9ae6a49d2c22e59f61cb6b825c02d20ad32349e6fb",
+        "56ac41d9367cb9c92a4dff35fda269a8a0a7d0e81c91b41fb77f14e52ba3155f",
+        "56ac41d9367cb9c92a4dff35fda269a8a0a7d0e81c91b41fb77f14e52ba3155f",
+        "76fd1be6fcabf6b0bff61a946b437335683c89adf2600688cc694f0dd692eb3f",
+        "3d0f64d0a3f1134e0e7193c402d53de71821f7995161ade716b55295deb579d9",
+        "3d0f64d0a3f1134e0e7193c402d53de71821f7995161ade716b55295deb579d9",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+        "f4bda27d98ba2c04c50a68e8b867107cd74aeaaf6f8cfdc9c0c5eb91da987803",
+    ),
+    "strategic-3c-eps15": (
+        "4256b06cb8eca280d232cac50698cef172e618666fee9aee9a3bf8583b0cc7a7",
+        "a795c048f28bc4307f8599dc5140fe6e971bce6a34a0349b6c18d6cbb197f75f",
+        "a795c048f28bc4307f8599dc5140fe6e971bce6a34a0349b6c18d6cbb197f75f",
+        "a795c048f28bc4307f8599dc5140fe6e971bce6a34a0349b6c18d6cbb197f75f",
+        "1d83518b897b14e2943990eff655838246cc0207a7c95a5f3dfccc2e395f8bbf",
+        "4b8f1fdf84b712b0651b192a183f273d6a2bc0aa4df2d8b1d946f03c74c081b7",
+        "4b8f1fdf84b712b0651b192a183f273d6a2bc0aa4df2d8b1d946f03c74c081b7",
+        "655a3ef0465a9f30fddf25f4dde0c19a05c6f9069b83961800c1944165955273",
+        "655a3ef0465a9f30fddf25f4dde0c19a05c6f9069b83961800c1944165955273",
+        "8bd731e1e29efc2a916ee2073fb86e80f79bee8356b9d3eaca2b651a7a58c5ad",
+    ),
+    "strategic-3c-eps17": (
+        "09d64ef315d7d7da90c6eb5ed4546000a7fdcb4a1a4daa7c14c44222f6ff4dc2",
+        "2bd79a1120f2f097c80c6888e875e5c7f46cd09fe21d5ef955aabd8aa03be8fc",
+        "09e448948315a974fa4a649e1f2fb9fdded07fc1564355f910737dd13af07b84",
+        "09e448948315a974fa4a649e1f2fb9fdded07fc1564355f910737dd13af07b84",
+        "354c6b1d378607077f3f475e929c2d83af94678cac17715f605af0bc1412e092",
+        "96dc1d697c9e53180d00c4ff0332db16b323be96f5d2038a2ff581fa1ee1e226",
+        "96dc1d697c9e53180d00c4ff0332db16b323be96f5d2038a2ff581fa1ee1e226",
+        "655a3ef0465a9f30fddf25f4dde0c19a05c6f9069b83961800c1944165955273",
+        "655a3ef0465a9f30fddf25f4dde0c19a05c6f9069b83961800c1944165955273",
+        "ea4343c7b455128b9435707704bd2fabb4188f5c607a6fc638d18ef2b0a56dff",
+    ),
+    "strategic-3c-eps25": (
+        "6ff8678f62c98f5e53048e6e8970e6ef34eb009c738b97d96dfa4faaf3230f42",
+        "fc478ff92293da9121b75c1feed0ccb3d86ef41f7d36d1a7eec3f55f4aae2040",
+        "973c388bb2f3f4919179c29f40687ccce039ffd7fba94fdbf5c1278902f9ff2c",
+        "973c388bb2f3f4919179c29f40687ccce039ffd7fba94fdbf5c1278902f9ff2c",
+        "acf59deea98877ff9bcbb927651631ff02cd88e42355fabfe9f63bdb1bee4724",
+        "90a096c0df2396203e8abddf3d1717f772c510aa784d019ba0c61229cb9b2fba",
+        "90a096c0df2396203e8abddf3d1717f772c510aa784d019ba0c61229cb9b2fba",
+        "655a3ef0465a9f30fddf25f4dde0c19a05c6f9069b83961800c1944165955273",
+        "655a3ef0465a9f30fddf25f4dde0c19a05c6f9069b83961800c1944165955273",
+        "6df92af6f4a3140ad3e98bf3a91f7bf0d28654745c1f54b17005194d5e524cfa",
+    ),
+}
+
+
+def test_preset_games_match_their_pinned_columns_offline():
+    assert sorted(PLAYED_SHA256) == preset_names()
+    for name in preset_names():
+        columns = play_game(parse_config(preset_config(name), name)).columns
+        for column, digest in zip(COLUMNS, PLAYED_SHA256[name], strict=True):
+            assert hashlib.sha256(columns[column].tobytes()).hexdigest() == digest, (name, column)
 
 
 def test_identical_configs_produce_byte_identical_outputs(tmp_path, mnist, run_preset):

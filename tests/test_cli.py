@@ -470,6 +470,20 @@ class TestRunCommand:
         assert main(["run", str(config_path), "--out-dir", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mechanism", ["strategic", "baseline"])
+    def test_groups_outside_grouped_scheduling_exit_2_before_the_dataset(
+        self, tmp_path, capsys, mechanism
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(minimal_config(
+            mechanism=mechanism, clients=4, params={"G": 2}, data_dir=str(tmp_path / "nowhere"),
+        )))
+        assert main(["run", str(config_path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "params.G must be 1 unless the mechanism is strategic-grouped" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("overrides", [
         {"stop_accuracy": 0.0}, {"stop_accuracy": 1.0},
         {"clients": 10, "scheme": "disjoint"}, {"clients": 10, "scheme": "intermediary"},

@@ -12,6 +12,7 @@ from tokenfl.mechanisms import MechanismParams, reward, value, value_table
 from tokenfl.strategy import Players, play_round
 
 ONE = np.array([True])
+NONE = np.array([False])
 CALENDAR = FreshnessPolicy(n=1)
 COUNTED = FreshnessPolicy(n=1, counts_participated_only=True)
 
@@ -29,10 +30,12 @@ class TestLots:
         with pytest.raises(ValueError):
             TokenLedger(1, None)
 
-    def test_fewer_slots_than_the_policy_needs_rejected(self):
-        # A calendar shift past a non-credited lane would drop a live lot.
-        with pytest.raises(ValueError, match="slots"):
-            TokenLedger(1, FreshnessPolicy(n=2), slots=2)
+    @pytest.mark.parametrize("slots", [2, 3, 4])
+    def test_a_policy_and_a_slot_count_rejected(self, slots):
+        # The policy sets the slots: fewer would drop a live lot, more
+        # would never be reached by expiry.
+        with pytest.raises(ValueError, match="slot count"):
+            TokenLedger(1, FreshnessPolicy(n=2), slots=slots)
 
 
 class TestCredit:
@@ -56,7 +59,8 @@ class TestCredit:
 
     def test_rounds_must_arrive_in_order(self):
         ledger = TokenLedger(1, CALENDAR)
-        ledger.credit(1.0, 5, ONE)
+        for r in range(1, 6):
+            ledger.credit(1.0 if r == 5 else 0.0, r, ONE)
         with pytest.raises(ValueError):
             ledger.credit(1.0, 5, ONE)
 
@@ -101,6 +105,26 @@ class TestCredit:
         assert ledger.balance().tolist() == [2.0]
 
 
+class TestRoundOrder:
+    """A ledger steps once per round: it expires and credits only the
+    round after the last credited one, and a refusal changes nothing."""
+
+    @pytest.mark.parametrize("policy", [CALENDAR, COUNTED, None])
+    @pytest.mark.parametrize("t", [0, 1, 2, 4, 5])
+    def test_credit_and_expire_refuse_any_other_round(self, policy, t):
+        ledger = TokenLedger(1, policy, None if policy else 3)
+        for r in (1, 2):
+            ledger.credit(1.0, r, ONE)
+        lots = ledger.lots.tolist()
+        for step in (lambda: ledger.credit(1.0, t, ONE), lambda: ledger.expire(t, ONE)):
+            with pytest.raises(ValueError, match=f"round {t} is not the round after"):
+                step()
+        assert ledger.lots.tolist() == lots
+        assert ledger.participations.tolist() == [2]
+        ledger.expire(3, ONE)
+        ledger.credit(1.0, 3, ONE)
+
+
 class TestSpend:
     def test_exact_spend_empties_balance(self):
         ledger = TokenLedger(1, CALENDAR)
@@ -140,6 +164,7 @@ class TestExpire:
     def test_stale_lot_removed(self):
         ledger = TokenLedger(1, CALENDAR)
         ledger.credit(1.0, 1, ONE)
+        ledger.credit(0.0, 2, NONE)
         lost = ledger.expire(3, ONE)
         assert lost.tolist() == [1.0]
         assert ledger.balance().tolist() == [0.0]
@@ -153,14 +178,20 @@ class TestExpire:
 
     def test_calendar_lot_outlives_a_short_gap_and_expires_after_a_long_one(self):
         # Credits at rounds 1 and 3 leave the round-1 lot two columns
-        # from the end; no credit between rounds 3 and 9, longer than
-        # the four slots, so expiry, not the next credit, drops it.
+        # from the end. With no credit from round 4 on, each lot is
+        # dropped by expiry in the round it turns n + 1 = 4 rounds old.
         ledger = TokenLedger(1, FreshnessPolicy(n=3))
         ledger.credit(1.0, 1, ONE)
+        ledger.credit(0.0, 2, NONE)
         ledger.credit(0.5, 3, ONE)
-        assert ledger.expire(4, ONE).tolist() == [0.0]
-        assert ledger.lots.tolist() == [[0.0, 1.0, 0.0, 0.5]]
-        assert ledger.expire(9, ONE).tolist() == [1.5]
+        lost = []
+        for r in range(4, 9):
+            lost.append(ledger.expire(r, ONE)[0])
+            if r == 4:
+                assert ledger.lots.tolist() == [[0.0, 1.0, 0.0, 0.5]]
+            ledger.credit(0.0, r, NONE)
+        assert lost == [0.0, 1.0, 0.0, 0.5, 0.0]
+        assert ledger.expire(9, ONE).tolist() == [0.0]
         ledger.credit(0.25, 9, ONE)
         assert ledger.lots.tolist() == [[0.0, 0.0, 0.0, 0.25]]
 
@@ -170,17 +201,21 @@ class TestExpire:
         # only participated rounds age it, even with the tightest window.
         ledger = TokenLedger(1, COUNTED)
         ledger.credit(1.0, 1, ONE)
-        ledger.credit(0.0, 6, ONE)
-        lost = ledger.expire(6, ONE)
+        for r in range(2, 7):
+            assert ledger.expire(r, ONE).tolist() == [0.0]
+            ledger.credit(0.0, r, ONE if r == 6 else NONE)
+        lost = ledger.expire(7, ONE)
         assert lost.tolist() == [0.0]
         assert ledger.balance().tolist() == [1.0]
 
     def test_participated_counting_still_expires(self):
+        # Participations at rounds 1, 3 and 5 age the round-1 lot to
+        # n + 1 = 2 participated rounds, past the window.
         ledger = TokenLedger(1, COUNTED)
         ledger.credit(1.0, 1, ONE)
-        for r in (3, 5):
-            ledger.credit(0.0, r, ONE)
-        assert ledger.expire(5, ONE).tolist() == [1.0]
+        for r in range(2, 6):
+            ledger.credit(0.0, r, ONE if r % 2 else NONE)
+        assert ledger.expire(6, ONE).tolist() == [1.0]
 
     def test_participated_counting_spends_the_aged_lot_in_its_last_round(self):
         # The third participation ages the round-1 lot past the window,
@@ -218,8 +253,17 @@ class TestLanes:
         assert ledger.participations.tolist() == [1, 1, 0]
         assert ledger.spend(1.0, np.array([True, True, True])).tolist() == [True, False, False]
         assert ledger.balance().tolist() == [0.0, 0.5, 0.0]
+        # At round 3 lane 1's lot is past the window, but lane 1 is not listed.
+        ledger.credit(0.0, 2, np.array([False, False, False]))
         assert ledger.expire(3, np.array([True, False, True])).tolist() == [0.0, 0.0, 0.0]
         assert ledger.balance().tolist() == [0.0, 0.5, 0.0]
+
+
+def stepped(ledger, rounds):
+    """`ledger` after crediting no lane in each of `rounds`."""
+    for r in rounds:
+        ledger.credit(0.0, r, np.zeros(len(ledger.lots), dtype=bool))
+    return ledger
 
 
 def one_player(owned_model_round=0, earn=1.0):
@@ -232,19 +276,21 @@ def one_player(owned_model_round=0, earn=1.0):
 class TestModelAgeAndEviction:
     def test_fresh_model_never_evicts(self):
         players = one_player(owned_model_round=4)
-        play_round(players, TokenLedger(1, CALENDAR), 5, 1.0, value_table(5))
+        play_round(players, stepped(TokenLedger(1, CALENDAR), range(1, 5)), 5, 1.0,
+                   value_table(5))
         assert not players.evicted[0]
 
     def test_stale_and_broke_evicts(self):
         players = one_player(owned_model_round=1)
-        result = play_round(players, TokenLedger(1, CALENDAR), 3, 1.0, value_table(3))
+        ledger = stepped(TokenLedger(1, CALENDAR), range(1, 3))
+        result = play_round(players, ledger, 3, 1.0, value_table(3))
         assert players.evicted[0]
         assert [a.tolist() for a in result] == [[0.0], [False], [False]]
         assert players.cumulative_payoff[0] == 0.0
 
     def test_stale_but_solvent_survives(self):
         players = one_player(owned_model_round=1)
-        ledger = TokenLedger(1, CALENDAR)
+        ledger = stepped(TokenLedger(1, CALENDAR), [1])
         ledger.credit(1.0, 2, ONE)
         result = play_round(players, ledger, 3, 1.0, value_table(4))
         assert [a.tolist() for a in result] == [[0.0], [False], [True]]
@@ -263,9 +309,9 @@ class TestModelAgeAndEviction:
         for r in (1, 2):
             ledger.credit(0.0, r, ONE)
         owned = ledger.clock(2).copy()
-        ledger.credit(0.0, 5, ONE)
+        stepped(ledger, (3, 4)).credit(0.0, 5, ONE)
         assert model_age(owned, ledger.clock(9)).tolist() == [1]
-        ledger.credit(0.0, 7, ONE)
+        stepped(ledger, [6]).credit(0.0, 7, ONE)
         assert model_age(owned, ledger.clock(9)).tolist() == [2]
 
 
@@ -306,12 +352,15 @@ class TestConservation:
     )
     def test_balance_tracks_flows_without_expiry(self, ops):
         # No policy and a slot per round: nothing expires or shifts out.
+        # Each op is one round, and a spend round credits no lane.
         ledger = TokenLedger(1, None, slots=len(ops) + 1)
         expected = 0.0
         for r, (op, amount) in enumerate(ops, start=1):
             if op == "credit":
                 ledger.credit(amount, r, ONE)
                 expected += amount
-            elif ledger.spend(amount, ONE)[0]:
+                continue
+            ledger.credit(0.0, r, NONE)
+            if ledger.spend(amount, ONE)[0]:
                 expected -= amount
         assert ledger.balance()[0] == pytest.approx(expected, abs=1e-9)

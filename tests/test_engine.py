@@ -90,6 +90,12 @@ class TestSimConfig:
                 params=MechanismParams(G=2),
             )
 
+    @pytest.mark.parametrize("mechanism", ["strategic", "baseline"])
+    def test_groups_only_under_grouped_scheduling(self, mechanism):
+        # It would play ungrouped: only strategic-grouped schedules groups.
+        with pytest.raises(ValueError, match="params.G must be 1 unless"):
+            config(mechanism=mechanism, clients=4, params=MechanismParams(G=2))
+
     def test_eps_list_length_checked(self):
         with pytest.raises(ValueError):
             config(eps=[15, 15])

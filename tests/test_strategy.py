@@ -4,6 +4,7 @@ round payoffs, and the brute-force deviation scan."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from tokenfl.economy import FreshnessPolicy, TokenLedger
@@ -64,6 +65,8 @@ class TestDecideParticipation:
         client = players(25.0)
         client.evicted[:] = True
         ledger = TokenLedger(1, FreshnessPolicy())
+        for r in range(1, 20):  # rounds that credit no lane
+            ledger.credit(0.0, r, np.array([False]))
         _, participated, _ = play_round(client, ledger, 20, 1.0, value_table(21), stride=1)
         assert not participated[0]
         assert not client.stopped[0]
