@@ -39,6 +39,11 @@ each client one of the train set, and a split of the test set is one.
 local_train draws from a Subset's rows and evaluate scores a Dataset or
 a Subset, both gathering rows block by block, so neither a partition
 nor a test split is copied.
+
+IDX files are mapped read-only, not read: a raw file's pixels are a
+view of its mapping, and the md5 a run records is the one pass over the
+bytes at load. A mapped file must not be rewritten in place while a
+Dataset holds it; replacing it by a rename, as fetch-data does, is safe.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ import itertools
 import os
 import struct
 import threading
+import zlib
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,7 +101,8 @@ _BLOCK_ROWS = 256
 
 
 class IdxParseError(ValueError):
-    """Malformed IDX container: bad magic, truncation, or count mismatch."""
+    """An IDX file refused at load: unreadable, bad magic, truncation,
+    or count mismatch."""
 
 
 @dataclass
@@ -244,19 +251,35 @@ def _unpack(vector: np.ndarray, layers):
 
 
 def _read_idx_file(path) -> tuple:
-    """Read a raw or gzipped IDX file once. Returns (on-disk bytes, IDX
-    bytes): the same bytes twice, or the unpacked ones for a gzip file."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    return raw, gzip.decompress(raw) if raw[:2] == b"\x1f\x8b" else raw
+    """Map a raw or gzipped IDX file read-only, copying nothing. Returns
+    (on-disk bytes, IDX bytes): the mapping twice, or the mapping and
+    its unpacked bytes for a gzip file. An empty file, which cannot be
+    mapped, is b"" twice. A file that cannot be opened, mapped or
+    unpacked raises IdxParseError naming it."""
+    import mmap  # imported here, as hashlib is, so `import tokenfl` need not load it
+
+    try:
+        with open(path, "rb") as f:
+            if os.fstat(f.fileno()).st_size == 0:
+                return b"", b""
+            raw = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    except OSError as err:
+        raise IdxParseError(f"{path}: cannot open or map the file: {err.strerror}") from None
+    if raw[:2] != b"\x1f\x8b":
+        return raw, raw
+    try:
+        return raw, gzip.decompress(raw)
+    except (OSError, EOFError, zlib.error) as err:  # BadGzipFile is an OSError
+        raise IdxParseError(f"{path}: cannot unpack the gzip file: {err}") from None
 
 
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     """Parse a big-endian IDX image/label file pair.
 
-    Pixels stay uint8, a view of the bytes read; shapes and magics are
-    validated and violations raise IdxParseError with a distinct message
-    per failure mode.
+    Pixels stay uint8, a read-only view of the mapped image file (or of
+    its unpacked bytes, if gzipped); shapes and magics are validated,
+    and violations and unreadable files raise IdxParseError with a
+    distinct message per failure mode.
     """
     return _parse_idx(images_path, _read_idx_file(images_path)[1],
                       labels_path, _read_idx_file(labels_path)[1], split)
@@ -315,10 +338,11 @@ def _resolve_idx_file(directory: Path, name: str) -> Path:
 def load_mnist(data_dir=None, checksums=None):
     """Load the train and test splits from a directory of IDX files.
 
-    Accepts raw or gzipped files under their standard names, and reads
-    each file once. A `checksums` dict receives the md5 of each file's
-    on-disk bytes under its standard name. Returns (train, test)
-    Datasets.
+    Accepts raw or gzipped files under their standard names, and maps
+    each file once: the md5 is the one pass over its bytes at load. A
+    `checksums` dict receives the md5 of each file's on-disk bytes (a
+    gzip file's compressed ones) under its standard name. Returns
+    (train, test) Datasets, whose raw images keep their file mapped.
     """
     directory = Path(data_dir) if data_dir else default_data_dir()
     out = []

@@ -2,6 +2,7 @@
 manifest replay, the analyze/nash subcommands, and dataset fetching."""
 
 import builtins
+import gc
 import gzip
 import hashlib
 import io
@@ -27,7 +28,7 @@ from tokenfl.cli import (
     write_metrics_csv,
 )
 from tokenfl.engine import COLUMNS, Run, SimConfig
-from tokenfl.learning import DATA_DIR_ENV, MNIST_FILES, load_idx
+from tokenfl.learning import DATA_DIR_ENV, MNIST_FILES, load_idx, load_mnist
 from tokenfl.presets import preset_config, preset_names
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -673,7 +674,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert f"{config_path}.clients: 10 clients exceed the {rows // 2} shared rows" in err
 
-    def test_each_dataset_file_is_read_once(self, tmp_path, idx_builder, monkeypatch):
+    def test_each_dataset_file_is_opened_once(self, tmp_path, idx_builder, monkeypatch):
         data = tmp_path / "data"
         write_tiny_dataset(data, idx_builder)
         for name in MNIST_FILES["test"]:  # one split gzipped, one raw
@@ -704,6 +705,55 @@ class TestRunCommand:
         assert manifest["dataset"] == {
             name: hashlib.md5(path.read_bytes()).hexdigest() for name, path in on_disk.items()
         }
+
+    def test_unopenable_dataset_file_exits_1_before_the_out_dir(
+        self, tmp_path, offline_config, capsys
+    ):
+        blocker = tmp_path / "data" / "t10k-labels-idx1-ubyte"
+        blocker.unlink()
+        blocker.mkdir()
+        out = tmp_path / "out"
+        assert main(["run", str(offline_config), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"run: {blocker}: cannot open or map the file: ")
+        assert len(err.splitlines()) == 1
+
+    @staticmethod
+    def descriptors_under(directory):
+        fds = Path("/proc/self/fd")
+        if not fds.is_dir():
+            pytest.skip("no /proc/self/fd to list open descriptors")
+        held = []
+        for fd in fds.iterdir():
+            try:
+                target = Path(os.readlink(fd))
+            except OSError:  # closed since the listing, e.g. the listing's own
+                continue
+            if target.parent == directory.resolve():
+                held.append(target.name)
+        return held
+
+    def test_no_dataset_descriptor_outlives_the_datasets(self, tmp_path, offline_config):
+        data = tmp_path / "data"
+        datasets = load_mnist(data)
+        # The counting sees a descriptor that a mapping keeps open.
+        assert self.descriptors_under(data)
+        del datasets
+        gc.collect()
+        assert self.descriptors_under(data) == []
+        assert main(["run", str(offline_config), "--out-dir", str(tmp_path / "out")]) == 0
+        gc.collect()
+        assert self.descriptors_under(data) == []
+
+    def test_replacing_a_mapped_file_keeps_the_loaded_pixels(self, tmp_path, offline_config):
+        path = tmp_path / "data" / "train-images-idx3-ubyte"
+        train, _ = load_mnist(path.parent)
+        pixels = train.images.copy()
+        header = path.read_bytes()[:16]
+        cli._write_atomically(path, header + (255 - pixels).tobytes())
+        assert np.array_equal(train.images, pixels)
+        assert np.array_equal(load_mnist(path.parent)[0].images, 255 - pixels)
 
 
 class TestAnalyzeCommand:

@@ -2,6 +2,8 @@
 finite-difference gradient oracle, aggregation weights, and evaluation."""
 
 import gzip
+import hashlib
+import mmap
 import re
 
 import numpy as np
@@ -22,6 +24,7 @@ from tokenfl.learning import (
     evaluate,
     init_model,
     load_idx,
+    load_mnist,
     local_train,
     param_count,
     partition,
@@ -66,13 +69,19 @@ class TestIdxParsing:
         assert ds.labels.tolist() == [7, 2]
 
     def test_pixels_are_a_view_of_the_file_bytes(self, tmp_path, idx_builder):
-        # Held as read, not copied or widened: 47 MB for the MNIST train
-        # split, where float32 would take 188 MB.
+        # Held as mapped, not copied or widened: 47 MB of the page cache
+        # for the MNIST train split, where float32 would take 188 MB.
         images = np.arange(24, dtype=np.uint8).reshape(3, 2, 4)
         img, lab = idx_builder(tmp_path, images, np.array([0, 1, 2], dtype=np.uint8))
         ds = load_idx(img, lab)
         assert ds.images.dtype == np.uint8
         assert not ds.images.flags.owndata
+        assert not ds.images.flags.writeable
+        base = ds.images
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+        assert np.array_equal(ds.images, images.reshape(3, 8))
 
     def test_scaling_matches_the_whole_array_conversion_for_every_pixel(self):
         pixels = np.arange(256, dtype=np.uint8).reshape(1, 256)
@@ -97,8 +106,34 @@ class TestIdxParsing:
         img, lab = idx_builder(tmp_path, images, np.array([0], dtype=np.uint8))
         empty = tmp_path / "empty"
         empty.write_bytes(b"")
-        with pytest.raises(IdxParseError, match="truncated"):
+        with pytest.raises(IdxParseError,
+                           match=re.escape(f"{empty}: truncated image header (0 bytes)")):
             load_idx(empty, lab)
+
+    def test_truncated_gzip_is_refused_by_name(self, tmp_path, idx_builder):
+        images = np.zeros((1, 2, 2), dtype=np.uint8)
+        img, lab = idx_builder(tmp_path, images, np.array([0], dtype=np.uint8))
+        packed = tmp_path / (lab.name + ".gz")
+        packed.write_bytes(gzip.compress(lab.read_bytes())[:-6])
+        with pytest.raises(IdxParseError,
+                           match=re.escape(f"{packed}: cannot unpack the gzip file: ")):
+            load_idx(img, packed)
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["raw", "gz"])
+    def test_checksums_are_the_md5_of_the_bytes_on_disk(self, tmp_path, idx_builder, packed):
+        rng = np.random.default_rng(0)
+        for prefix, count in (("train", 4), ("t10k", 2)):
+            images = rng.integers(0, 256, size=(count, 2, 2), dtype=np.uint8)
+            for path in idx_builder(tmp_path, images, np.arange(count) % 10, prefix=prefix):
+                if packed:
+                    path.with_name(path.name + ".gz").write_bytes(gzip.compress(path.read_bytes()))
+                    path.unlink()
+        checksums = {}
+        load_mnist(tmp_path, checksums)
+        on_disk = {p.name.removesuffix(".gz"): p for p in tmp_path.iterdir()}
+        assert checksums == {
+            name: hashlib.md5(path.read_bytes()).hexdigest() for name, path in on_disk.items()
+        }
 
     def test_bad_magic_reported(self, tmp_path, idx_builder):
         images = np.zeros((1, 2, 2), dtype=np.uint8)
