@@ -21,8 +21,10 @@ and the ReLU's derivative together, writing masked entries as +0.0.
 The learning step is bound by its matrix products, so the elementwise
 work around them runs in place: bias and ReLU on the product, softmax on
 the logits, and one pixel block and one block gradient reused across a
-local_train call. Only arrays a call allocated are written, so model
-vectors, images and gradients passed in may be read-only.
+local_train call. The weight and bias gradients are written straight
+into the block gradient, and uint8 pixels are scaled into float32 in one
+pass. Only arrays a call allocated are written, so model vectors, images
+and gradients passed in may be read-only.
 
 Per-client work and evaluation chunks run on one shared thread pool
 with a worker per core this process may use. pool_imap yields the
@@ -32,7 +34,10 @@ result into a sum, as aggregate does, holds about workers + 1 results
 at a time whatever the item count. Each gradient is computed within
 one task, and chunks only add up integer counts, so outputs do not
 depend on the number of cores. A pool_imap iterated from inside a pool
-task runs inline in that task.
+task runs inline in that task. Building the pool raises glibc's mmap and
+trim thresholds, unless the environment sets glibc's own, so a round's
+parameter-sized temporaries reuse heap pages instead of faulting in
+fresh mappings.
 
 A Subset is given rows of a Dataset, in a given order: partition deals
 each client one of the train set, and a split of the test set is one.
@@ -148,11 +153,45 @@ class Subset:
         return len(self.rows)
 
 
+# glibc serves a request at or above its mmap threshold from a fresh
+# mapping and unmaps it on free, and raises the threshold only to the size
+# of a freed chunk, so every 0.8 MB float64 parameter-sized temporary of a
+# round (and a 1.6 MB float64 pixel block) faulted its pages in anew:
+# about 600 faults per upload. Above the largest of them, the mmap
+# threshold keeps them in the heap; the trim threshold keeps a round's
+# freed top of the heap for the next round instead of returning it.
+_MMAP_THRESHOLD = 4 << 20
+_TRIM_THRESHOLD = 32 << 20
+# mallopt's parameter numbers for them, from glibc's malloc.h.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# A user's own allocator settings win over the ones above.
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+def _keep_round_temporaries_in_heap():
+    """Set glibc's mmap and trim thresholds, unless the environment sets
+    allocator tunables or the C library has no mallopt."""
+    if any(var in os.environ for var in _MALLOC_ENV):
+        return
+    import ctypes  # imported here, as mmap is, so `import tokenfl` need not load it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library to open, or no mallopt in it
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 @functools.cache
 def _pool():
-    """The process's thread pool, one worker per core in its affinity mask."""
+    """The process's thread pool, one worker per core in its affinity mask.
+    Building it also sets the allocator thresholds for the rounds it runs."""
     from concurrent.futures import ThreadPoolExecutor
 
+    _keep_round_temporaries_in_heap()
     try:
         workers = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
@@ -428,14 +467,12 @@ def _compute_vector(params: ModelParams, dtype) -> np.ndarray:
 
 def _as_compute(x: np.ndarray, dtype, out=None) -> np.ndarray:
     """Rows of images in the compute dtype: uint8 pixels scaled by 1/255
-    (astype(float32) / float32(255), into the first rows of `out` when
-    given), floats as is."""
+    in one pass (the bits of astype(float32) / float32(255), into the
+    first rows of `out` when given), floats as is."""
     if x.dtype != np.uint8:
         return x.astype(dtype, copy=False)
-    scaled = np.empty(x.shape, np.float32) if out is None else out[: len(x)]
-    scaled[...] = x
-    scaled /= np.float32(255.0)
-    return scaled
+    scaled = None if out is None else out[: len(x)]
+    return np.divide(x, np.float32(255.0), out=scaled, dtype=np.float32)
 
 
 def _forward(vector: np.ndarray, layers, x: np.ndarray):
@@ -480,8 +517,8 @@ def _batch_gradient(vector: np.ndarray, layers, x: np.ndarray, y: np.ndarray,
         delta *= keep
         delta += 0.0
         gw, gb = gmats[i]
-        gw[:] = acts[i].T @ delta
-        gb[:] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
         if i > 0:
             delta = delta @ mats[i][0].T
             keep = np.abs(delta) >= tiny

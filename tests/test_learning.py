@@ -3,12 +3,18 @@ finite-difference gradient oracle, aggregation weights, and evaluation."""
 
 import gzip
 import hashlib
+import json
 import mmap
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tokenfl import learning
 from tokenfl.learning import (
     _as_compute,
     _batch_gradient,
@@ -87,6 +93,11 @@ class TestIdxParsing:
         pixels = np.arange(256, dtype=np.uint8).reshape(1, 256)
         expected = pixels.astype(np.float32) / np.float32(255.0)
         assert _as_compute(pixels, np.float32).tobytes() == expected.tobytes()
+        # Into the first rows of a larger, reused block, as local_train does.
+        block = np.full((3, 256), np.nan, dtype=np.float32)
+        scaled = _as_compute(pixels, np.float32, block)
+        assert np.shares_memory(scaled, block)
+        assert scaled.tobytes() == expected.tobytes()
 
     def test_gzipped_files_parse_identically(self, tmp_path, idx_builder):
         images = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
@@ -403,18 +414,34 @@ class TestLocalTrain:
         assert subnormal(out_delta) or subnormal(hidden_delta)
 
         operands = []
-
-        class Recorded(np.ndarray):
-            # Everything computed from a Recorded array is one too, so this
-            # sees the operands of every product the gradient makes.
-            def __matmul__(self, other):
-                operands.extend([np.array(self), np.array(other)])
-                return super().__matmul__(other)
-
-        grad = _batch_gradient(model, SMALL_LAYERS, x.view(Recorded), y, weight)
+        grad = _batch_gradient(model, SMALL_LAYERS, x.view(product_recorder(operands)), y,
+                               weight)
         assert len(operands) == 2 * (2 + 3)  # two forward GEMMs, three backward
         assert np.all(np.isfinite(grad))
         assert not any(subnormal(a) for a in operands)
+
+
+def product_recorder(operands):
+    """An ndarray subclass that appends copies of the operands of each of
+    its matrix products, by `@` or np.matmul, to `operands`. Every ufunc
+    result computed from one is one too, so a gradient started from one
+    shows the operands of all the products it makes."""
+
+    def plain(a):
+        return a.view(np.ndarray) if isinstance(a, Recorded) else a
+
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            if ufunc is np.matmul and method == "__call__":
+                operands.extend(np.array(a) for a in inputs)
+            if out is not None:
+                kwargs["out"] = tuple(plain(a) for a in out)
+            result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+            if out is not None:
+                return out[0] if len(out) == 1 else out
+            return result.view(Recorded) if isinstance(result, np.ndarray) else result
+
+    return Recorded
 
 
 def first_formulation_gradient(vector, layers, x, y, weight):
@@ -488,13 +515,7 @@ class TestKernelsMatchTheirFirstFormulation:
         assert np.any(hidden[:, 4:8] == 0.0) and np.any(hidden[:, 4:8] > 0.0)
 
         operands = []
-
-        class Recorded(np.ndarray):
-            # Sees the operands of every product made from x, as above.
-            def __matmul__(self, other):
-                operands.extend([np.array(self), np.array(other)])
-                return super().__matmul__(other)
-
+        Recorded = product_recorder(operands)
         got = _batch_gradient(vector, self.LAYERS, x.view(Recorded), y, weight)
         got_operands, operands[:] = operands[:], []
         expected, flushed = first_formulation_gradient(
@@ -727,3 +748,68 @@ class TestComputeDtypeOverflow:
         g = local_train(self.big_model(), client_part(ds), batches=1, batch_size=4, seed=0)
         assert np.all(np.isfinite(g))
         assert 0.0 <= evaluate(self.big_model(), ds) <= 1.0
+
+
+def glibc():
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION") is not None
+    except (AttributeError, ValueError):  # no confstr, or no such name here
+        return False
+
+
+# glibc's own allocator settings, any of which turns the policy off.
+MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+# Rounds 2-5 of a 10-client run on a fresh process's first pool, each
+# round's page faults printed as a JSON list.
+ROUND_FAULTS = """
+import json, resource
+import numpy as np
+from tokenfl.engine import SimConfig, init_state, run_round
+from tokenfl.learning import Dataset
+
+rng = np.random.default_rng(0)
+def split(n, name):
+    return Dataset(rng.integers(0, 256, (n, 784), dtype=np.uint8), np.arange(n) % 10, name)
+config = SimConfig(clients=10, horizon=5, ldp=True, stop_accuracy=None)
+state = init_state(config, (split(1000, "train"), split(500, "test")))
+assert state.layers == (784, 128, 10)
+counts = []
+for _ in range(config.horizon):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_round(state, config)
+    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+assert state.schedule.columns["participated"].all()
+print(json.dumps(counts[1:]))
+"""
+
+
+@pytest.mark.skipif(not glibc(), reason="the allocator thresholds are glibc's")
+class TestAllocatorPolicy:
+    """Round temporaries stay in glibc's heap, not fresh mappings: without
+    the thresholds, each 0.8 MB float64 parameter-sized array of an upload
+    maps and faults in its pages anew. On glibc 2.36 this run took about
+    4,300-5,900 faults a round without them and at most a few hundred with
+    them."""
+
+    # Page faults a 10-client round may take, well below the unset thresholds'.
+    BUDGET = 1_500
+
+    @staticmethod
+    def round_faults(**env):
+        pytest.importorskip("resource")
+        base = {k: v for k, v in os.environ.items() if k not in MALLOC_ENV}
+        src = str(Path(learning.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", ROUND_FAULTS],
+                             env={**base, "PYTHONPATH": src, **env},
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+        return json.loads(out)
+
+    def test_later_rounds_stay_under_the_fault_budget(self):
+        faults = self.round_faults()
+        assert sum(faults) / len(faults) < self.BUDGET, faults
+
+    def test_an_explicit_malloc_setting_leaves_the_policy_off(self):
+        # glibc's own default threshold, set explicitly, stays in force.
+        faults = self.round_faults(MALLOC_MMAP_THRESHOLD_="131072")
+        assert sum(faults) / len(faults) > self.BUDGET, faults
