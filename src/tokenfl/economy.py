@@ -69,7 +69,7 @@ class TokenLedger:
     shift drops only an expired or drained lot. With policy None
     nothing expires (the baseline scheme); such a ledger needs an
     explicit slot count large enough that each credit drops only
-    drained lots, which `credit` checks.
+    drained lots, which `credit` checks. `lanes` is a boolean mask.
     """
 
     def __init__(self, lanes: int, policy: FreshnessPolicy | None, slots: int | None = None):
@@ -112,6 +112,7 @@ class TokenLedger:
         Credits come once per round, in round order: t must be the
         round after the last credited one.
         """
+        _check_mask(lanes)
         if t != self._credited + 1:
             raise ValueError(f"credit round {t} is not the round after the last "
                              f"credited round {self._credited}")
@@ -138,6 +139,7 @@ class TokenLedger:
         """Each of `lanes` whose balance covers `amount` pays it, oldest
         lots first; returns those lanes. The lots of every other lane
         are untouched. `amount` must be finite and >= 0."""
+        _check_mask(lanes)
         if not 0 <= amount < math.inf:
             raise ValueError(f"spend amount must be finite and >= 0, got {amount}")
         paid = lanes & (self.balance() >= amount)
@@ -159,6 +161,7 @@ class TokenLedger:
         Meant to run before the round's participation is credited, so
         decisions see post-expiry balances.
         """
+        _check_mask(lanes)
         if t != self._credited + 1:
             raise ValueError(f"expire round {t} is not the round after the last "
                              f"credited round {self._credited}")
@@ -168,6 +171,12 @@ class TokenLedger:
         lost = np.where(lanes, oldest, 0.0)
         oldest -= lost
         return lost
+
+
+def _check_mask(lanes) -> None:
+    """Refuse `lanes` unless it is a boolean array: integers index rows."""
+    if getattr(lanes, "dtype", None) != np.bool_:
+        raise TypeError(f"lanes must be a boolean mask, got dtype {getattr(lanes, 'dtype', None)}")
 
 
 def model_age(owned_clock, clock):

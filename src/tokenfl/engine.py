@@ -344,8 +344,8 @@ def init_state(config: SimConfig, datasets) -> EngineState:
     The initial global model is handed to every client free of cost. A
     fifth of the test split, in a random order, is the shared
     local-evaluation set; the server scores on the rest. Both are row
-    indices into the loaded test set, which is not copied: uint8 pixels
-    stay uint8 and are gathered and scaled per chunk as scored.
+    indices into the loaded test set, which is not copied: its pixels
+    are gathered and scaled block by block as scored.
     """
     check_inputs(config, datasets)
     schedule = play_game(config)

@@ -8,15 +8,15 @@ not weights: local_train returns the sum of per-batch mean gradients
 evaluated at the incoming parameters, and aggregate applies the
 size-weighted server update w - lr * sum_k (n_k / n) g_k.
 
-IDX pixels stay uint8, and local_train and evaluate scale each block
-they use by 1/255 into float32. Float images are computed in their own
-dtype, float32 or float64. Each call casts the float64 model to that
-dtype once, and raises ValueError if the cast is not finite;
-local_train sums its blocks' gradients in float64. Backpropagated
-deltas below the dtype's smallest normal number are flushed to zero,
-because subnormal operands slow a GEMM several-fold (a saturated
-single-class client makes many). One mask per layer applies the flush
-and the ReLU's derivative together, writing masked entries as +0.0.
+A Dataset holds uint8 pixels, as IDX files store them, and local_train
+and evaluate scale each block they use by 1/255 into float32. Each call
+casts the float64 model to float32 once, and raises ValueError if the
+cast is not finite; local_train sums its blocks' gradients in float64.
+Backpropagated deltas below float32's smallest normal number are
+flushed to zero, because subnormal operands slow a GEMM several-fold (a
+saturated single-class client makes many). One mask per layer applies
+the flush and the ReLU's derivative together, writing masked entries as
++0.0.
 
 The learning step is bound by its matrix products, so the elementwise
 work around them runs in place: bias and ReLU on the product, softmax on
@@ -99,9 +99,8 @@ MNIST_FILES = {
 _IMAGE_MAGIC = 0x00000803
 _LABEL_MAGIC = 0x00000801
 
-# Rows per block in local_train and evaluate: a 256x784 block (0.8 MB in
-# float32, 1.6 MB in float64) stays in L2 and keeps concurrent tasks'
-# memory small.
+# Rows per block in local_train and evaluate: a 256x784 float32 block
+# (0.8 MB) stays in L2 and keeps concurrent tasks' memory small.
 _BLOCK_ROWS = 256
 
 
@@ -112,8 +111,8 @@ class IdxParseError(ValueError):
 
 @dataclass
 class Dataset:
-    """Flattened images with integer class labels: raw uint8 pixels
-    (scaled by 1/255 as each block is used) or floats in [0, 1]."""
+    """Flattened uint8 images, scaled by 1/255 as each block is used,
+    with one integer class label per image."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -124,14 +123,13 @@ class Dataset:
         self.labels = np.asarray(self.labels)
         if self.images.ndim != 2:
             raise ValueError(f"images must be 2-d (N, D), got shape {self.images.shape}")
-        if self.images.dtype not in (np.uint8, np.float32, np.float64):
-            raise ValueError(f"images must be uint8, float32 or float64, got {self.images.dtype}")
+        if self.images.dtype != np.uint8:
+            raise ValueError(f"images must be uint8 pixels, got {self.images.dtype}")
+        if self.labels.shape != (len(self.images),):
+            raise ValueError(f"need one label per image: {len(self.images)} images, "
+                             f"labels of shape {self.labels.shape}")
         if not np.issubdtype(self.labels.dtype, np.integer):
             raise ValueError(f"labels must be integer class ids, got dtype {self.labels.dtype}")
-        if len(self.images) != len(self.labels):
-            raise ValueError(
-                f"image/label count mismatch: {len(self.images)} vs {len(self.labels)}"
-            )
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= CLASSES):
             raise ValueError(f"labels must be class ids in [0, {CLASSES - 1}]")
 
@@ -156,10 +154,10 @@ class Subset:
 # glibc serves a request at or above its mmap threshold from a fresh
 # mapping and unmaps it on free, and raises the threshold only to the size
 # of a freed chunk, so every 0.8 MB float64 parameter-sized temporary of a
-# round (and a 1.6 MB float64 pixel block) faulted its pages in anew:
-# about 600 faults per upload. Above the largest of them, the mmap
-# threshold keeps them in the heap; the trim threshold keeps a round's
-# freed top of the heap for the next round instead of returning it.
+# round faulted its pages in anew: about 600 faults per upload. Above the
+# largest of them, the mmap threshold keeps them in the heap; the trim
+# threshold keeps a round's freed top of the heap for the next round
+# instead of returning it.
 _MMAP_THRESHOLD = 4 << 20
 _TRIM_THRESHOLD = 32 << 20
 # mallopt's parameter numbers for them, from glibc's malloc.h.
@@ -451,26 +449,19 @@ def init_model(seed, layers=DEFAULT_LAYERS) -> ModelParams:
     return ModelParams(vec, layers)
 
 
-def _compute_dtype(images: np.ndarray):
-    """float64 for float64 images, float32 for uint8 or float32 ones."""
-    return np.float64 if images.dtype == np.float64 else np.float32
-
-
-def _compute_vector(params: ModelParams, dtype) -> np.ndarray:
-    """The model vector cast to the compute dtype, which must keep it finite."""
+def _compute_vector(params: ModelParams) -> np.ndarray:
+    """The model vector cast to float32, which must keep it finite."""
     with np.errstate(over="ignore"):  # reported below, as a ValueError
-        vector = params.vector.astype(dtype, copy=False)
+        vector = params.vector.astype(np.float32)
     if not np.all(np.isfinite(vector)):
-        raise ValueError(f"model parameters overflow {np.dtype(dtype).name}, the compute dtype")
+        raise ValueError("model parameters overflow float32, the compute dtype")
     return vector
 
 
-def _as_compute(x: np.ndarray, dtype, out=None) -> np.ndarray:
-    """Rows of images in the compute dtype: uint8 pixels scaled by 1/255
-    in one pass (the bits of astype(float32) / float32(255), into the
-    first rows of `out` when given), floats as is."""
-    if x.dtype != np.uint8:
-        return x.astype(dtype, copy=False)
+def _as_compute(x: np.ndarray, out=None) -> np.ndarray:
+    """Rows of uint8 pixels scaled by 1/255 into float32 in one pass: the
+    bits of astype(float32) / float32(255), into the first rows of `out`
+    when given."""
     scaled = None if out is None else out[: len(x)]
     return np.divide(x, np.float32(255.0), out=scaled, dtype=np.float32)
 
@@ -544,7 +535,7 @@ def local_train(params: ModelParams, part: Subset, batches: int, batch_size: int
     one from the rows of the client's partition `part`, all at the incoming
     parameters. That sum is one pass over the distinct drawn rows, each
     weighted by its draw count over batch_size, in blocks of 256 rows, each
-    in the compute dtype and added into a float64 sum. The learning rate is
+    computed in float32 and added into a float64 sum. The learning rate is
     applied server-side in aggregate().
     """
     if len(part) == 0:
@@ -554,18 +545,15 @@ def local_train(params: ModelParams, part: Subset, batches: int, batch_size: int
     replace = len(part) < batch_size
     draws = [rng.choice(part.rows, size=batch_size, replace=replace) for _ in range(batches)]
     rows, counts = np.unique(np.array(draws, dtype=np.int64), return_counts=True)
-    dtype = _compute_dtype(dataset.images)
-    vector = _compute_vector(params, dtype)
-    weights = (counts / batch_size).astype(dtype, copy=False)
+    vector = _compute_vector(params)
+    weights = (counts / batch_size).astype(np.float32)
     grad = np.zeros_like(params.vector)
     block_grad = np.empty_like(vector)
-    pixels = None
-    if dataset.images.dtype == np.uint8:
-        pixels = np.empty((min(len(rows), _BLOCK_ROWS), dataset.images.shape[1]), np.float32)
+    pixels = np.empty((min(len(rows), _BLOCK_ROWS), dataset.images.shape[1]), np.float32)
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
         grad += _batch_gradient(vector, params.layers,
-                                _as_compute(dataset.images[block], dtype, pixels),
+                                _as_compute(dataset.images[block], pixels),
                                 dataset.labels[block], weights[start : start + _BLOCK_ROWS],
                                 block_grad)
     return grad
@@ -600,20 +588,20 @@ def aggregate(w_t: ModelParams, grads, sizes, lr: float) -> ModelParams:
     return ModelParams(np.subtract(w_t.vector, update, out=update), w_t.layers)
 
 
-def evaluate(params: ModelParams, dataset: Dataset | Subset, chunk: int = _BLOCK_ROWS) -> float:
+def evaluate(params: ModelParams, dataset: Dataset | Subset) -> float:
     """Fraction of examples whose argmax logit matches the label, scored
-    in the compute dtype on the thread pool, in chunks of rows small
-    enough to stay in cache. A Subset's chunks are gathered by index."""
+    in float32 on the thread pool, in blocks of rows small enough to stay
+    in cache. A Subset's blocks are gathered by index."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     source, rows = ((dataset.dataset, dataset.rows) if isinstance(dataset, Subset)
                     else (dataset, None))
-    dtype = _compute_dtype(source.images)
-    vector = _compute_vector(params, dtype)
+    vector = _compute_vector(params)
+    chunk = _BLOCK_ROWS
 
     def correct(start):
         block = slice(start, start + chunk) if rows is None else rows[start : start + chunk]
-        x = _as_compute(source.images[block], dtype)
+        x = _as_compute(source.images[block])
         logits = _forward(vector, params.layers, x)[-1]
         return int((logits.argmax(axis=1) == source.labels[block]).sum())
 

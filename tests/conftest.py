@@ -1,16 +1,9 @@
 """Shared fixtures: dataset resolution, synthetic stand-in data,
 hand-built IDX files, and a per-session cache of preset runs."""
 
-import os
-
-# The same BLAS pin as `import tokenfl`, which comes too late here: numpy
-# is imported first. Unpinned BLAS threads on the tests' small batches
-# slow the suite several-fold when another process keeps a core busy.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import struct
 
+import tokenfl  # noqa: F401  # before numpy, so its BLAS pin holds for the tests' small batches
 import numpy as np
 import pytest
 
@@ -30,7 +23,7 @@ def mnist():
 
 
 def make_synthetic(n_train=600, n_test=300, dims=784, classes=10, seed=1234):
-    """Random images with balanced labels, shaped like the real data.
+    """Random uint8 images with balanced labels, shaped like the real data.
 
     Useless for learning anything, which is the point: engine tests
     exercise scheduling and token mechanics, not model quality.
@@ -38,7 +31,7 @@ def make_synthetic(n_train=600, n_test=300, dims=784, classes=10, seed=1234):
     rng = np.random.default_rng(seed)
 
     def split(n, tag):
-        images = rng.random((n, dims)).astype(np.float32)
+        images = rng.integers(0, 256, size=(n, dims), dtype=np.uint8)
         labels = np.arange(n, dtype=np.int64) % classes
         order = rng.permutation(n)
         return Dataset(images[order], labels[order], split=tag)

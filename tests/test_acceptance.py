@@ -134,9 +134,10 @@ def test_local_privacy_ratio_is_certified():
 def test_local_gradient_matches_finite_differences():
     layers = (6, 5, 3)
     rng = np.random.default_rng(3)
-    images = rng.random((10, layers[0])).astype(np.float32)
+    images = rng.integers(0, 256, size=(10, layers[0]), dtype=np.uint8)
     labels = rng.integers(0, layers[-1], size=10).astype(np.int64)
     ds = Dataset(images, labels)
+    x = images / 255.0
     part = Subset(ds, np.arange(10), "client-0")
     model = init_model(3, layers=layers)
     g = local_train(model, part, batches=1, batch_size=10, seed=7)
@@ -146,8 +147,8 @@ def test_local_gradient_matches_finite_differences():
         up[j] += h
         down[j] -= h
         fd = (
-            batch_loss(ModelParams(up, layers), images, labels)
-            - batch_loss(ModelParams(down, layers), images, labels)
+            batch_loss(ModelParams(up, layers), x, labels)
+            - batch_loss(ModelParams(down, layers), x, labels)
         ) / (2.0 * h)
         assert abs(fd - g[j]) / max(abs(fd), abs(g[j]), 1e-8) <= 1e-4
 

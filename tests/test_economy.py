@@ -258,6 +258,33 @@ class TestLanes:
         assert ledger.expire(3, np.array([True, False, True])).tolist() == [0.0, 0.0, 0.0]
         assert ledger.balance().tolist() == [0.0, 0.5, 0.0]
 
+    def test_integer_mask_credit_refused_and_books_nothing(self):
+        # As row indices, [1, 0] would shift lane 1's lots and double its
+        # balance although it did not participate.
+        ledger = TokenLedger(2, FreshnessPolicy(n=2, counts_participated_only=True))
+        ledger.credit(2.0, 1, np.array([True, True]))
+        with pytest.raises(TypeError, match="boolean mask, got dtype int"):
+            ledger.credit(np.array([5.0, 7.0]), 2, np.array([1, 0]))
+        assert ledger.lots.tolist() == [[0.0, 0.0, 0.0, 2.0]] * 2
+        assert ledger.participations.tolist() == [1, 1]
+        # Lane 1 sits the round out: its row does not move.
+        ledger.credit(np.array([5.0, 7.0]), 2, np.array([True, False]))
+        assert ledger.lots.tolist() == [[0.0, 0.0, 2.0, 5.0], [0.0, 0.0, 0.0, 2.0]]
+
+    @pytest.mark.parametrize("lanes", [np.array([1, 0]), np.array([1.0, 0.0]), [True, False]],
+                             ids=["int", "float", "list"])
+    @pytest.mark.parametrize("step", ["expire", "credit", "spend"])
+    def test_non_boolean_mask_refused_and_changes_nothing(self, step, lanes):
+        ledger = TokenLedger(2, CALENDAR)
+        ledger.credit(1.0, 1, np.array([True, True]))
+        call = {"expire": lambda: ledger.expire(2, lanes),
+                "credit": lambda: ledger.credit(1.0, 2, lanes),
+                "spend": lambda: ledger.spend(0.5, lanes)}[step]
+        with pytest.raises(TypeError, match="lanes must be a boolean mask"):
+            call()
+        assert ledger.lots.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+        assert ledger.participations.tolist() == [1, 1]
+
 
 def stepped(ledger, rounds):
     """`ledger` after crediting no lane in each of `rounds`."""

@@ -122,7 +122,7 @@ class TestSimConfig:
 
 def blank_split(rows, labels=10, pixels=784, tag="train"):
     """A blank split of `rows` images whose labels cycle through `labels` ids."""
-    return Dataset(np.zeros((rows, pixels), np.float32), np.arange(rows) % labels, split=tag)
+    return Dataset(np.zeros((rows, pixels), np.uint8), np.arange(rows) % labels, split=tag)
 
 
 TEST_SPLIT = blank_split(20, tag="test")
@@ -500,18 +500,11 @@ class TestSharedModels:
         assert kept > 0
 
     def test_test_splits_keep_the_loaded_dtype(self, synthetic_datasets):
-        train, test = synthetic_datasets
-        assert test.images.dtype == np.float32
+        _, test = synthetic_datasets
+        assert test.images.dtype == np.uint8
         state = init_state(config(), synthetic_datasets)
-        assert state.local_test.dataset.images.dtype == np.float32
-        assert state.global_test.dataset.images.dtype == np.float32
-        state = init_state(config(), (train, as_pixels(test)))
         assert state.local_test.dataset.images.dtype == np.uint8
         assert state.global_test.dataset.images.dtype == np.uint8
-        wide = Dataset(test.images.astype(np.float64), test.labels, split=test.split)
-        state = init_state(config(), (train, wide))
-        assert state.local_test.dataset.images.dtype == np.float64
-        assert state.global_test.dataset.images.dtype == np.float64
 
 
 class TestRoundMemory:
@@ -553,8 +546,9 @@ class TestRoundMemory:
     def test_init_state_keeps_the_test_split_uncopied(self, synthetic_datasets):
         train, _ = synthetic_datasets
         rng = np.random.default_rng(7)
-        test = Dataset(rng.random((4000, 784), dtype=np.float32),
-                       np.arange(4000) % 10, split="test")
+        # 12.5 MB of pixels, a copy of which the bound below would catch.
+        test = Dataset(rng.integers(0, 256, (16_000, 784), dtype=np.uint8),
+                       np.arange(16_000) % 10, split="test")
         tracemalloc.start()
         try:
             state = init_state(config(), (train, test))
@@ -566,11 +560,8 @@ class TestRoundMemory:
             assert split.dataset is test
         assert len(state.local_test) + len(state.global_test) == len(test)
 
-    @pytest.mark.parametrize("pixels", ["uint8", "float32"])
-    def test_round_scores_equal_those_of_copied_splits(self, synthetic_datasets, pixels):
+    def test_round_scores_equal_those_of_copied_splits(self, synthetic_datasets):
         train, test = synthetic_datasets
-        if pixels == "uint8":
-            train, test = as_pixels(train), as_pixels(test)
         cfg = POOL_CONFIGS["all-evicted"]
         # The split init_state made before it scored in place: a fifth of
         # the test rows in a seeded random order, copied out, and the rest.
@@ -597,20 +588,6 @@ POOL_CONFIGS = {
     ),
     "all-evicted": config(eps=25, scheme="disjoint", horizon=14),
 }
-
-
-def as_pixels(ds):
-    """A uint8 copy of a [0, 1] float dataset, as an IDX file loads."""
-    return Dataset(np.round(ds.images * 255).astype(np.uint8), ds.labels, split=ds.split)
-
-
-@pytest.mark.parametrize("name", ["strategic", "all-evicted"])
-def test_uint8_pixels_give_the_records_of_their_float32_copy(synthetic_datasets, name):
-    pixels = tuple(as_pixels(ds) for ds in synthetic_datasets)
-    scaled = tuple(Dataset(ds.images.astype(np.float32) / np.float32(255.0), ds.labels,
-                           split=ds.split) for ds in pixels)
-    runs = [run_simulation(POOL_CONFIGS[name], datasets) for datasets in (pixels, scaled)]
-    assert run_bytes(runs[0]) == run_bytes(runs[1])
 
 
 def _run_and_send(cfg, datasets, conn):

@@ -40,10 +40,6 @@ from tokenfl.privacy import LdpConfig, perturb_gradients
 SMALL_LAYERS = (6, 5, 3)
 
 
-def float64_copy(ds):
-    return Dataset(ds.images.astype(np.float64), ds.labels, split=ds.split)
-
-
 def client_part(ds, rows=None):
     """Rows of ds, all of them unless given, as client 0's partition."""
     return Subset(ds, np.arange(len(ds)) if rows is None else rows, "client-0")
@@ -51,7 +47,7 @@ def client_part(ds, rows=None):
 
 def small_fixture(seed=3, examples=10, classes=3):
     rng = np.random.default_rng(seed)
-    images = rng.random((examples, SMALL_LAYERS[0])).astype(np.float32)
+    images = rng.integers(0, 256, size=(examples, SMALL_LAYERS[0]), dtype=np.uint8)
     labels = rng.integers(0, classes, size=examples).astype(np.int64)
     ds = Dataset(images, labels)
     return ds, client_part(ds)
@@ -68,7 +64,7 @@ class TestIdxParsing:
         assert ds.images.shape == (2, 4)
         assert ds.images.dtype == np.uint8
         assert np.array_equal(ds.images, images.reshape(2, 4))
-        scaled = _as_compute(ds.images, np.float32)
+        scaled = _as_compute(ds.images)
         assert scaled.dtype == np.float32
         expected = images.reshape(2, 4).astype(np.float32) / np.float32(255.0)
         assert scaled.tobytes() == expected.tobytes()
@@ -92,10 +88,10 @@ class TestIdxParsing:
     def test_scaling_matches_the_whole_array_conversion_for_every_pixel(self):
         pixels = np.arange(256, dtype=np.uint8).reshape(1, 256)
         expected = pixels.astype(np.float32) / np.float32(255.0)
-        assert _as_compute(pixels, np.float32).tobytes() == expected.tobytes()
+        assert _as_compute(pixels).tobytes() == expected.tobytes()
         # Into the first rows of a larger, reused block, as local_train does.
         block = np.full((3, 256), np.nan, dtype=np.float32)
-        scaled = _as_compute(pixels, np.float32, block)
+        scaled = _as_compute(pixels, block)
         assert np.shares_memory(scaled, block)
         assert scaled.tobytes() == expected.tobytes()
 
@@ -187,22 +183,32 @@ class TestIdxParsing:
 
 class TestDatasetValidation:
     def test_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset(np.zeros((3, 4)), np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match=re.escape("3 images, labels of shape (2,)")):
+            Dataset(np.zeros((3, 4), np.uint8), np.zeros(2, dtype=np.int64))
 
     def test_label_range_enforced(self):
-        with pytest.raises(ValueError):
-            Dataset(np.zeros((1, 4)), np.array([11]))
+        with pytest.raises(ValueError, match="class ids in"):
+            Dataset(np.zeros((1, 4), np.uint8), np.array([11]))
 
-    @pytest.mark.parametrize("dtype", [np.uint16, np.int64, np.bool_, np.float16])
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64, np.bool_, np.float16,
+                                       np.float32, np.float64])
     def test_uninterpretable_image_dtype_rejected(self, dtype):
-        images = np.zeros((2, 4), dtype=dtype)
-        with pytest.raises(ValueError, match=f"got {np.dtype(dtype)}"):
+        # Float images are refused, not quantized: IDX files hold uint8.
+        images = np.zeros((2, 784), dtype=dtype)
+        with pytest.raises(ValueError, match=f"must be uint8 pixels, got {np.dtype(dtype)}"):
             Dataset(images, np.array([0, 1]))
 
     def test_flat_images_required(self):
-        with pytest.raises(ValueError):
-            Dataset(np.zeros((2, 2, 2)), np.array([0, 1]))
+        with pytest.raises(ValueError, match="2-d"):
+            Dataset(np.zeros((2, 2, 2), np.uint8), np.array([0, 1]))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), ()])
+    def test_labels_must_be_one_per_row(self, shape):
+        # (N, 1) labels would broadcast against evaluate's (N,) predictions
+        # and score an N x N table, and misweight local_train's deltas.
+        labels = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(ValueError, match=re.escape(f"3 images, labels of shape {shape}")):
+            Dataset(np.zeros((3, 4), np.uint8), labels)
 
     @pytest.mark.parametrize("labels", [np.array([0.5, 1.0, 2.0]),
                                         np.array([0.0, 1.0, 2.0]),
@@ -212,7 +218,7 @@ class TestDatasetValidation:
         # Float or bool labels would fail only mid-round, as indices into
         # the logits.
         with pytest.raises(ValueError, match=f"integer class ids, got dtype {labels.dtype}"):
-            Dataset(np.zeros((3, 4)), labels)
+            Dataset(np.zeros((3, 4), np.uint8), labels)
 
 
 class TestPartition:
@@ -306,7 +312,7 @@ class TestLocalTrain:
         ds, part = small_fixture()
         model = init_model(3, layers=SMALL_LAYERS)
         g = local_train(model, part, batches=1, batch_size=len(ds), seed=7)
-        x = ds.images.astype(np.float64)
+        x = _as_compute(ds.images)
         y = ds.labels
         h = 1e-6
         rng = np.random.default_rng(0)
@@ -354,32 +360,23 @@ class TestLocalTrain:
     )
     def test_matches_the_per_batch_loop(self, examples, batches, batch_size):
         # local_train stands for this loop: the same draws, one mean
-        # gradient per batch, summed. A float64 dataset takes the float64
-        # path, so the two agree to float64 rounding.
-        ds, _ = small_fixture(examples=examples)
-        ds = float64_copy(ds)
-        part = client_part(ds)
-        model = init_model(3, layers=SMALL_LAYERS)
+        # gradient per batch, summed. It takes one pass over the distinct
+        # drawn rows, each weighted by its draw count over batch_size;
+        # in float64 the two sums agree to float64 rounding.
+        ds, part = small_fixture(examples=examples)
+        x = _as_compute(ds.images).astype(np.float64)
+        vector = init_model(3, layers=SMALL_LAYERS).vector
         rng = np.random.default_rng(5)
-        expected = np.zeros_like(model.vector)
-        for _ in range(batches):
-            idx = rng.choice(part.rows, size=batch_size, replace=examples < batch_size)
-            expected += _batch_gradient(
-                model.vector, SMALL_LAYERS, ds.images[idx],
-                ds.labels[idx], np.full(batch_size, 1.0 / batch_size),
-            )
-        g = local_train(model, part, batches=batches, batch_size=batch_size, seed=5)
-        np.testing.assert_allclose(g, expected, rtol=0, atol=1e-12)
-
-    def test_float32_data_matches_the_float64_path(self):
-        ds, part = small_fixture(examples=600)
-        assert ds.images.dtype == np.float32
-        model = init_model(3, layers=SMALL_LAYERS)
-        narrow = local_train(model, part, batches=30, batch_size=16, seed=5)
-        wide = local_train(model, client_part(float64_copy(ds)), batches=30, batch_size=16, seed=5)
-        assert narrow.dtype == wide.dtype == np.float64
-        assert np.abs(wide).max() > 0.0
-        np.testing.assert_allclose(narrow, wide, rtol=0, atol=1e-5 * np.abs(wide).max())
+        draws = [rng.choice(part.rows, size=batch_size, replace=examples < batch_size)
+                 for _ in range(batches)]
+        expected = np.zeros_like(vector)
+        for idx in draws:
+            expected += _batch_gradient(vector, SMALL_LAYERS, x[idx], ds.labels[idx],
+                                        np.full(batch_size, 1.0 / batch_size))
+        rows, counts = np.unique(np.array(draws, dtype=np.int64), return_counts=True)
+        got = _batch_gradient(vector, SMALL_LAYERS, x[rows], ds.labels[rows],
+                              counts / batch_size)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "margin,w2_scale",
@@ -530,7 +527,7 @@ class TestKernelsMatchTheirFirstFormulation:
     def test_local_train_over_several_blocks(self):
         # Over 512 distinct uint8 rows, so the pixel and gradient buffers
         # are reused and the last block fills only part of them.
-        u, _ = uint8_and_float32(examples=900)
+        u = uint8_dataset(examples=900)
         part = client_part(u)
         model = init_model(2, layers=SMALL_LAYERS)
         rng = np.random.default_rng(8)
@@ -542,35 +539,50 @@ class TestKernelsMatchTheirFirstFormulation:
         expected = np.zeros_like(model.vector)
         for start in range(0, len(rows), 256):
             block = rows[start : start + 256]
-            x = u.images[block].astype(np.float32) / np.float32(255.0)
+            x = hand_scaled(u.images[block])
             expected += first_formulation_gradient(
                 vector, SMALL_LAYERS, x, u.labels[block], weights[start : start + 256])[0]
         got = local_train(model, part, batches=80, batch_size=16, seed=8)
         assert same_bits(got, expected)
 
 
-def uint8_and_float32(seed=6, examples=600, classes=3):
-    """A uint8 dataset and its float32 copy scaled the whole-array way."""
+def uint8_dataset(seed=6, examples=600, classes=3):
     rng = np.random.default_rng(seed)
     pixels = rng.integers(0, 256, size=(examples, SMALL_LAYERS[0]), dtype=np.uint8)
-    u = Dataset(pixels, rng.integers(0, classes, size=examples))
-    return u, Dataset(u.images.astype(np.float32) / np.float32(255.0), u.labels)
+    return Dataset(pixels, rng.integers(0, classes, size=examples))
+
+
+def hand_scaled(images):
+    """Pixels scaled the whole-array way: astype(float32), then / 255."""
+    return images.astype(np.float32) / np.float32(255.0)
 
 
 class TestPixelRepresentations:
-    """uint8 pixels scaled per block give the bits of a float32 copy."""
+    """uint8 pixels scaled per block give the bits of a float32 copy
+    scaled by hand."""
 
     def test_local_train_gradients_are_equal(self):
-        u, f = uint8_and_float32()
+        u = uint8_dataset()
+        part = client_part(u)
         model = init_model(2, layers=SMALL_LAYERS)
-        runs = [local_train(model, client_part(ds), batches=40, batch_size=16, seed=8)
-                for ds in (u, f)]
-        assert np.array_equal(runs[0], runs[1])
+        rng = np.random.default_rng(8)
+        draws = [rng.choice(part.rows, size=16, replace=False) for _ in range(40)]
+        rows, counts = np.unique(np.array(draws), return_counts=True)
+        x, weights = hand_scaled(u.images), (counts / 16).astype(np.float32)
+        vector = model.vector.astype(np.float32)
+        expected = np.zeros_like(model.vector)
+        for start in range(0, len(rows), 256):
+            block = rows[start : start + 256]
+            expected += _batch_gradient(vector, SMALL_LAYERS, x[block], u.labels[block],
+                                        weights[start : start + 256])
+        got = local_train(model, part, batches=40, batch_size=16, seed=8)
+        assert np.array_equal(got, expected)
 
     def test_evaluate_scores_are_equal(self):
-        u, f = uint8_and_float32()
+        u = uint8_dataset()
         model = init_model(2, layers=SMALL_LAYERS)
-        assert evaluate(model, u) == evaluate(model, f)
+        logits = _forward(model.vector.astype(np.float32), SMALL_LAYERS, hand_scaled(u.images))[-1]
+        assert evaluate(model, u) == np.count_nonzero(logits.argmax(axis=1) == u.labels) / len(u)
 
 
 class TestAggregate:
@@ -636,7 +648,7 @@ class TestEvaluate:
         layers = (4, 3)
         vec = np.zeros(param_count(layers))
         vec[: 4 * 3].reshape(4, 3)[range(3), range(3)] = 10.0
-        images = np.eye(3, 4, dtype=np.float32)
+        images = np.eye(3, 4, dtype=np.uint8) * np.uint8(255)
         labels = np.arange(3, dtype=np.int64)
         ds = Dataset(np.vstack([images, images[:2]]), np.concatenate([labels, labels[:2]]))
         assert evaluate(ModelParams(vec, layers), ds) == 1.0
@@ -645,34 +657,29 @@ class TestEvaluate:
         layers = (4, 3)
         params = ModelParams(np.zeros(param_count(layers)), layers)
         labels = np.array([0, 0, 1, 2, 2, 2], dtype=np.int64)
-        ds = Dataset(np.random.default_rng(0).random((6, 4)).astype(np.float32), labels)
+        ds = Dataset(np.random.default_rng(0).integers(0, 256, (6, 4), dtype=np.uint8), labels)
         assert evaluate(params, ds) == pytest.approx(2 / 6)
 
-    def test_accuracy_does_not_depend_on_the_chunk(self):
+    def test_accuracy_does_not_depend_on_the_chunk(self, monkeypatch):
         ds, _ = small_fixture(examples=50)
         params = init_model(4, layers=SMALL_LAYERS)
-        scores = {evaluate(params, ds, chunk=c) for c in (1, 7, 256, len(ds))}
+        scores = set()
+        for rows in (1, 7, 256, len(ds)):
+            monkeypatch.setattr(learning, "_BLOCK_ROWS", rows)
+            scores.add(evaluate(params, ds))
         assert len(scores) == 1
         assert 0.0 < scores.pop() < 1.0
 
-    def test_float64_copy_scores_like_the_float32_split(self):
-        ds, _ = small_fixture(examples=50)
-        wide = Dataset(ds.images.astype(np.float64), ds.labels, split=ds.split)
-        params = init_model(4, layers=SMALL_LAYERS)
-        assert ds.images.dtype == np.float32
-        assert evaluate(params, wide) == evaluate(params, ds)
-
-    @pytest.mark.parametrize("pixels", ["uint8", "float32", "float64"])
-    def test_subset_scores_like_a_copy_of_its_rows(self, pixels):
-        u, f = uint8_and_float32(examples=300)
-        ds = {"uint8": u, "float32": f, "float64": float64_copy(f)}[pixels]
+    def test_subset_scores_like_a_copy_of_its_rows(self, monkeypatch):
+        ds = uint8_dataset(examples=300)
         rows = np.random.default_rng(6).permutation(len(ds))[:230]
         subset = Subset(ds, rows, "local-test")
         copy = Dataset(ds.images[rows], ds.labels[rows])
         params = init_model(4, layers=SMALL_LAYERS)
         assert len(subset) == 230
-        for chunk in (1, 7, 256):
-            assert evaluate(params, subset, chunk=chunk) == evaluate(params, copy, chunk=chunk)
+        for block_rows in (1, 7, 256, len(ds)):
+            monkeypatch.setattr(learning, "_BLOCK_ROWS", block_rows)
+            assert evaluate(params, subset) == evaluate(params, copy)
 
     def test_untrained_model_is_chance_level(self, mnist):
         _, test = mnist
@@ -682,7 +689,7 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self):
         layers = (4, 3)
         params = ModelParams(np.zeros(param_count(layers)), layers)
-        ds = Dataset(np.zeros((0, 4), dtype=np.float32), np.zeros(0, dtype=np.int64))
+        ds = Dataset(np.zeros((0, 4), dtype=np.uint8), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
             evaluate(params, ds)
 
@@ -697,10 +704,8 @@ class TestReadOnlyInputs:
     """The kernels write in place, but never into their inputs: the
     engine shares read-only model arrays between holders."""
 
-    @pytest.mark.parametrize("pixels", ["uint8", "float32", "float64"])
-    def test_outputs_equal_those_of_writable_copies(self, pixels):
-        u, f = uint8_and_float32(examples=300)
-        ds = {"uint8": u, "float32": f, "float64": float64_copy(f)}[pixels]
+    def test_outputs_equal_those_of_writable_copies(self):
+        ds = uint8_dataset(examples=300)
         part = client_part(ds, np.arange(0, len(ds), 2))
         model = init_model(2, layers=SMALL_LAYERS)
         cfg = LdpConfig(eps=2.0, radius=0.5)
@@ -727,8 +732,8 @@ class TestReadOnlyInputs:
 
 
 class TestComputeDtypeOverflow:
-    """A model finite in float64 but not in float32 would score and train
-    on inf/NaN logits."""
+    """A model finite in float64 but not in float32, the compute dtype,
+    would score and train on inf/NaN logits."""
 
     def big_model(self):
         model = init_model(2, layers=SMALL_LAYERS)
@@ -741,13 +746,6 @@ class TestComputeDtypeOverflow:
             local_train(self.big_model(), part, batches=1, batch_size=4, seed=0)
         with pytest.raises(ValueError, match="overflow float32"):
             evaluate(self.big_model(), ds)
-
-    def test_float64_data_computes_as_before(self):
-        ds, _ = small_fixture()
-        ds = float64_copy(ds)
-        g = local_train(self.big_model(), client_part(ds), batches=1, batch_size=4, seed=0)
-        assert np.all(np.isfinite(g))
-        assert 0.0 <= evaluate(self.big_model(), ds) <= 1.0
 
 
 def glibc():
