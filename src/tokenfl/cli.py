@@ -230,8 +230,7 @@ def cmd_run(args) -> int:
             d.rmdir()
         return 1
 
-    metrics_path = out_dir / "metrics.csv"
-    write_metrics_csv(run, metrics_path)
+    metrics_path, manifest_path = out_dir / "metrics.csv", out_dir / "manifest.json"
     manifest = {
         "artifact": "tokenfl",
         "version": __version__,
@@ -241,12 +240,16 @@ def cmd_run(args) -> int:
         "outputs": {"metrics": metrics_path.name},
         "rounds_recorded": run.rounds,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    path = metrics_path
+    try:
+        write_metrics_csv(run, path)
+        path = manifest_path
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as err:  # e.g. a directory where an output file goes
+        raise ConfigError(f"cannot write {path}: {err.strerror}", exit_code=1) from None
     final = run.global_accuracy[-1] if run.rounds else float("nan")
     print(f"run: {run.rounds} rounds recorded, final global accuracy {final:.4f}")
-    print(f"run: wrote {metrics_path} and {out_dir / 'manifest.json'}")
+    print(f"run: wrote {metrics_path} and {manifest_path}")
     return 0
 
 

@@ -5,14 +5,15 @@ with no dataset or model: strategy.play_rounds, nash_check's loop too,
 settles token expiry, group scheduling, freshness bar and eviction,
 participation decision, token credit, model purchase and payoff for all
 clients at once, each client a lane of its arrays, and play_game records
-each round it yields. The played game is a Schedule of (horizon,
-clients) arrays, one per COLUMNS entry. Then run_round runs each round's
-learning step from that round's trainer, buyer and drifter masks: local
-training on each participant's owned model, gradient randomization,
-weighted aggregation, handing each buyer the new global model, and
-evaluation into a local_accuracy and a global_accuracy array, each
-client's training one task on learning's thread pool. run_simulation
-returns the recorded rounds of all these arrays as a Run. The uploads
+each round it yields as one row of (horizon, clients) arrays, one per
+COLUMNS entry. A run's one record is a Run of those columns plus a
+local_accuracy column and a global_accuracy array, NaN until scored.
+Then run_round runs each round's learning step from that round's
+trainer, buyer and drifter masks: local training on each participant's
+owned model, gradient randomization, weighted aggregation, handing each
+buyer the new global model, and evaluation into the Run's accuracy
+cells, each client's training one task on learning's thread pool.
+run_simulation returns the Run cut to the rounds it ran. The uploads
 stream into aggregate in client order as the pool yields them, so a
 round holds about workers + 1 of them, not one per trainer. Each
 client's partition is a row-index Subset of the loaded train set,
@@ -75,7 +76,6 @@ __all__ = [
     "SimConfig",
     "COLUMNS",
     "EngineState",
-    "Schedule",
     "Run",
     "play_game",
     "check_inputs",
@@ -212,24 +212,11 @@ COLUMNS = {
 
 
 @dataclass(eq=False)
-class Schedule:
-    """The token game of one run: read-only columns[name][r - 1, k] is
-    client k's `name` in round r, for each name in COLUMNS, and players
-    the lanes of every client after the last round."""
-
-    columns: dict
-    players: Players
-
-    @property
-    def horizon(self) -> int:
-        return len(self.columns["eps"])
-
-
-@dataclass(eq=False)
 class Run:
-    """The recorded rounds of a run: columns[name][r - 1, k] is client
+    """The record of a run's rounds: columns[name][r - 1, k] is client
     k's `name` in round r, for each name in COLUMNS and local_accuracy,
-    and global_accuracy[r - 1] the server model's in round r."""
+    and global_accuracy[r - 1] the server model's in round r. Its COLUMNS
+    arrays are read-only."""
 
     columns: dict
     global_accuracy: np.ndarray
@@ -251,16 +238,15 @@ class _Client:
 @dataclass
 class EngineState:
     round: int
-    schedule: Schedule
+    # The full horizon; its accuracy cells are NaN until run_round scores
+    # round r into row r - 1.
+    run: Run
     server: np.ndarray
     server_scores: dict
     layers: tuple
     clients: list
     local_test: Subset
     global_test: Subset
-    # NaN until run_round scores round r into row r - 1.
-    local_accuracy: np.ndarray
-    global_accuracy: np.ndarray
 
 
 def _frozen(vector: np.ndarray) -> np.ndarray:
@@ -268,12 +254,13 @@ def _frozen(vector: np.ndarray) -> np.ndarray:
     return vector
 
 
-def play_game(config: SimConfig) -> Schedule:
+def play_game(config: SimConfig) -> tuple[dict, Players]:
     """Play rounds 1..horizon of the token game for every client, from
     the config alone, each client a lane of strategy.play_rounds and each
-    round it yields one row of the Schedule's columns. An evicted
-    client's cells are unscheduled, move no tokens and keep its last
-    balance."""
+    round it yields one row of the columns. Returns the read-only
+    columns, in COLUMNS order, and the lanes after the last round. An
+    evicted client's cells are unscheduled, move no tokens and keep its
+    last balance."""
     params = config.params
     eps = config.client_eps()
     if config.mechanism == "baseline":
@@ -303,7 +290,7 @@ def play_game(config: SimConfig) -> Schedule:
         for name, cell in cells.items():
             columns[name][r - 1] = cell
         playing = ~players.evicted
-    return Schedule(columns={name: _frozen(c) for name, c in columns.items()}, players=players)
+    return {name: _frozen(c) for name, c in columns.items()}, players
 
 
 def check_inputs(config: SimConfig, datasets, source: str = "config") -> None:
@@ -348,7 +335,8 @@ def init_state(config: SimConfig, datasets) -> EngineState:
     are gathered and scaled block by block as scored.
     """
     check_inputs(config, datasets)
-    schedule = play_game(config)
+    columns, _ = play_game(config)
+    columns["local_accuracy"] = np.full((config.horizon, config.clients), np.nan)
     train, test = datasets
 
     perm = _frozen(_stream(config.seed, _KIND_SPLIT).permutation(len(test)))
@@ -360,15 +348,13 @@ def init_state(config: SimConfig, datasets) -> EngineState:
     scores = {}
     return EngineState(
         round=0,
-        schedule=schedule,
+        run=Run(columns, np.full(config.horizon, np.nan)),
         server=server.vector,
         server_scores=scores,
         layers=server.layers,
         clients=[_Client(k, parts[k], server.vector, scores) for k in range(config.clients)],
         local_test=Subset(test, perm[:cut], "local-test"),
         global_test=Subset(test, perm[cut:], "global-test"),
-        local_accuracy=np.full((config.horizon, config.clients), np.nan),
-        global_accuracy=np.full(config.horizon, np.nan),
     )
 
 
@@ -376,13 +362,13 @@ def run_round(state: EngineState, config: SimConfig) -> float:
     """Run the learning step of the next scheduled round: its trainers
     upload, its buyers take the new global model, clients evicted in an
     earlier round drift, and every client's model and the server's are
-    scored into the state's accuracy rows. Returns the global accuracy."""
+    scored into the state's Run. Returns the global accuracy."""
     r = state.round + 1
-    game = state.schedule
-    if r > game.horizon:
-        raise ValueError(f"round {r} is past the horizon of {game.horizon}")
-    drifters = [state.clients[k] for k in np.flatnonzero(game.columns["evicted"][: r - 1].any(0))]
-    trainers = [state.clients[k] for k in np.flatnonzero(game.columns["participated"][r - 1])]
+    run, columns = state.run, state.run.columns
+    if r > run.rounds:
+        raise ValueError(f"round {r} is past the horizon of {run.rounds}")
+    drifters = [state.clients[k] for k in np.flatnonzero(columns["evicted"][: r - 1].any(0))]
+    trainers = [state.clients[k] for k in np.flatnonzero(columns["participated"][r - 1])]
 
     def gradient(c):
         return local_train(ModelParams(c.model, state.layers), c.part, config.batches,
@@ -391,7 +377,7 @@ def run_round(state: EngineState, config: SimConfig) -> float:
     def upload(c):
         g = gradient(c)
         if config.ldp:
-            cfg = LdpConfig(float(game.columns["eps"][r - 1, c.id]), radius=config.clip_radius,
+            cfg = LdpConfig(float(columns["eps"][r - 1, c.id]), radius=config.clip_radius,
                             mechanism=config.ldp_mechanism)
             g = perturb_gradients(g, cfg, _stream(config.seed, _KIND_PERTURB, c.id, r))
         return g
@@ -420,12 +406,12 @@ def run_round(state: EngineState, config: SimConfig) -> float:
     for c, (model, scores) in zip(drifters, pool_imap(drift, drifters)):
         c.model, c.scores = model, scores
     for c in state.clients:
-        if game.columns["bought"][r - 1, c.id]:
+        if columns["bought"][r - 1, c.id]:
             c.model, c.scores = state.server, state.server_scores
-        state.local_accuracy[r - 1, c.id] = score(c.model, c.scores, state.local_test)
+        columns["local_accuracy"][r - 1, c.id] = score(c.model, c.scores, state.local_test)
 
-    accuracy = state.global_accuracy[r - 1] = score(state.server, state.server_scores,
-                                                    state.global_test)
+    accuracy = run.global_accuracy[r - 1] = score(state.server, state.server_scores,
+                                                  state.global_test)
     state.round = r
     return accuracy
 
@@ -439,6 +425,6 @@ def run_simulation(config: SimConfig, datasets) -> Run:
         accuracy = run_round(state, config)
         if config.stop_accuracy is not None and accuracy >= config.stop_accuracy:
             break
-    columns = {**state.schedule.columns, "local_accuracy": state.local_accuracy}
-    return Run({name: c[: state.round] for name, c in columns.items()},
-               state.global_accuracy[: state.round])
+    run = state.run
+    return Run({name: c[: state.round] for name, c in run.columns.items()},
+               run.global_accuracy[: state.round])

@@ -216,7 +216,8 @@ def _task(fn, item):
 
 class pool_imap:
     """fn(item) for each item, computed on the thread pool and yielded in
-    item order each time it is iterated; len() is the item count.
+    item order each time it is iterated; len() is the item count, which
+    perfbench's tracer reads off aggregate's `grads`.
 
     Tasks are submitted as results are taken, at most one more than the
     pool has workers ahead of the consumer, so the results it has not
@@ -232,11 +233,9 @@ class pool_imap:
 
     def __iter__(self):
         if getattr(_in_task, "active", False):
-            return map(self._fn, self._items)
-        return self._ordered(_pool())
-
-    def _ordered(self, pool):
-        items = iter(self._items)
+            yield from map(self._fn, self._items)
+            return
+        pool, items = _pool(), iter(self._items)
         # ThreadPoolExecutor keeps its worker count only in _max_workers.
         pending = deque(pool.submit(_task, self._fn, item)
                         for item in itertools.islice(items, pool._max_workers + 1))

@@ -21,7 +21,6 @@ __all__ = [
     "LDP_MECHANISMS",
     "LdpConfig",
     "perturb_gradients",
-    "analytic_ldp_ratio",
     "RatioEstimate",
     "empirical_ldp_ratio",
 ]
@@ -91,17 +90,6 @@ def perturb_gradients(g, cfg: LdpConfig, rng: np.random.Generator) -> np.ndarray
     out -= 1.0
     out *= bound
     return out
-
-
-def analytic_ldp_ratio(cfg: LdpConfig) -> float:
-    """Worst-case output probability ratio over any two in-range inputs.
-
-    For the two-point mechanism the extreme inputs radius and -radius
-    put odds of e^eps : 1 and 1 : e^eps on the upper output, so the
-    worst ratio is exactly e^eps; the Laplace variant attains the same
-    bound through its density ratio. Returns e^eps.
-    """
-    return math.exp(cfg.eps)
 
 
 @dataclass(frozen=True)

@@ -49,12 +49,13 @@ def test_training_presets_play_the_reference_economics(run):
     for name, spec in run.TRAINING.items():
         csv_text = (PERFBENCH / "reference" / f"{name}.csv").read_text()
         reference = run.checks.read_reference(csv_text)
-        schedule = engine.play_game(cli.parse_config(preset_config(spec["preset"]), name))
-        columns = [schedule.columns[c] for c in run.checks.ECONOMIC]
+        game, _ = engine.play_game(cli.parse_config(preset_config(spec["preset"]), name))
+        columns = [game[c] for c in run.checks.ECONOMIC]
+        rounds, clients = columns[0].shape
         played = {
             (r, k): tuple(float(col[r - 1, k]) for col in columns)
-            for r in range(1, schedule.horizon + 1)
-            for k in range(columns[0].shape[1])
+            for r in range(1, rounds + 1)
+            for k in range(clients)
         }
         assert played == reference, name
 

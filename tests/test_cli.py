@@ -333,6 +333,17 @@ class TestRunCommand:
         assert kept.is_dir() and not any(kept.iterdir())
         assert capsys.readouterr().err.count("run: simulation failed:") == 2
 
+    @pytest.mark.parametrize("name", ["metrics.csv", "manifest.json"])
+    def test_unwritable_output_file_exits_1_with_one_line(self, tmp_path, offline_config,
+                                                          capsys, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)  # a directory where the file goes
+        assert main(["run", str(offline_config), "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"run: cannot write {out / name}: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_replay_refuses_a_changed_dataset(self, tmp_path, offline_config, capsys):
         first = tmp_path / "first"
         assert main(["run", str(offline_config), "--out-dir", str(first)]) == 0

@@ -13,7 +13,6 @@ import threading
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from tokenfl.engine import (
 )
 from tokenfl.learning import Dataset, ModelParams, evaluate
 from tokenfl.mechanisms import MechanismParams, baseline_token_reward, reward
-from tokenfl.strategy import Players, schedule_group
+from tokenfl.strategy import schedule_group
 
 from test_lane_game import priced
 
@@ -54,7 +53,7 @@ def config(**overrides):
     return SimConfig(**base)
 
 
-class TestScheduleGroup:
+class TestGroupScheduling:
     def test_two_groups_of_five(self):
         assert schedule_group(1, 10, 2) == [0, 1, 2, 3, 4]
         assert schedule_group(2, 10, 2) == [5, 6, 7, 8, 9]
@@ -224,7 +223,8 @@ class TestRunSimulation:
         cfg = config(horizon=1)
         state = init_state(cfg, synthetic_datasets)
         run_round(state, cfg)
-        assert (state.schedule.players.owned_model_round == 1).all()
+        assert state.run.columns["bought"][0].all()
+        assert all(c.model is state.server for c in state.clients)
         assert state.round == 1
 
     def test_round_past_the_horizon_is_rejected(self, synthetic_datasets):
@@ -281,20 +281,14 @@ def baseline_run(synthetic_datasets):
 @pytest.mark.parametrize("cfg", [EVICTION, GROUPED, BASELINE])
 def test_economic_columns_are_the_played_game(synthetic_datasets, cfg):
     """The learning pass leaves every column but local_accuracy as
-    play_game, which sees no data, scheduled it, and leaves the schedule
-    itself exactly as played."""
-    state = run_with_state(cfg, synthetic_datasets)
+    play_game, which sees no data, played it."""
     run = run_simulation(cfg, synthetic_datasets)
-    game = play_game(cfg)
-    assert run.rounds == game.horizon == cfg.horizon
-    assert list(game.columns) == list(COLUMNS)
+    columns, _ = play_game(cfg)
+    assert run.rounds == cfg.horizon
+    assert list(columns) == list(COLUMNS)
     assert list(run.columns) == [*COLUMNS, "local_accuracy"]
-    for name, column in game.columns.items():
+    for name, column in columns.items():
         assert run.columns[name].tobytes() == column.tobytes(), name
-        assert state.schedule.columns[name].tobytes() == column.tobytes(), name
-    for f in fields(Players):
-        got, want = (getattr(g.players, f.name) for g in (state.schedule, game))
-        assert got.tobytes() == want.tobytes(), f.name
 
 
 class TestEvictionDynamics:
@@ -373,31 +367,21 @@ class TestBaselineMode:
         assert (c["spent"][c["bought"]] == BASELINE_PRICE).all()
 
 
-def run_with_state(cfg, datasets):
-    """The engine state after every round of `cfg` ran."""
-    state = init_state(cfg, datasets)
-    for _ in range(cfg.horizon):
-        run_round(state, cfg)
-    return state
-
-
 @pytest.mark.parametrize("C,n", [(1, 1), (2, 2), (4, 2)])
 class TestOracleAgreement:
-    """nash_check prices a client by replaying its ledger alone; the
-    engine must play the same game for every client it runs."""
+    """nash_check prices a client by replaying its ledger alone;
+    play_game must play the same game for every client of a run."""
 
-    def test_acceptable_budget_matches_trajectory(self, synthetic_datasets, C, n):
+    def test_acceptable_budget_matches_trajectory(self, C, n):
         params = MechanismParams(C=C, n=n)
-        cfg = config(clients=6, eps=None, batches=1, horizon=30, params=params)
-        state = run_with_state(cfg, synthetic_datasets)
+        columns, players = play_game(config(clients=6, eps=None, horizon=30, params=params))
         ((payoff, participated),) = priced([params.eps_a], 30, params)
-        assert state.schedule.players.cumulative_payoff.tolist() == [payoff] * 6
-        assert state.schedule.columns["participated"].sum(axis=0).tolist() == [participated] * 6
+        assert players.cumulative_payoff.tolist() == [payoff] * 6
+        assert columns["participated"].sum(axis=0).tolist() == [participated] * 6
 
-    def test_eviction_round_matches_trajectory(self, synthetic_datasets, C, n):
+    def test_eviction_round_matches_trajectory(self, C, n):
         params = MechanismParams(C=C, n=n)
-        cfg = config(clients=6, eps=5, batches=1, horizon=30, params=params)
-        evicted = run_with_state(cfg, synthetic_datasets).schedule.columns["evicted"]
+        evicted = play_game(config(clients=6, eps=5, horizon=30, params=params))[0]["evicted"]
         # Every round a client survives moves its payoff (privacy cost or
         # model value), so the trajectory stops at the first horizon that
         # adds nothing. Before round 1 it holds nothing.
@@ -445,7 +429,7 @@ class TestSharedModels:
         for _ in range(3):
             local_evals.clear()
             run_round(state, cfg)
-            assert state.schedule.columns["bought"][state.round - 1].all()
+            assert state.run.columns["bought"][state.round - 1].all()
             assert len(local_evals) == 1
             assert all(c.model is state.server for c in state.clients)
         self.assert_read_only(state)
@@ -461,7 +445,7 @@ class TestSharedModels:
                 drifting_rounds += 1
                 assert len(local_evals) == drifters
             # Clients evicted this round drift from the next one on.
-            drifters = state.schedule.columns["evicted"][state.round - 1].sum()
+            drifters = state.run.columns["evicted"][state.round - 1].sum()
         assert drifting_rounds > 0
         self.assert_read_only(state)
 
@@ -474,9 +458,9 @@ class TestSharedModels:
             accuracy = run_round(state, cfg)
             distinct += state.server is not held
             held = state.server
-            assert accuracy == state.global_accuracy[r - 1] == evaluate(
+            assert accuracy == state.run.global_accuracy[r - 1] == evaluate(
                 ModelParams(state.server, state.layers), state.global_test)
-        assert state.schedule.columns["evicted"][-1].all()
+        assert state.run.columns["evicted"][-1].all()
         assert 1 < distinct < cfg.horizon
         assert len(global_evals) == distinct
         assert len({id(v) for v in global_evals}) == distinct
@@ -495,7 +479,7 @@ class TestSharedModels:
                 if c.model is model:
                     kept += 1
                     assert not any(v is model for v in local_evals)
-                assert state.local_accuracy[r - 1, c.id] == evaluate(
+                assert state.run.columns["local_accuracy"][r - 1, c.id] == evaluate(
                     ModelParams(c.model, state.layers), state.local_test)
         assert kept > 0
 
@@ -575,9 +559,9 @@ class TestRoundMemory:
         for r in range(1, cfg.horizon + 1):
             assert run_round(state, cfg) == evaluate(ModelParams(state.server, state.layers),
                                                      global_)
-            assert state.local_accuracy[r - 1].tolist() == [
+            assert state.run.columns["local_accuracy"][r - 1].tolist() == [
                 evaluate(ModelParams(c.model, state.layers), local) for c in state.clients]
-        assert state.schedule.columns["evicted"][-1].all()
+        assert state.run.columns["evicted"][-1].all()
 
 
 POOL_CONFIGS = {

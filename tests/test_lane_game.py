@@ -182,18 +182,17 @@ def games(draw):
 @settings(max_examples=150, deadline=None)
 @given(games())
 def test_lane_game_equals_the_scalar_oracle(config):
-    schedule = play_game(config)
+    columns, lanes = play_game(config)
     rounds, players = scalar_game(config)
-    assert schedule.columns["eps"].tolist() == [config.client_eps()] * config.horizon
+    assert columns["eps"].tolist() == [config.client_eps()] * config.horizon
     # The oracle's columns; NaN is a utility with no value.
-    cells = [schedule.columns[name].tolist() for name in list(COLUMNS)[1:]]
+    cells = [columns[name].tolist() for name in list(COLUMNS)[1:]]
     assert [len(column) for column in cells] == [config.horizon] * len(cells)
     for t, want in enumerate(rounds):
         got = zip(*(column[t] for column in cells), strict=True)
         assert [
             bits(None if v != v else v for v in row) for row in got
         ] == [bits(row) for row in want]
-    lanes = schedule.players
     got = zip(lanes.cumulative_payoff.tolist(), lanes.owned_model_round.tolist())
     assert [bits(p) for p in got] == [bits(p) for p in players]
 

@@ -777,7 +777,7 @@ for _ in range(config.horizon):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     run_round(state, config)
     counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-assert state.schedule.columns["participated"].all()
+assert state.run.columns["participated"].all()
 print(json.dumps(counts[1:]))
 """
 

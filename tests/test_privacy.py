@@ -1,5 +1,5 @@
 """Randomization layer: two-point mechanism support, unbiasedness,
-the analytic privacy ratio, and its Monte-Carlo certification."""
+and the Monte-Carlo certification of the privacy ratio."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 
 from tokenfl.privacy import (
     LdpConfig,
-    analytic_ldp_ratio,
     empirical_ldp_ratio,
     perturb_gradients,
 )
@@ -122,12 +121,6 @@ class TestLaplaceVariant:
         cfg = LdpConfig(eps=1000.0, mechanism="laplace")
         out = perturb_gradients(np.full(1000, 50.0), cfg, np.random.default_rng(8))
         assert abs(out.mean() - 1.0) < 0.1
-
-
-class TestAnalyticRatio:
-    @pytest.mark.parametrize("eps", [0.5, 1.0, 5.0, 20.0])
-    def test_equals_exp_eps_exactly(self, eps):
-        assert analytic_ldp_ratio(LdpConfig(eps=eps)) == math.exp(eps)
 
 
 class TestEmpiricalRatio:
