@@ -227,6 +227,39 @@ class TestRunSimulation:
         assert all(c.model is state.server for c in state.clients)
         assert state.round == 1
 
+    def test_init_state_holds_the_full_horizon_unscored(self, synthetic_datasets):
+        cfg = config(horizon=3)
+        state = init_state(cfg, synthetic_datasets)
+        run = state.run
+        assert run.rounds == 3
+        assert list(run.columns) == [*COLUMNS, "local_accuracy"]
+        assert np.isnan(run.global_accuracy).all()
+        assert np.isnan(run.columns["local_accuracy"]).all()
+        assert run.columns["local_accuracy"].shape == (3, 3)
+        run_round(state, cfg)
+        # Round 1 is scored into row 0; the later rows stay NaN.
+        assert not np.isnan(run.global_accuracy[0])
+        assert not np.isnan(run.columns["local_accuracy"][0]).any()
+        assert np.isnan(run.global_accuracy[1:]).all()
+        assert np.isnan(run.columns["local_accuracy"][1:]).all()
+
+    def test_stopped_run_is_the_state_cut_to_its_rounds(self, synthetic_datasets):
+        cfg = config(horizon=4, stop_accuracy=0.0)
+        state = init_state(cfg, synthetic_datasets)
+        run_round(state, cfg)
+        run = run_simulation(cfg, synthetic_datasets)
+        assert run.rounds == state.round == 1
+        assert run.global_accuracy.tobytes() == state.run.global_accuracy[:1].tobytes()
+        for name, column in state.run.columns.items():
+            assert run.columns[name].tobytes() == column[:1].tobytes(), name
+
+    def test_played_columns_are_read_only(self):
+        columns, _ = play_game(config(horizon=2))
+        for name, column in columns.items():
+            assert not column.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            columns["balance"][0, 0] = 1.0
+
     def test_round_past_the_horizon_is_rejected(self, synthetic_datasets):
         cfg = config(horizon=1)
         state = init_state(cfg, synthetic_datasets)
