@@ -80,7 +80,8 @@ class TokenLedger:
         if lanes < 1 or slots < 1:
             raise ValueError(f"need lanes >= 1 and slots >= 1, got {lanes}, {slots}")
         self.policy = policy
-        self.lots = np.zeros((lanes, slots))
+        self.lots = np.zeros((lanes, slots), order="F")  # a column is contiguous
+        self._columns = tuple(self.lots.T)  # views: lots changes in place only
         self.participations = np.zeros(lanes, dtype=np.int64)
         self._counted = policy is not None and policy.counts_participated_only
         self._credited = 0  # the last round credited
@@ -97,11 +98,11 @@ class TokenLedger:
 
     def balance(self) -> np.ndarray:
         """Each lane's tokens, summed oldest lot first, in a new array:
-        the same floats as Python's sum() over the lots of each lane."""
-        lots = self.lots
-        total = lots[:, 0].copy()
-        for k in range(1, lots.shape[1]):
-            total += lots[:, k]
+        the same floats as Python's sum() over each lane's lots, a ufunc a column."""
+        first, *rest = self._columns
+        total = first + rest.pop(0) if rest else first.copy()
+        for lot in rest:
+            total += lot
         return total
 
     def credit(self, amount, t: int, lanes: np.ndarray) -> None:
@@ -110,9 +111,10 @@ class TokenLedger:
         and >= 0, but not -0.0). The rows shift in place.
 
         Credits come once per round, in round order: t must be the
-        round after the last credited one.
+        round after the last credited one. On the round clock a credit
+        is one block move and one ufunc, lanes times `amount`.
         """
-        _check_mask(lanes)
+        _check_mask(lanes, len(self.lots))
         if t != self._credited + 1:
             raise ValueError(f"credit round {t} is not the round after the last "
                              f"credited round {self._credited}")
@@ -121,31 +123,30 @@ class TokenLedger:
         valid = np.less(amount, np.copysign(math.inf, amount))
         if np.count_nonzero(valid) != valid.size:
             raise ValueError(f"credit amount must be finite and >= 0, got {amount}")
-        lots = self.lots
-        # A non-credited lane drops only lots past the window, unless nothing expires.
-        watched = slice(None) if self.policy is None else lanes
-        if np.count_nonzero(lots[watched, 0]):
+        # Lots are >= 0. A non-credited lane drops only expired lots, unless none expire.
+        drop = self._columns[0]
+        if np.count_nonzero(drop) and (self.policy is None or np.count_nonzero(drop * lanes)):
             raise ValueError(f"a round-{t} credit would overwrite a lot that still holds tokens")
         self._credited = t
         self.participations += lanes
         if self._counted:
-            lots[lanes, :-1] = lots[lanes, 1:]
-            lots[:, -1] = np.where(lanes, amount, lots[:, -1])
+            self.lots[lanes, :-1] = self.lots[lanes, 1:]
+            np.copyto(self._columns[-1], amount, where=lanes)
             return
-        lots[:, :-1] = lots[:, 1:]
-        lots[:, -1] = np.where(lanes, amount, 0.0)
+        self.lots[:, :-1] = self.lots[:, 1:]
+        np.multiply(lanes, amount, out=self._columns[-1])  # amount >= 0: else 0.0
 
     def spend(self, amount: float, lanes: np.ndarray) -> np.ndarray:
         """Each of `lanes` whose balance covers `amount` pays it, oldest
         lots first; returns those lanes. The lots of every other lane
         are untouched. `amount` must be finite and >= 0."""
-        _check_mask(lanes)
+        _check_mask(lanes, len(self.lots))
         if not 0 <= amount < math.inf:
             raise ValueError(f"spend amount must be finite and >= 0, got {amount}")
         paid = lanes & (self.balance() >= amount)
         if np.count_nonzero(paid):
             remaining = paid * float(amount)
-            for lot in self.lots.T:
+            for lot in self._columns:
                 take = np.minimum(lot, remaining)
                 lot -= take
                 remaining -= take
@@ -161,22 +162,24 @@ class TokenLedger:
         Meant to run before the round's participation is credited, so
         decisions see post-expiry balances.
         """
-        _check_mask(lanes)
+        _check_mask(lanes, len(self.lots))
         if t != self._credited + 1:
             raise ValueError(f"expire round {t} is not the round after the last "
                              f"credited round {self._credited}")
         if self.policy is None:
             return np.zeros(len(self.lots))
-        oldest = self.lots[:, 0]
-        lost = np.where(lanes, oldest, 0.0)
+        oldest = self._columns[0]
+        lost = oldest * lanes  # lots are >= 0: 0.0 for a lane not listed
         oldest -= lost
         return lost
 
 
-def _check_mask(lanes) -> None:
-    """Refuse `lanes` unless it is a boolean array: integers index rows."""
+def _check_mask(lanes, count: int) -> None:
+    """Refuse `lanes` unless a boolean (count,) array: integers index rows, others broadcast."""
     if getattr(lanes, "dtype", None) != np.bool_:
         raise TypeError(f"lanes must be a boolean mask, got dtype {getattr(lanes, 'dtype', None)}")
+    if lanes.shape != (count,):
+        raise ValueError(f"lanes must be a mask of shape ({count},), got shape {lanes.shape}")
 
 
 def model_age(owned_clock, clock):

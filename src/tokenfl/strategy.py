@@ -133,7 +133,8 @@ def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
     policy is the baseline scheme: nothing expires, no model goes stale,
     and every affordable model is bought. `scheduled` is a lane mask or
     True; `values` holds value(0..t + stride). Returns the lane arrays
-    (expired, participated, bought).
+    (expired, participated, bought). Lane masks use a > b for a & ~b on
+    booleans, and the value gain is read only when some lane bought.
     """
     active = ~players.evicted
     expired = ledger.expire(t, active)
@@ -142,29 +143,27 @@ def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
     else:
         age, window = model_age(players.model_clock, ledger.clock(t)), ledger.policy.n
     barred = age > window
-    evict = active & barred
-    if scheduled is not True:
-        evict &= scheduled
+    due = active if scheduled is True else active & scheduled
+    evict = barred & due
     if np.count_nonzero(evict):
         evict &= ledger.balance() < price
         players.evicted |= evict
-        active &= ~evict
-    participated = active & ~(barred | players.stopped)
-    if scheduled is not True:
-        participated &= scheduled
+    # An evicted lane is barred, so `due` still holds it and barred drops it.
+    participated = due > (barred | players.stopped)
     if stride is not None:
-        refused = participated & ~decide_participation(players, t, stride, values)
+        refused = participated > decide_participation(players, t, stride, values)
         players.stopped |= refused
-        participated &= ~refused
+        participated ^= refused
     ledger.credit(players.earn, t, participated)
     if ledger.policy is not None and ledger.policy.counts_participated_only:
         age = model_age(players.model_clock, ledger.clock(t))  # the credited round counts
-    bought = ledger.spend(price, active & (age >= window))
-    gain = values[t] - values[players.owned_model_round]
-    players.cumulative_payoff += client_round_payoff(bought, gain, players.cost, participated)
+    bought = ledger.spend(price, (age >= window) > players.evicted)
+    gain = 0.0
     if np.count_nonzero(bought):
+        gain = values[t] - values[players.owned_model_round]
         np.copyto(players.owned_model_round, t, where=bought)
         np.copyto(players.model_clock, ledger.clock(t), where=bought)
+    players.cumulative_payoff += client_round_payoff(bought, gain, players.cost, participated)
     return expired, participated, bought
 
 
@@ -266,13 +265,11 @@ def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> Nash
 
     players = Players.start(budgets, [reward(e, params) for e in budgets], params)
     ledger = TokenLedger(len(budgets), FreshnessPolicy(n=params.n))
-    counts = np.zeros(len(budgets), dtype=np.int64)
-    for _, _, _, trained, _ in play_rounds(players, ledger, horizon, params.C,
-                                           value_table(horizon)):
+    for _ in play_rounds(players, ledger, horizon, params.C, value_table(horizon)):
         if np.count_nonzero(players.evicted) == len(budgets):
             break
-        counts += trained
-    priced = dict(zip(budgets, zip(players.cumulative_payoff.tolist(), counts.tolist())))
+    priced = dict(zip(budgets, zip(players.cumulative_payoff.tolist(),
+                                   ledger.participations.tolist())))
     profile_payoffs = tuple(priced[e][0] for e in profile)
     report = NashReport(profile, horizon, profile_payoffs)
     for i, base in enumerate(profile):

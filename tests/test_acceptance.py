@@ -6,9 +6,9 @@ profile, exact token-flow closure at the eligibility budget, the
 certified privacy ratio, the local gradient against finite
 differences, noiseless convergence, the documented preset dynamics
 (their token-game half also offline, with no dataset), every preset's
-played columns pinned by hash, and byte-level reproducibility.
-Tolerances are pinned here and nowhere
-else; a failure means the package broke its contract.
+played columns and the `nash` report pinned by hash, and byte-level
+reproducibility. Tolerances are pinned here and nowhere else; a failure
+means the package broke its contract.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from tokenfl.cli import parse_config, write_metrics_csv
+from tokenfl.cli import main, parse_config, write_metrics_csv
 from tokenfl.economy import FreshnessPolicy, TokenLedger
 from tokenfl.engine import COLUMNS, SimConfig, play_game, run_simulation
 from tokenfl.learning import (
@@ -353,6 +353,21 @@ def test_preset_games_match_their_pinned_columns_offline():
         columns, _ = play_game(parse_config(preset_config(name), name))
         for column, digest in zip(COLUMNS, PLAYED_SHA256[name], strict=True):
             assert hashlib.sha256(columns[column].tobytes()).hexdigest() == digest, (name, column)
+
+
+# (exit code, byte count, sha256) of `tokenfl nash --clients 3` stdout by
+# --horizon: all-eps_a is an equilibrium at 50 and not at 200.
+NASH_STDOUT = {
+    50: (0, 4454, "44180ccdf3ecd5046cf6188874954c11370f66d19766b2ca03b3f1d5acb4ff7e"),
+    200: (1, 4477, "9af0c0801abf9f3fdc79c1928122fa05c527641474ca0fa5656f83721c4ce7e0"),
+}
+
+
+@pytest.mark.parametrize("horizon", sorted(NASH_STDOUT))
+def test_nash_report_matches_its_pinned_bytes(capsys, horizon):
+    code = main(["nash", "--clients", "3", "--horizon", str(horizon)])
+    out = capsys.readouterr().out.encode()
+    assert (code, len(out), hashlib.sha256(out).hexdigest()) == NASH_STDOUT[horizon]
 
 
 def test_identical_configs_produce_byte_identical_outputs(tmp_path, mnist, run_preset):

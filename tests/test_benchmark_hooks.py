@@ -134,6 +134,29 @@ def test_traced_run_binds_every_measure(run, tmp_path, idx_builder):
         assert tracer.quantities[key] > 0, key
 
 
+def test_traced_game_binds_every_ledger_measure(run, monkeypatch):
+    # game-sweep's per-layer ledger metrics count the calls that each
+    # round of play_round makes by the names the tracer patches, and the
+    # tracer does not patch strategy.client_round_payoff, so it is counted
+    # here. The eps_a lane is never evicted: all 30 rounds are played.
+    payoffs = []
+    original = strategy.client_round_payoff
+    monkeypatch.setattr(strategy, "client_round_payoff",
+                        lambda *args: payoffs.append(args) or original(*args))
+    params = mechanisms.MechanismParams(C=2, n=2)
+    tracer = run.Tracer()
+    run.instrument(tracer)
+    try:
+        strategy.nash_check([params.eps_a], run.GRID, 30, params)
+    finally:
+        tracer.unpatch()
+    assert tracer.total_calls("strategy.nash_check") == 1
+    for name in ("economy.TokenLedger.expire", "economy.TokenLedger.credit",
+                 "economy.TokenLedger.spend", "economy.model_age"):
+        assert tracer.total_calls(name) == 30, name
+    assert len(payoffs) == 30
+
+
 def test_cli_metrics_pass_the_benchmark_check(run, tmp_path, idx_builder):
     # The check reads the economic columns, token flows and accuracy
     # ranges, none of which depends on what the model learns, so a tiny

@@ -285,6 +285,29 @@ class TestLanes:
         assert ledger.lots.tolist() == [[0.0, 1.0], [0.0, 1.0]]
         assert ledger.participations.tolist() == [1, 1]
 
+    @pytest.mark.parametrize("lanes", [np.array([True]), np.ones(4, dtype=bool),
+                                       np.ones((3, 1), dtype=bool)],
+                             ids=["one", "four", "column"])
+    @pytest.mark.parametrize("policy", [CALENDAR, None], ids=["calendar", "baseline"])
+    @pytest.mark.parametrize("step", ["expire", "credit", "spend"])
+    def test_mask_of_another_shape_refused_and_changes_nothing(self, step, policy, lanes):
+        # A one-lane mask would broadcast: credit would credit all three
+        # lanes, spend make all three pay and expire empty every oldest lot.
+        every = np.ones(3, dtype=bool)
+        ledger = TokenLedger(3, policy, None if policy else 3)
+        ledger.credit(1.0, 1, every)
+        ledger.credit(np.array([0.5, 0.25, 2.0]), 2, every)
+        lots = ledger.lots.tolist()
+        call = {"expire": lambda: ledger.expire(3, lanes),
+                "credit": lambda: ledger.credit(1.0, 3, lanes),
+                "spend": lambda: ledger.spend(0.5, lanes)}[step]
+        with pytest.raises(ValueError, match=r"mask of shape \(3,\), got shape"):
+            call()
+        assert ledger.lots.tolist() == lots
+        assert ledger.participations.tolist() == [2, 2, 2]
+        ledger.expire(3, every)  # round 3 is still the next one
+        ledger.credit(0.0, 3, every)
+
 
 def stepped(ledger, rounds):
     """`ledger` after crediting no lane in each of `rounds`."""
