@@ -24,10 +24,12 @@ from pathlib import Path
 from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from . import __version__
 from .engine import COLUMNS, ConfigError, SimConfig, check_inputs, run_simulation
 from .learning import MNIST_FILES, IdxParseError, default_data_dir, load_mnist
-from .mechanisms import MechanismParams, predict_collapse_round, utility
+from .mechanisms import MechanismParams, cost, predict_collapse_round, utility, value_table
 from .presets import preset_config, preset_names
 from .strategy import nash_check
 
@@ -268,8 +270,10 @@ def cmd_analyze(args) -> int:
     with open(utilities_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["t", "eps", "stride", "utility"])
-        writer.writerows([t, _fmt(eps), args.stride, _fmt(utility(t, eps, args.stride, params))]
-                         for eps in args.eps for t in range(1, args.horizon + 1))
+        rounds, values = np.arange(1, args.horizon + 1), value_table(args.horizon + args.stride)
+        for eps in args.eps:
+            curve = utility(rounds, cost(eps, params), args.stride, values).tolist()
+            writer.writerows([t, _fmt(eps), args.stride, _fmt(u)] for t, u in enumerate(curve, 1))
 
     collapse_path = out_dir / "collapse.csv"
     with open(collapse_path, "w", newline="", encoding="utf-8") as f:

@@ -32,7 +32,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-# model_age, load_mnist, value, utility, client_round_payoff and
+# model_age, load_mnist, value, client_round_payoff and
 # decide_participation go unused here; perfbench/run.py instrument()
 # patches them by name on this module.
 from .economy import FreshnessPolicy, TokenLedger, model_age
@@ -65,7 +65,6 @@ from .strategy import (
     client_round_payoff,
     decide_participation,
     play_rounds,
-    round_utility,
 )
 
 __all__ = [
@@ -285,7 +284,7 @@ def play_game(config: SimConfig) -> tuple[dict, Players]:
             "scheduled": scheduled & playing, "participated": participated, "bought": bought,
             "evicted": players.evicted, "earned": np.where(participated, players.earn, 0.0),
             "spent": np.where(bought, price, 0.0), "expired": expired, "balance": balance,
-            "utility": np.nan if stride is None else round_utility(players, r, stride, values),
+            "utility": np.nan if stride is None else utility(r, players.cost, stride, values),
         }
         for name, cell in cells.items():
             columns[name][r - 1] = cell

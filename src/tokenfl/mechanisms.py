@@ -1,11 +1,11 @@
 """Closed-form game functions of the token incentive scheme.
 
 Everything here is a pure function: the legacy linear token reward, the
-model value curve, the privacy cost curve, the reward schedule, the
-per-round participation utility built from them, and an analytic scan
-for the round at which utility first turns negative. No training or
-randomness is involved; these functions define the game that the
-simulation engine plays out.
+model value curve and its table, the privacy cost curve, the reward
+schedule, the per-round participation utility read from them, and an
+analytic scan for the round at which utility first turns negative. No
+training or randomness is involved; these functions define the game
+that the simulation engine plays out.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def value(t) -> float:
 def value_table(last: int) -> np.ndarray:
     """value(t) for t = 0..last as one read-only array of the same
     floats, computed once per length."""
-    table = np.array([value(t) for t in range(last + 1)])
+    table = np.fromiter((value(t) for t in range(last + 1)), float, count=last + 1)
     table.flags.writeable = False
     return table
 
@@ -144,25 +144,29 @@ def reward(eps, params: MechanismParams) -> float:
     return 0.5 + (full - 0.5) * frac**3
 
 
-def utility(t, eps, stride, params: MechanismParams) -> float:
-    """Net gain of participating at round t: trade the round-t model for
-    the round-(t + stride) model and pay the privacy cost.
-
-    stride is 1 for individual play and G under group scheduling, where
-    a participant waits G rounds between model upgrades.
+def utility(t, privacy_cost, stride, values: np.ndarray):
+    """Net gain of participating at round t, (values[t + stride] -
+    values[t]) - privacy_cost: trade the round-t model for the
+    round-(t + stride) model of the value table `values` and pay the
+    privacy cost, one cost or one per lane, at a round or an array of
+    rounds t. stride is 1 for individual play and G under group
+    scheduling, where a participant waits G rounds between model
+    upgrades. A run's decisions and utility column and `analyze` call it.
     """
-    if t < 0:
-        raise ValueError(f"round index must be >= 0, got {t}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    return value(t + stride) - value(t) - cost(eps, params)
+    first, last = (t, t) if np.isscalar(t) else (t.min(), t.max())
+    if not 0 <= first <= last + stride < len(values):
+        raise ValueError(f"need rounds t >= 0 with t + {stride} < {len(values)}, got {t}")
+    return (values[t + stride] - values[t]) - privacy_cost
 
 
 def predict_collapse_round(eps, stride, horizon, params: MechanismParams):
     """Smallest round t in [1, horizon] with negative utility, or None.
 
     A rational client stops participating at the returned round; None
-    means participation stays worthwhile through the whole horizon.
+    means participation stays worthwhile through the whole horizon. The
+    scan reads utility's formula off two slices of one value table.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")

@@ -19,15 +19,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-# utility and value go unused here; perfbench/run.py instrument() patches
-# them by name on this module.
+# value goes unused here; perfbench/run.py instrument() patches it by name
+# on this module.
 from .economy import FreshnessPolicy, TokenLedger, model_age
 from .mechanisms import MechanismParams, cost, reward, utility, value, value_table
 
 __all__ = [
     "Players",
     "choose_epsilon",
-    "round_utility",
     "decide_participation",
     "client_round_payoff",
     "play_round",
@@ -89,20 +88,14 @@ def choose_epsilon(params: MechanismParams, override=None) -> float:
     return float(override)
 
 
-def round_utility(players: Players, t: int, stride: int, values: np.ndarray) -> np.ndarray:
-    """Each lane's mechanisms.utility(t, eps, stride, params): the same
-    floats, from the value table `values` and the lane's cost."""
-    return (values[t + stride] - values[t]) - players.cost
-
-
 def decide_participation(players: Players, t: int, stride: int, values: np.ndarray) -> np.ndarray:
     """Whether each lane is willing to train at round t.
 
-    True exactly when the round utility is nonnegative. Utility falls
-    with t once the value curve flattens, so after the first refusal a
-    client never returns.
+    True exactly when the lane's mechanisms.utility is nonnegative.
+    Utility falls with t once the value curve flattens, so after the
+    first refusal a client never returns.
     """
-    return round_utility(players, t, stride, values) >= 0.0
+    return utility(t, players.cost, stride, values) >= 0.0
 
 
 def client_round_payoff(bought, value_gain, cost, participated) -> np.ndarray:

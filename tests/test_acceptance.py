@@ -6,8 +6,8 @@ profile, exact token-flow closure at the eligibility budget, the
 certified privacy ratio, the local gradient against finite
 differences, noiseless convergence, the documented preset dynamics
 (their token-game half also offline, with no dataset), every preset's
-played columns and the `nash` report pinned by hash, and byte-level
-reproducibility. Tolerances are pinned here and nowhere else; a failure
+played columns, the `nash` report and the `analyze` tables pinned by
+hash, and byte-level reproducibility. Tolerances are pinned here and nowhere else; a failure
 means the package broke its contract.
 """
 
@@ -368,6 +368,31 @@ def test_nash_report_matches_its_pinned_bytes(capsys, horizon):
     code = main(["nash", "--clients", "3", "--horizon", str(horizon)])
     out = capsys.readouterr().out.encode()
     assert (code, len(out), hashlib.sha256(out).hexdigest()) == NASH_STDOUT[horizon]
+
+
+# ((byte count, sha256) of utilities.csv, then of collapse.csv) written
+# by `tokenfl analyze` with these arguments.
+ANALYZE_FILES = {
+    (): (
+        (5965, "fff215ed7eae17846dd8e48343e644055ee0081649ad9116a496396bf2350cb0"),
+        (69, "9b4bf3f576e36739a70fe7119c4790f38c4e9d718e51bf34f909c354185550f7"),
+    ),
+    ("--stride", "5", "--horizon", "200"): (
+        (24003, "45576c9e19f3be7e72e2792fa0718e133e95621b2b3c5a6ba68e1d3aeb8ca2b7"),
+        (68, "8fb731d45858da1c4c4e389530511c876020804d3ee3a57553e1f8764afb9e6a"),
+    ),
+    ("--stride", "2", "--horizon", "1000", "--eps", "1", "5.5", "15", "25"): (
+        (123418, "fefca37907d744862f9416b4f3956cb89ac8eb30137989c46a6776457fb45405"),
+        (72, "e9e21c7d8de2966bca5ac05e9e613b6439a7290d6776ddad4d4e2416c304373d"),
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(ANALYZE_FILES), ids=lambda a: " ".join(a) or "defaults")
+def test_analyze_tables_match_their_pinned_bytes(tmp_path, args):
+    assert main(["analyze", *args, "--out-dir", str(tmp_path)]) == 0
+    written = [(tmp_path / name).read_bytes() for name in ("utilities.csv", "collapse.csv")]
+    assert tuple((len(b), hashlib.sha256(b).hexdigest()) for b in written) == ANALYZE_FILES[args]
 
 
 def test_identical_configs_produce_byte_identical_outputs(tmp_path, mnist, run_preset):

@@ -157,6 +157,25 @@ def test_traced_game_binds_every_ledger_measure(run, monkeypatch):
     assert len(payoffs) == 30
 
 
+def test_traced_run_counts_every_participation_utility(run, monkeypatch):
+    # mechanisms.utility is the rule a strategic run plays: each of the
+    # 50 rounds asks it once for the round's decisions and once for the
+    # utility column, evicted clients included.
+    decisions = []
+    original = strategy.decide_participation
+    monkeypatch.setattr(strategy, "decide_participation",
+                        lambda *args: decisions.append(args) or original(*args))
+    config = cli.parse_config(preset_config("strategic-10c-eps25"), "strategic-10c-eps25")
+    tracer = run.Tracer()
+    run.instrument(tracer)
+    try:
+        engine.play_game(config)
+    finally:
+        tracer.unpatch()
+    assert len(decisions) == 50
+    assert tracer.total_calls("mechanisms.utility") == 100
+
+
 def test_cli_metrics_pass_the_benchmark_check(run, tmp_path, idx_builder):
     # The check reads the economic columns, token flows and accuracy
     # ranges, none of which depends on what the model learns, so a tiny

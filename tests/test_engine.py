@@ -365,10 +365,11 @@ class TestGroupedMode:
 
     def test_utility_reported_at_group_stride(self, grouped_run):
         params = MechanismParams(G=2)
-        from tokenfl.mechanisms import utility
+        from tokenfl.mechanisms import cost, utility, value_table
 
+        values = value_table(grouped_run.rounds + 2)
         for r, row in enumerate(grouped_run.columns["utility"].tolist(), 1):
-            assert row == pytest.approx([utility(r, 20.0, 2, params)] * 4)
+            assert row == pytest.approx([utility(r, cost(20.0, params), 2, values)] * 4)
 
 
 class TestBaselineMode:

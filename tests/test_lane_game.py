@@ -26,7 +26,6 @@ from tokenfl.mechanisms import (
     baseline_token_reward,
     cost,
     reward,
-    utility,
     value,
 )
 from tokenfl.strategy import nash_check, schedule_group
@@ -82,6 +81,12 @@ class ScalarClient:
         return True
 
 
+def scalar_utility(t, eps, stride, params):
+    """The paper's participation utility, written out apart from
+    mechanisms.utility so that the oracle does not share its code."""
+    return value(t + stride) - value(t) - cost(eps, params)
+
+
 def scalar_round(c, t, params, earn, price, window, counted, scheduled, stride):
     """One round of one client; window None is the baseline scheme.
     Returns (expired, participated, bought)."""
@@ -94,7 +99,7 @@ def scalar_round(c, t, params, earn, price, window, counted, scheduled, stride):
         return expired, False, False
     participated = scheduled and age <= bar and not c.stopped
     if participated and stride is not None:
-        participated = utility(t, c.eps, stride, params) >= 0.0
+        participated = scalar_utility(t, c.eps, stride, params) >= 0.0
         c.stopped = not participated
     if participated:
         c.credit(earn, t)
@@ -133,7 +138,7 @@ def scalar_game(config):
             rows.append((
                 scheduled, participated, bought, c.evicted,
                 earn if participated else 0.0, price if bought else 0.0, expired, c.balance(),
-                None if baseline else utility(t, c.eps, config.stride, params),
+                None if baseline else scalar_utility(t, c.eps, config.stride, params),
             ))
         rounds.append(rows)
     return rounds, [(c.payoff, c.owned) for c in clients]

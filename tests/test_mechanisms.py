@@ -2,7 +2,9 @@
 contracts, and the shape properties the collapse scan relies on."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from tokenfl.mechanisms import (
     reward,
     utility,
     value,
+    value_table,
 )
 
 PARAMS = MechanismParams()
@@ -34,6 +37,15 @@ COST_AT = {
 }
 COLLAPSE_STRIDE1 = {25.0: 11, 20.0: 27, 17.0: 42, 15.0: None}
 ZERO_COST = MechanismParams(c_min=0.0, c_max=0.0)
+VALUES = value_table(100)
+# The budgets of perfbench's game-sweep: 1, 1.25, ..., 25.
+SWEEP_GRID = [1.0 + 0.25 * i for i in range(97)]
+
+
+def paper_utility(t, eps, stride, params):
+    """The participation utility as the paper writes it, one round and
+    one budget at a time: the reference that utility must reproduce."""
+    return value(t + stride) - value(t) - cost(eps, params)
 
 
 class TestMechanismParams:
@@ -204,33 +216,83 @@ class TestUtility:
     def test_zero_cost_equals_value_increment(self):
         for t in (0, 1, 7, 30):
             gain = value(t + 1) - value(t)
-            assert math.isclose(utility(t, 5.0, 1, ZERO_COST), gain, rel_tol=REL)
-            assert utility(t, 5.0, 1, ZERO_COST) > 0
+            assert math.isclose(utility(t, cost(5.0, ZERO_COST), 1, VALUES), gain, rel_tol=REL)
+            assert utility(t, cost(5.0, ZERO_COST), 1, VALUES) > 0
 
     def test_acceptable_level_stays_positive_through_horizon(self):
-        assert all(utility(t, 15.0, 1, PARAMS) > 0 for t in range(1, 51))
+        assert all(utility(t, cost(15.0, PARAMS), 1, VALUES) > 0 for t in range(1, 51))
 
     def test_max_budget_turns_negative_near_round_ten(self):
-        first = next(t for t in range(1, 51) if utility(t, 25.0, 1, PARAMS) < 0)
+        first = next(t for t in range(1, 51) if utility(t, cost(25.0, PARAMS), 1, VALUES) < 0)
         assert 4 <= first <= 16
 
     def test_decreasing_in_round_after_ramp(self):
-        series = [utility(t, 20.0, 1, PARAMS) for t in range(3, 80)]
+        series = [utility(t, cost(20.0, PARAMS), 1, VALUES) for t in range(3, 80)]
         assert all(b < a for a, b in zip(series, series[1:]))
 
     def test_nonincreasing_in_eps(self):
         for eps_lo, eps_hi in ((5.0, 15.0), (15.0, 20.0), (20.0, 25.0)):
-            assert utility(10, eps_hi, 1, PARAMS) <= utility(10, eps_lo, 1, PARAMS)
+            assert (utility(10, cost(eps_hi, PARAMS), 1, VALUES)
+                    <= utility(10, cost(eps_lo, PARAMS), 1, VALUES))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            utility(-1, 15.0, 1, PARAMS)
+            utility(-1, cost(15.0, PARAMS), 1, VALUES)
         with pytest.raises(ValueError):
-            utility(1, 15.0, 0, PARAMS)
+            utility(1, cost(15.0, PARAMS), 0, VALUES)
+
+    def test_refuses_rounds_past_the_value_table(self):
+        assert utility(99, 0.0, 1, VALUES) == VALUES[100] - VALUES[99]
+        for t, stride in ((100, 1), (98, 3), (np.array([1, 99]), 2), (np.array([-1, 5]), 1)):
+            with pytest.raises(ValueError):
+                utility(t, 0.0, stride, VALUES)
 
     def test_nan_eps_rejected(self):
+        # A NaN budget has no privacy cost to pass to utility.
         with pytest.raises(ValueError):
-            utility(3, math.nan, 1, PARAMS)
+            utility(3, cost(math.nan, PARAMS), 1, VALUES)
+
+    @pytest.mark.parametrize("stride", range(1, 6))
+    def test_is_the_papers_formula_bit_for_bit(self, stride):
+        # Every round 0..1000 and every game-sweep budget, as one array
+        # of rounds per budget and as one lane per budget for a round.
+        rounds, values = np.arange(1001), value_table(1000 + stride)
+        costs = np.array([cost(eps, PARAMS) for eps in SWEEP_GRID])
+        for eps, c in zip(SWEEP_GRID, costs.tolist()):
+            want = [paper_utility(t, eps, stride, PARAMS) for t in rounds.tolist()]
+            assert utility(rounds, c, stride, values).tolist() == want, eps
+        for t in (0, 1, 11, 1000):
+            want = [paper_utility(t, eps, stride, PARAMS) for eps in SWEEP_GRID]
+            assert utility(t, costs, stride, values).tolist() == want, t
+
+    @pytest.mark.parametrize("stride", range(1, 6))
+    def test_collapse_scan_agrees_with_utility(self, stride):
+        horizon = 1000
+        rounds, values = np.arange(1, horizon + 1), value_table(horizon + stride)
+        for eps in SWEEP_GRID:
+            negative = np.flatnonzero(utility(rounds, cost(eps, PARAMS), stride, values) < 0)
+            first = int(rounds[negative[0]]) if negative.size else None
+            assert predict_collapse_round(eps, stride, horizon, PARAMS) == first, eps
+
+
+class TestValueTable:
+    def test_holds_the_value_floats_read_only(self):
+        table = value_table(60)
+        assert table.tolist() == [value(t) for t in range(61)]
+        assert not table.flags.writeable
+
+    def test_builds_no_list_of_python_floats(self):
+        # A list of 10**5 floats on the way would peak near four times
+        # the table's 0.8 MB: 8 bytes a pointer and 24 a float object.
+        value_table.cache_clear()
+        tracemalloc.start()
+        try:
+            table = value_table(10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            value_table.cache_clear()
+        assert peak < 1.25 * table.nbytes, peak
 
 
 class TestPredictCollapseRound:
