@@ -12,6 +12,7 @@ the data directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gzip
 import json
@@ -178,6 +179,16 @@ def _make_out_dir(out_dir: Path) -> list:
     return created
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """An OSError while writing `path`, e.g. a directory where the file
+    goes, exits 1 with one line naming it."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror}", exit_code=1) from None
+
+
 def cmd_run(args) -> int:
     if bool(args.config) == bool(args.preset):
         raise ConfigError("provide exactly one of a config file or --preset")
@@ -211,26 +222,32 @@ def cmd_run(args) -> int:
         raw = {**raw, "seed": args.seed}
     config = parse_config(raw, source=source)
 
-    checksums = {}
     try:
-        datasets = load_mnist(config.data_dir, checksums)
+        train, test, digests = load_mnist(config.data_dir, digests=True)
     except (FileNotFoundError, IdxParseError) as err:
         raise ConfigError(str(err), exit_code=1) from None
-    check_inputs(config, datasets, source)
-    for name, md5 in sorted(recorded.items()):
-        if checksums.get(name) != md5:
-            raise ConfigError(f"dataset file {name} has md5 {checksums.get(name)}, "
-                              f"but the manifest records {md5}", exit_code=1)
-
-    out_dir = Path(args.out_dir)
-    created = _make_out_dir(out_dir)
+    # The md5s hash while the rounds run; only a replay's check and the
+    # manifest wait for them, and every exit waits for the hash to end.
     try:
-        run = run_simulation(config, datasets)
-    except ValueError as err:  # e.g. a model past float32's range
-        print(f"run: simulation failed: {err}", file=sys.stderr)
-        for d in created:
-            d.rmdir()
-        return 1
+        check_inputs(config, (train, test), source)
+        for name, md5 in sorted(recorded.items()):
+            found = digests.result().get(name)
+            if found != md5:
+                raise ConfigError(f"dataset file {name} has md5 {found}, "
+                                  f"but the manifest records {md5}", exit_code=1)
+
+        out_dir = Path(args.out_dir)
+        created = _make_out_dir(out_dir)
+        try:
+            run = run_simulation(config, (train, test))
+        except ValueError as err:  # e.g. a model past float32's range
+            print(f"run: simulation failed: {err}", file=sys.stderr)
+            for d in created:
+                d.rmdir()
+            return 1
+        checksums = digests.result()
+    finally:
+        digests.exception()
 
     metrics_path, manifest_path = out_dir / "metrics.csv", out_dir / "manifest.json"
     manifest = {
@@ -242,13 +259,11 @@ def cmd_run(args) -> int:
         "outputs": {"metrics": metrics_path.name},
         "rounds_recorded": run.rounds,
     }
-    path = metrics_path
-    try:
-        write_metrics_csv(run, path)
-        path = manifest_path
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    except OSError as err:  # e.g. a directory where an output file goes
-        raise ConfigError(f"cannot write {path}: {err.strerror}", exit_code=1) from None
+    with _writing(metrics_path):
+        write_metrics_csv(run, metrics_path)
+    with _writing(manifest_path):
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                 encoding="utf-8")
     final = run.global_accuracy[-1] if run.rounds else float("nan")
     print(f"run: {run.rounds} rounds recorded, final global accuracy {final:.4f}")
     print(f"run: wrote {metrics_path} and {manifest_path}")
@@ -267,7 +282,7 @@ def cmd_analyze(args) -> int:
     _make_out_dir(out_dir)
 
     utilities_path = out_dir / "utilities.csv"
-    with open(utilities_path, "w", newline="", encoding="utf-8") as f:
+    with _writing(utilities_path), open(utilities_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["t", "eps", "stride", "utility"])
         rounds, values = np.arange(1, args.horizon + 1), value_table(args.horizon + args.stride)
@@ -276,7 +291,7 @@ def cmd_analyze(args) -> int:
             writer.writerows([t, _fmt(eps), args.stride, _fmt(u)] for t, u in enumerate(curve, 1))
 
     collapse_path = out_dir / "collapse.csv"
-    with open(collapse_path, "w", newline="", encoding="utf-8") as f:
+    with _writing(collapse_path), open(collapse_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["eps", "stride", "collapse_round"])
         for eps in args.eps:
@@ -298,7 +313,9 @@ def cmd_nash(args) -> int:
     if args.out_dir:
         out_dir = Path(args.out_dir)
         _make_out_dir(out_dir)
-        (out_dir / "nash.json").write_text(payload + "\n", encoding="utf-8")
+        path = out_dir / "nash.json"
+        with _writing(path):
+            path.write_text(payload + "\n", encoding="utf-8")
     print(payload)
     return 0 if report.is_nash else 1
 

@@ -46,9 +46,11 @@ a Subset, both gathering rows block by block, so neither a partition
 nor a test split is copied.
 
 IDX files are mapped read-only, not read: a raw file's pixels are a
-view of its mapping, and the md5 a run records is the one pass over the
-bytes at load. A mapped file must not be rewritten in place while a
-Dataset holds it; replacing it by a rename, as fetch-data does, is safe.
+view of its mapping. The md5 a run records is the one pass over the
+bytes, made by a pool task over the same mappings while the rounds run;
+only a replay's check and the manifest wait for it. A mapped file must
+not be rewritten in place while a Dataset holds it; replacing it by a
+rename, as fetch-data does, is safe.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ def _keep_round_temporaries_in_heap():
     allocator tunables or the C library has no mallopt."""
     if any(var in os.environ for var in _MALLOC_ENV):
         return
-    import ctypes  # imported here, as mmap is, so `import tokenfl` need not load it
+    import ctypes  # only building the pool needs it; numpy has loaded it already
 
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -371,26 +373,38 @@ def _resolve_idx_file(directory: Path, name: str) -> Path:
     )
 
 
-def load_mnist(data_dir=None, checksums=None):
+def _md5s(files: dict) -> dict:
+    """The md5 hex digest of each of `files` (name -> bytes), by name.
+    Empties `files` as it returns, so the pool's reference to the task
+    keeps no mapping alive once the digests are out."""
+    import hashlib  # loads OpenSSL, which `import tokenfl` need not pay for
+
+    try:
+        return {name: hashlib.md5(data).hexdigest() for name, data in files.items()}
+    finally:
+        files.clear()
+
+
+def load_mnist(data_dir=None, digests=False):
     """Load the train and test splits from a directory of IDX files.
 
     Accepts raw or gzipped files under their standard names, and maps
-    each file once: the md5 is the one pass over its bytes at load. A
-    `checksums` dict receives the md5 of each file's on-disk bytes (a
-    gzip file's compressed ones) under its standard name. Returns
-    (train, test) Datasets, whose raw images keep their file mapped.
+    each file once. Returns (train, test) Datasets, whose raw images
+    keep their file mapped. With digests=True it returns (train, test,
+    digests): a Future of the md5 of each file's on-disk bytes (a gzip
+    file's compressed ones) under its standard name, hashed from the
+    same mappings on the thread pool once both splits have parsed. The
+    caller goes on while it hashes; digests.result() waits for it.
     """
     directory = Path(data_dir) if data_dir else default_data_dir()
-    out = []
+    out, on_disk = [], {}
     for split, names in MNIST_FILES.items():
         paths = [_resolve_idx_file(directory, name) for name in names]
         (img_raw, img), (lab_raw, lab) = (_read_idx_file(path) for path in paths)
-        if checksums is not None:
-            import hashlib  # loads OpenSSL, which `import tokenfl` need not pay for
-
-            checksums[names[0]] = hashlib.md5(img_raw).hexdigest()
-            checksums[names[1]] = hashlib.md5(lab_raw).hexdigest()
+        on_disk.update(zip(names, (img_raw, lab_raw)))
         out.append(_parse_idx(paths[0], img, paths[1], lab, split))
+    if digests:
+        out.append(_pool().submit(_md5s, on_disk))
     return tuple(out)
 
 

@@ -12,13 +12,15 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tokenfl import cli
+from tokenfl import cli, engine, learning
 from tokenfl.cli import (
     METRICS_HEADER,
     ConfigError,
@@ -333,28 +335,31 @@ class TestRunCommand:
         assert kept.is_dir() and not any(kept.iterdir())
         assert capsys.readouterr().err.count("run: simulation failed:") == 2
 
-    @pytest.mark.parametrize("name", ["metrics.csv", "manifest.json"])
-    def test_unwritable_output_file_exits_1_with_one_line(self, tmp_path, offline_config,
-                                                          capsys, name):
-        out = tmp_path / "out"
-        (out / name).mkdir(parents=True)  # a directory where the file goes
-        assert main(["run", str(offline_config), "--out-dir", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"run: cannot write {out / name}: ")
-        assert len(captured.err.splitlines()) == 1
+    def test_replay_refuses_a_changed_dataset(self, tmp_path, offline_config, capsys,
+                                              monkeypatch):
+        rounds = []
+        real_run_round = engine.run_round
 
-    def test_replay_refuses_a_changed_dataset(self, tmp_path, offline_config, capsys):
+        def counting_run_round(*args, **kwargs):
+            rounds.append(1)
+            return real_run_round(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_round", counting_run_round)
         first = tmp_path / "first"
         assert main(["run", str(offline_config), "--out-dir", str(first)]) == 0
+        assert len(rounds) == 2  # the count sees the rounds a run plays
+        rounds.clear()
         labels = tmp_path / "data" / "t10k-labels-idx1-ubyte"
         raw = bytearray(labels.read_bytes())
         raw[-1] = (raw[-1] + 1) % 10
         labels.write_bytes(bytes(raw))
         replay = tmp_path / "replay"
         assert main(["run", str(first / "manifest.json"), "--out-dir", str(replay)]) == 1
+        assert rounds == []
         assert not replay.exists()
-        assert "t10k-labels-idx1-ubyte" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("run: dataset file t10k-labels-idx1-ubyte has md5 ")
+        assert len(err.splitlines()) == 1
 
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -757,6 +762,44 @@ class TestRunCommand:
         gc.collect()
         assert self.descriptors_under(data) == []
 
+    @pytest.mark.parametrize("exit_path", ["success", "simulation-failed",
+                                           "unwritable-metrics", "md5-mismatch"])
+    def test_nothing_outlives_the_run_command(self, tmp_path, offline_config, monkeypatch,
+                                              exit_path):
+        config, out = json.loads(offline_config.read_text()), tmp_path / "out"
+        if exit_path == "simulation-failed":
+            config.update(clip_radius=1e308, horizon=1, clients=3)
+        elif exit_path == "unwritable-metrics":
+            (out / "metrics.csv").mkdir(parents=True)
+        elif exit_path == "md5-mismatch":
+            config = {"artifact": "tokenfl", "config": config,
+                      "dataset": {"train-images-idx3-ubyte": "0" * 32}}
+        offline_config.write_text(json.dumps(config))
+        real_md5s = learning._md5s
+
+        def slow_md5s(files):  # a hash that ends well after a tiny run's first round
+            time.sleep(0.1)
+            return real_md5s(files)
+
+        monkeypatch.setattr(learning, "_md5s", slow_md5s)
+        hashes = []
+        real_load_mnist = cli.load_mnist
+
+        def keeping_the_digests(*args, **kwargs):
+            loaded = real_load_mnist(*args, **kwargs)
+            hashes.append(loaded[-1])
+            return loaded
+
+        monkeypatch.setattr(cli, "load_mnist", keeping_the_digests)
+        code = main(["run", str(offline_config), "--out-dir", str(out)])
+        assert code == (0 if exit_path == "success" else 1)
+        (digests,) = hashes
+        assert digests.done()
+        assert [t.name for t in threading.enumerate() if t is not threading.main_thread()
+                and not t.name.startswith("tokenfl_")] == []
+        gc.collect()
+        assert self.descriptors_under(tmp_path / "data") == []
+
     def test_replacing_a_mapped_file_keeps_the_loaded_pixels(self, tmp_path, offline_config):
         path = tmp_path / "data" / "train-images-idx3-ubyte"
         train, _ = load_mnist(path.parent)
@@ -863,6 +906,30 @@ def test_out_dir_blocked_by_a_file_exits_1(tmp_path, idx_builder, monkeypatch, c
     assert captured.err.startswith(f"{command}: cannot create output directory {out}: ")
     assert len(captured.err.splitlines()) == 1
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command, name", [
+    ("run", "metrics.csv"), ("run", "manifest.json"),
+    ("analyze", "utilities.csv"), ("analyze", "collapse.csv"), ("nash", "nash.json"),
+])
+def test_unwritable_output_file_exits_1_with_one_line(tmp_path, idx_builder, capsys,
+                                                      command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)  # a directory where the file goes
+    argv = {
+        "analyze": ["analyze", "--horizon", "5"],
+        "nash": ["nash", "--clients", "2", "--horizon", "10"],
+    }
+    if command == "run":
+        write_tiny_dataset(tmp_path / "data", idx_builder)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(minimal_config(data_dir=str(tmp_path / "data"))))
+        argv["run"] = ["run", str(config_path)]
+    assert main([*argv[command], "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{command}: cannot write {out / name}: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 class TestFetchDataCommand:

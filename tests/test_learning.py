@@ -135,12 +135,27 @@ class TestIdxParsing:
                 if packed:
                     path.with_name(path.name + ".gz").write_bytes(gzip.compress(path.read_bytes()))
                     path.unlink()
-        checksums = {}
-        load_mnist(tmp_path, checksums)
+        *_, digests = load_mnist(tmp_path, digests=True)
+        checksums = digests.result()
         on_disk = {p.name.removesuffix(".gz"): p for p in tmp_path.iterdir()}
         assert checksums == {
             name: hashlib.md5(path.read_bytes()).hexdigest() for name, path in on_disk.items()
         }
+
+    def test_importing_tokenfl_loads_no_module_the_load_path_imports_lazily(self):
+        # Only a load maps files, only the pool needs concurrent.futures and
+        # ctypes, and only the md5 pays for OpenSSL. numpy imports ctypes
+        # itself, so the package is measured against a bare numpy.
+        code = ("import sys, {}; print(sorted("
+                "{{'hashlib', 'concurrent.futures', 'mmap', 'ctypes'}} & set(sys.modules)))")
+        src = str(Path(learning.__file__).resolve().parents[1])
+
+        def loaded(module):
+            return subprocess.run([sys.executable, "-c", code.format(module)],
+                                  env={**os.environ, "PYTHONPATH": src},
+                                  capture_output=True, text=True, check=True).stdout.strip()
+
+        assert loaded("tokenfl") == loaded("numpy")
 
     def test_bad_magic_reported(self, tmp_path, idx_builder):
         images = np.zeros((1, 2, 2), dtype=np.uint8)
