@@ -6,18 +6,19 @@ profile, exact token-flow closure at the eligibility budget, the
 certified privacy ratio, the local gradient against finite
 differences, noiseless convergence, the documented preset dynamics
 (their token-game half also offline, with no dataset), every preset's
-played columns, the `nash` report and the `analyze` tables pinned by
+played columns and config echo, the `nash` report and the `analyze` tables pinned by
 hash, and byte-level reproducibility. Tolerances are pinned here and nowhere else; a failure
 means the package broke its contract.
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from tokenfl.cli import main, parse_config, write_metrics_csv
+from tokenfl.cli import config_to_dict, main, parse_config, write_metrics_csv
 from tokenfl.economy import FreshnessPolicy, TokenLedger
 from tokenfl.engine import COLUMNS, SimConfig, play_game, run_simulation
 from tokenfl.learning import (
@@ -353,6 +354,31 @@ def test_preset_games_match_their_pinned_columns_offline():
         columns, _ = play_game(parse_config(preset_config(name), name))
         for column, digest in zip(COLUMNS, PLAYED_SHA256[name], strict=True):
             assert hashlib.sha256(columns[column].tobytes()).hexdigest() == digest, (name, column)
+
+
+# sha256 of each preset's config echo, the "config" block of its
+# manifest.json, so a schema change that moves a manifest byte fails here.
+CONFIG_SHA256 = {
+    "baseline-10c": "a4af5908b208922da8d3e4e74f3409851d9e88e7e3195d53b53153e39b0ef65a",
+    "baseline-3c": "31da9362e09e377fa3ca095df99875f753ed829a9fdeb1afbaa08c20feebebf4",
+    "grouped-10c-eps20": "1c2ad6317276bdd1d3f85e20dae7aa5f02f8e43dd2fbeca3120402c0b0d8fe80",
+    "grouped-10c-eps25": "1464443d11b4acf7ab857fa2cb5dfc80bbf8ecad751a01aecfd6895810f6691b",
+    "strategic-10c-eps15": "5b5743eca66b0d9466c795fd9adcbb3838cc66fe44ac2e59384300505d8d1730",
+    "strategic-10c-eps17": "afb8ea24780cf3890ca742d97f39a342720e214f1157a6c70ea119e767f8a87c",
+    "strategic-10c-eps20": "d3b1133edce8d39fe69ed8c3e75adfe17237e486f64c1fa815f240ccb62e7ccb",
+    "strategic-10c-eps25": "17b81f1c98c2a01903fbbd384f2f4ba88eed914d1f99176e26e6fb0596fc362b",
+    "strategic-3c-eps15": "cdbb1d2daca4e6e32165d82d18cab5237941562fb6284a5accc934a3c3d7784e",
+    "strategic-3c-eps17": "3ac4719aafab5f92959d7751eea7016bbf748170e15d35e387a7e5f5977a6c36",
+    "strategic-3c-eps25": "2c8c6090b2d3e3b982c904a5b7ba522244e772e551438225f722cd33ac26effd",
+}
+
+
+def test_preset_config_echoes_match_their_pinned_bytes():
+    assert sorted(CONFIG_SHA256) == preset_names()
+    for name in preset_names():
+        echo = config_to_dict(parse_config(preset_config(name), name))
+        text = json.dumps(echo, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == CONFIG_SHA256[name], name
 
 
 # (exit code, byte count, sha256) of `tokenfl nash --clients 3` stdout by
