@@ -23,7 +23,7 @@ del _var
 __version__ = "0.1.0"
 
 from .economy import FreshnessPolicy, TokenLedger
-from .engine import Run, SimConfig, run_simulation
+from .engine import LearningParams, Run, SimConfig, run_simulation
 from .learning import Dataset, ModelParams, load_idx, load_mnist
 from .mechanisms import (
     MechanismParams,
@@ -42,6 +42,7 @@ __all__ = [
     "FreshnessPolicy",
     "TokenLedger",
     "Run",
+    "LearningParams",
     "SimConfig",
     "run_simulation",
     "Dataset",

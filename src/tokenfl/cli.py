@@ -48,11 +48,6 @@ MNIST_URLS = (
 )
 
 
-# The SimConfig fields that the schema nests under "learning". Every
-# other field is a top-level key, and "params" holds the MechanismParams
-# fields.
-_LEARNING_FIELDS = ("batches", "batch_size", "lr")
-
 _TYPE_NAMES = {
     bool: "true or false",
     int: "an integer",
@@ -71,25 +66,18 @@ def _is(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _object(data, schema, path) -> dict:
-    """The checked values of object `data`, whose keys must all name
-    entries of `schema` (key -> annotation or nested schema)."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object, got {data!r}")
-    unknown = sorted(set(data) - set(schema))
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}; allowed keys are {sorted(schema)}")
-    return {key: _check(value, schema[key], f"{path}.{key}") for key, value in data.items()}
-
-
 def _check(value, tp, path):
-    """`value` checked against annotation `tp`: a nested schema, a
-    dataclass, a Literal, or a union of bool, int, float, str, None and
-    list[float]. Numbers must be finite."""
-    if isinstance(tp, dict):
-        return _object(value, tp, path)
+    """`value` checked against annotation `tp`: a dataclass, whose fields
+    are an object's keys, a Literal, or a union of bool, int, float, str,
+    None and list[float]. Numbers must be finite."""
     if is_dataclass(tp):
-        kwargs = _object(value, get_type_hints(tp), path)
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected an object, got {value!r}")
+        schema = get_type_hints(tp)
+        unknown = sorted(set(value) - set(schema))
+        if unknown:
+            raise ConfigError(f"{path}: unknown keys {unknown}; allowed keys are {sorted(schema)}")
+        kwargs = {key: _check(v, schema[key], f"{path}.{key}") for key, v in value.items()}
         try:
             return tp(**kwargs)
         except ValueError as err:
@@ -118,29 +106,22 @@ def _check(value, tp, path):
 
 
 def parse_config(data: dict, source: str = "config") -> SimConfig:
-    """Validate a config dict against the schema of SimConfig's fields.
+    """Validate a config dict against SimConfig's dataclass tree: its
+    fields are the top-level keys, and its LearningParams and
+    MechanismParams fields the keys of "learning" and "params".
 
     Unknown keys, type mismatches and non-finite numbers raise
-    ConfigError with the full field path, as do SimConfig's and
-    MechanismParams' own value checks. Returns the corresponding
-    SimConfig.
+    ConfigError with the full field path, as do each dataclass's own
+    value checks, named by the path of the object that failed them.
+    Returns the corresponding SimConfig.
     """
-    schema = get_type_hints(SimConfig)
-    schema["learning"] = {name: schema.pop(name) for name in _LEARNING_FIELDS}
-    kwargs = _object(data, schema, source)
-    kwargs.update(kwargs.pop("learning", {}))
-    try:
-        return SimConfig(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"{source}: {err}") from None
+    return _check(data, SimConfig, source)
 
 
 def config_to_dict(config: SimConfig) -> dict:
-    """Normalized schema echo of a SimConfig (eps resolved per client)."""
-    echo = asdict(config)
-    echo["eps"] = config.client_eps()
-    echo["learning"] = {name: echo.pop(name) for name in _LEARNING_FIELDS}
-    return echo
+    """Normalized schema echo of a SimConfig: its dataclass tree as
+    nested dicts, with eps resolved per client."""
+    return {**asdict(config), "eps": config.client_eps()}
 
 
 def _fmt(x) -> str:
@@ -310,14 +291,16 @@ def cmd_nash(args) -> int:
     except ValueError as err:
         raise ConfigError(str(err)) from None
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    # The report prints first, so an unwritable --out-dir (exit 1) still
+    # shows it; a profile that is no equilibrium exits 3.
+    print(payload)
     if args.out_dir:
         out_dir = Path(args.out_dir)
         _make_out_dir(out_dir)
         path = out_dir / "nash.json"
         with _writing(path):
             path.write_text(payload + "\n", encoding="utf-8")
-    print(payload)
-    return 0 if report.is_nash else 1
+    return 0 if report.is_nash else 3
 
 
 def _download_idx(url: str) -> bytes:

@@ -72,6 +72,7 @@ __all__ = [
     "SCHEMES",
     "BASELINE_PRICE",
     "ConfigError",
+    "LearningParams",
     "SimConfig",
     "COLUMNS",
     "EngineState",
@@ -121,6 +122,25 @@ class ConfigError(ValueError):
         self.exit_code = exit_code
 
 
+@dataclass(frozen=True)
+class LearningParams:
+    """The local training step: each trainer takes `batches` minibatches
+    of `batch_size` rows a round, and the server and drifters step by
+    `lr` along the uploads."""
+
+    batches: int = 30
+    batch_size: int = 64
+    lr: float = 0.025
+
+    def __post_init__(self):
+        if self.batches < 0 or self.batch_size < 1:
+            raise ValueError(
+                f"need batches >= 0 and batch_size >= 1, got {self.batches}, {self.batch_size}"
+            )
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+
+
 @dataclass
 class SimConfig:
     """Full description of one simulation run."""
@@ -130,9 +150,7 @@ class SimConfig:
     params: MechanismParams = field(default_factory=MechanismParams)
     scheme: Scheme = "identical"
     eps: float | list[float] | None = None
-    batches: int = 30
-    batch_size: int = 64
-    lr: float = 0.025
+    learning: LearningParams = field(default_factory=LearningParams)
     horizon: int = 50
     seed: int = 0
     ldp: bool = True
@@ -154,12 +172,6 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.clip_radius > 0:
             raise ValueError(f"clip_radius must be > 0, got {self.clip_radius}")
-        if self.batches < 0 or self.batch_size < 1:
-            raise ValueError(
-                f"need batches >= 0 and batch_size >= 1, got {self.batches}, {self.batch_size}"
-            )
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.stop_accuracy is not None and not 0.0 <= self.stop_accuracy <= 1.0:
             raise ValueError(f"stop_accuracy must be in [0, 1] or null, got {self.stop_accuracy}")
         if self.scheme in ("disjoint", "intermediary") and self.clients > CLASSES:
@@ -370,8 +382,8 @@ def run_round(state: EngineState, config: SimConfig) -> float:
     trainers = [state.clients[k] for k in np.flatnonzero(columns["participated"][r - 1])]
 
     def gradient(c):
-        return local_train(ModelParams(c.model, state.layers), c.part, config.batches,
-                           config.batch_size, _stream(config.seed, _KIND_TRAIN, c.id, r))
+        return local_train(ModelParams(c.model, state.layers), c.part, config.learning.batches,
+                           config.learning.batch_size, _stream(config.seed, _KIND_TRAIN, c.id, r))
 
     def upload(c):
         g = gradient(c)
@@ -389,7 +401,7 @@ def run_round(state: EngineState, config: SimConfig) -> float:
         return scores[dataset.split]
 
     def drift(c):
-        model, scores = _frozen(c.model - config.lr * gradient(c)), {}
+        model, scores = _frozen(c.model - config.learning.lr * gradient(c)), {}
         score(model, scores, state.local_test)
         return model, scores
 
@@ -399,7 +411,7 @@ def run_round(state: EngineState, config: SimConfig) -> float:
     if trainers:
         state.server = _frozen(aggregate(
             ModelParams(state.server, state.layers), pool_imap(upload, trainers),
-            [len(c.part) for c in trainers], config.lr
+            [len(c.part) for c in trainers], config.learning.lr
         ).vector)
         state.server_scores = {}
     for c, (model, scores) in zip(drifters, pool_imap(drift, drifters)):

@@ -6,9 +6,10 @@ profile, exact token-flow closure at the eligibility budget, the
 certified privacy ratio, the local gradient against finite
 differences, noiseless convergence, the documented preset dynamics
 (their token-game half also offline, with no dataset), every preset's
-played columns and config echo, the `nash` report and the `analyze` tables pinned by
-hash, and byte-level reproducibility. Tolerances are pinned here and nowhere else; a failure
-means the package broke its contract.
+played columns and config echo, the `nash` report and the `analyze`
+tables pinned by hash, and byte-level reproducibility. Tolerances are
+pinned here and nowhere else; a failure means the package broke its
+contract.
 """
 
 import hashlib
@@ -385,7 +386,7 @@ def test_preset_config_echoes_match_their_pinned_bytes():
 # --horizon: all-eps_a is an equilibrium at 50 and not at 200.
 NASH_STDOUT = {
     50: (0, 4454, "44180ccdf3ecd5046cf6188874954c11370f66d19766b2ca03b3f1d5acb4ff7e"),
-    200: (1, 4477, "9af0c0801abf9f3fdc79c1928122fa05c527641474ca0fa5656f83721c4ce7e0"),
+    200: (3, 4477, "9af0c0801abf9f3fdc79c1928122fa05c527641474ca0fa5656f83721c4ce7e0"),
 }
 
 

@@ -60,8 +60,8 @@ def minimal_config(**overrides):
     return data
 
 
-# A config that sets every field of SimConfig and MechanismParams off its
-# default.
+# A config that sets every field of SimConfig, LearningParams and
+# MechanismParams off its default.
 EVERY_FIELD = {
     "mechanism": "strategic-grouped",
     "clients": 4,
@@ -86,7 +86,7 @@ class TestParseConfig:
     def test_minimal_config_parses(self):
         config = parse_config(minimal_config())
         assert config.clients == 2
-        assert config.batches == 5
+        assert config.learning.batches == 5
 
     def test_unknown_top_level_key_named(self):
         with pytest.raises(ConfigError, match=r"config: unknown keys \['rounds'\]"):
@@ -150,9 +150,10 @@ class TestParseConfig:
 
     def test_every_field_config_leaves_no_default(self):
         config, default = parse_config(EVERY_FIELD), SimConfig()
-        for obj, base in ((config, default), (config.params, default.params)):
+        for obj, base in ((config, default), (config.learning, default.learning),
+                          (config.params, default.params)):
             for f in fields(obj):
-                if f.name != "params":
+                if f.name not in ("learning", "params"):
                     assert getattr(obj, f.name) != getattr(base, f.name), f.name
 
     def test_readme_schema_block_shows_every_key_and_default(self):
@@ -441,7 +442,8 @@ class TestRunCommand:
             json.dumps(minimal_config(learning=learning, data_dir=str(tmp_path / "nowhere")))
         )
         assert main(["run", str(config_path), "--out-dir", str(tmp_path / "o")]) == 2
-        assert "batch_size >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{config_path}.learning: need batches >= 0 and batch_size >= 1" in err
 
     @pytest.mark.parametrize(
         "overrides,message",
@@ -465,8 +467,8 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "overrides,message",
         [
-            ({"learning": {"lr": -1}}, "lr must be > 0"),
-            ({"learning": {"lr": 0}}, "lr must be > 0"),
+            ({"learning": {"lr": -1}}, ".learning: lr must be > 0"),
+            ({"learning": {"lr": 0}}, ".learning: lr must be > 0"),
             ({"stop_accuracy": 5}, "stop_accuracy must be in [0, 1]"),
             ({"stop_accuracy": -0.5}, "stop_accuracy must be in [0, 1]"),
             ({"clients": 11, "scheme": "disjoint"}, "disjoint scheme supports at most 10"),
@@ -882,6 +884,12 @@ class TestNashCommand:
         assert "grid" in capsys.readouterr().err
 
 
+def nash_report(capsys) -> str:
+    """stdout of `tokenfl nash --clients 2 --horizon 10`, which writes no file."""
+    assert main(["nash", "--clients", "2", "--horizon", "10"]) == 0
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
 @pytest.mark.parametrize("command", ["run", "analyze", "nash", "fetch-data"])
 def test_out_dir_blocked_by_a_file_exits_1(tmp_path, idx_builder, monkeypatch, capsys,
@@ -902,7 +910,8 @@ def test_out_dir_blocked_by_a_file_exits_1(tmp_path, idx_builder, monkeypatch, c
         monkeypatch.setattr(cli, "run_simulation", None)  # any training call fails
     assert main([*argv[command], str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
+    # nash prints its report before it makes the directory.
+    assert captured.out == (nash_report(capsys) if command == "nash" else "")
     assert captured.err.startswith(f"{command}: cannot create output directory {out}: ")
     assert len(captured.err.splitlines()) == 1
     assert blocker.read_text() == ""
@@ -927,7 +936,7 @@ def test_unwritable_output_file_exits_1_with_one_line(tmp_path, idx_builder, cap
         argv["run"] = ["run", str(config_path)]
     assert main([*argv[command], "--out-dir", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert captured.out == (nash_report(capsys) if command == "nash" else "")
     assert captured.err.startswith(f"{command}: cannot write {out / name}: ")
     assert len(captured.err.splitlines()) == 1
 

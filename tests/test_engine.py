@@ -22,6 +22,7 @@ from tokenfl.engine import (
     BASELINE_PRICE,
     COLUMNS,
     ConfigError,
+    LearningParams,
     SimConfig,
     check_inputs,
     init_state,
@@ -42,8 +43,7 @@ def config(**overrides):
         clients=3,
         scheme="identical",
         eps=15,
-        batches=5,
-        batch_size=16,
+        learning=LearningParams(batches=5, batch_size=16),
         horizon=4,
         seed=0,
         ldp=True,
