@@ -7,6 +7,13 @@ unbiased while capping the log-probability ratio between any two inputs
 at eps. A Laplace variant sits behind the same interface. The module
 also ships an empirical estimator of the worst-case probability ratio
 so the guarantee can be certified statistically.
+
+Under two_point each coordinate becomes +-B with B = r / tanh(eps/2)
+for clipping radius r, so B^2 / r^2 is 1.0013 at eps 8, 1.0000012 at
+eps 15 and 1.00000000006 at eps 25: above eps of about 8 the mechanism
+is a stochastic sign quantizer, and across the game's priced range
+[eps_a, eps_max] = [15, 25] the noise in an upload does not depend on
+eps.
 """
 
 from __future__ import annotations
@@ -46,49 +53,35 @@ class LdpConfig:
             raise ValueError(f"mechanism must be one of {LDP_MECHANISMS}, got {self.mechanism!r}")
 
 
-def _two_point_terms(cfg: LdpConfig):
-    """Output offset B and the slope of the upper-output probability.
-
-    The upper/lower outputs are +-B with B = radius * (e^eps + 1) /
-    (e^eps - 1), and P(upper | w) = (w * (e^eps - 1) + radius *
-    (e^eps + 1)) / (2 * radius * (e^eps + 1)). Both are
-    computed through tanh(eps / 2) = (e^eps - 1) / (e^eps + 1), which
-    stays finite for arbitrarily large eps where e^eps alone overflows.
-    """
-    t = math.tanh(cfg.eps / 2.0)
-    return cfg.radius / t, t
-
-
-def _upper_probability(w, cfg: LdpConfig):
-    _, t = _two_point_terms(cfg)
-    p = np.clip(w, -cfg.radius, cfg.radius)
-    p /= cfg.radius
-    p *= t
-    p += 1.0
-    p *= 0.5
-    return p
-
-
 def perturb_gradients(g, cfg: LdpConfig, rng: np.random.Generator) -> np.ndarray:
     """Coordinate-wise randomization of a gradient vector.
 
     Each coordinate is clipped into the configured range and perturbed
     with independent randomness from `rng`; the output has the same
-    length as the input.
+    length as the input. Under two_point the outputs are +-B with
+    B = radius * (e^eps + 1) / (e^eps - 1), and P(upper | w) =
+    (w * (e^eps - 1) + radius * (e^eps + 1)) / (2 * radius * (e^eps + 1)).
+    Both are computed through tanh(eps / 2) = (e^eps - 1) / (e^eps + 1),
+    which stays finite for arbitrarily large eps where e^eps alone
+    overflows.
     """
     g = np.asarray(g, dtype=np.float64)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient entries must be finite")
+    clipped = np.clip(g, -cfg.radius, cfg.radius)
     if cfg.mechanism == "laplace":
-        clipped = np.clip(g, -cfg.radius, cfg.radius)
         return clipped + rng.laplace(0.0, 2.0 * cfg.radius / cfg.eps, size=g.shape)
-    bound, _ = _two_point_terms(cfg)
-    p_up = _upper_probability(g, cfg)
+    t = math.tanh(cfg.eps / 2.0)
+    p_up = clipped  # rescaled in place into P(upper | w)
+    p_up /= cfg.radius
+    p_up *= t
+    p_up += 1.0
+    p_up *= 0.5
     u = rng.random(g.shape)
-    # +-1.0 from the mask, then +-bound exactly, for any finite bound.
+    # +-1.0 from the mask, then +-B exactly, for any finite B.
     out = np.multiply(u < p_up, 2.0, out=u)
     out -= 1.0
-    out *= bound
+    out *= cfg.radius / t
     return out
 
 

@@ -91,9 +91,11 @@ def choose_epsilon(params: MechanismParams, override=None) -> float:
 def decide_participation(players: Players, t: int, stride: int, values: np.ndarray) -> np.ndarray:
     """Whether each lane is willing to train at round t.
 
-    True exactly when the lane's mechanisms.utility is nonnegative.
-    Utility falls with t once the value curve flattens, so after the
-    first refusal a client never returns.
+    True exactly when the lane's mechanisms.utility is nonnegative. A
+    refusal is final because play_round sets the lane's `stopped`, not
+    because utility only falls: at stride 1 it rises through round 3
+    (v(t + 1) - v(t) is 23.39, 26.86 and 26.91 at t = 1, 2, 3) before
+    it falls.
     """
     return utility(t, players.cost, stride, values) >= 0.0
 
@@ -237,7 +239,7 @@ def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> Nash
     on every round, ignoring params.G. So an eps_a lane keeps paying its
     privacy cost after its utility turns negative while a softer lane is
     evicted early: `tokenfl nash --clients 3` finds no profitable
-    deviation from all-eps_a up to --horizon 194 and exits 1 from 195
+    deviation from all-eps_a up to --horizon 194 and exits 3 from 195
     on. ROADMAP.md item 2 prices the budgets under the engine's rule.
     """
     profile = tuple(float(e) for e in profile)

@@ -31,7 +31,7 @@ from tokenfl.cli import (
 )
 from tokenfl.engine import COLUMNS, Run, SimConfig
 from tokenfl.learning import DATA_DIR_ENV, MNIST_FILES, load_idx, load_mnist
-from tokenfl.presets import preset_config, preset_names
+from tokenfl.presets import PRESETS, preset_config, preset_names
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -165,6 +165,21 @@ class TestParseConfig:
         assert raw.keys() == echo.keys()
         for name in ("learning", "params"):
             assert raw[name].keys() == echo[name].keys()
+
+    def test_readme_presets_table_matches_presets(self):
+        table = README.read_text(encoding="utf-8").split("### Presets\n\n", 1)[1]
+        header, _, *lines = table.split("\n\n", 1)[0].splitlines()
+        cells = lambda line: [c.strip() for c in line.strip("|").split("|")]
+        assert cells(header) == ["preset", "mechanism", "clients", "eps per client", "G",
+                                 "data split"]
+        shown = {cells(line)[0].strip("`"): cells(line)[1:] for line in lines}
+        listed = {}
+        for name, config in PRESETS.items():
+            eps = (", ".join(map(str, config.eps)) if isinstance(config.eps, list)
+                   else f"all {config.eps}")
+            listed[name] = [config.mechanism, str(config.clients), eps, str(config.params.G),
+                            config.scheme]
+        assert shown == listed
 
 
 class TestMetricsCsv:

@@ -31,7 +31,12 @@ from tokenfl.engine import (
     run_simulation,
 )
 from tokenfl.learning import Dataset, ModelParams, evaluate
-from tokenfl.mechanisms import MechanismParams, baseline_token_reward, reward
+from tokenfl.mechanisms import (
+    MechanismParams,
+    baseline_token_reward,
+    predict_collapse_round,
+    reward,
+)
 from tokenfl.strategy import schedule_group
 
 from test_lane_game import priced
@@ -348,6 +353,49 @@ class TestEvictionDynamics:
         quit_round = (~c["participated"]).argmax(axis=0)
         evict_round = c["evicted"].argmax(axis=0)
         assert (quit_round < evict_round).all()
+
+
+def test_refusals_agree_with_the_predicted_collapse_round():
+    # Every (C, n) pair of the benchmark's game sweep, at G = 1, 2 and 5,
+    # for eps 1..25 over 100 rounds: one game per (pair, G), one lane per
+    # (eps, group slot). A case (pair, G, eps) refuses when one of its
+    # lanes declines on negative utility before any of them is evicted,
+    # and each lane's first refusal falls on its first scheduled round at
+    # or after the predicted one, inside [pred, pred + G).
+    budgets, horizon = list(range(1, 26)), 100
+    kinds = {"refused": [], "evicted": [], "neither": []}
+
+    def first(cells):  # each lane's first round with a cell set, else horizon + 1
+        return np.where(cells.any(axis=0), cells.argmax(axis=0) + 1, horizon + 1)
+
+    for C, n in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 3), (4, 2)):
+        for G in (1, 2, 5):
+            params = MechanismParams(C=C, n=n, G=G)
+            columns, _ = play_game(SimConfig(
+                mechanism="strategic" if G == 1 else "strategic-grouped",
+                clients=G * len(budgets), eps=budgets * G, params=params, horizon=horizon,
+            ))
+            evicted = columns["evicted"]
+            refused = (columns["scheduled"] & ~columns["participated"] & ~evicted
+                       & (columns["utility"] < 0))
+            first_refusal = first(refused).reshape(G, -1)
+            first_eviction = first(evicted).reshape(G, -1)
+            for i, eps in enumerate(budgets):
+                refusal, eviction = first_refusal[:, i].min(), first_eviction[:, i].min()
+                if refusal < eviction:
+                    pred = predict_collapse_round(eps, G, horizon, params)
+                    refusals = first_refusal[:, i][first_refusal[:, i] <= horizon]
+                    assert pred is not None and (pred <= refusals).all(), (C, n, G, eps)
+                    assert (refusals < pred + G).all(), (C, n, G, eps)
+                    kinds["refused"].append((G, eps))
+                elif eviction <= horizon:
+                    kinds["evicted"].append((G, eps))
+                else:
+                    kinds["neither"].append((G, eps))
+    assert {kind: len(cases) for kind, cases in kinds.items()} == {
+        "refused": 126, "evicted": 194, "neither": 130}
+    assert max(eps for _, eps in kinds["evicted"]) == 14
+    assert {G for G, _ in kinds["neither"]} == {2, 5}
 
 
 class TestGroupedMode:
