@@ -291,6 +291,70 @@ class TestPartition:
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.rows, pb.rows)
 
+    # sha256 over every client's row count and rows (little-endian int64),
+    # client by client, at seed 0: a faster deal must give the same rows.
+    PARTITION_SHA256 = {
+        ("identical", 1): "564aeb7cfae5b4a2328df56da746c606db6f51da7f49d50283e7fc31c96b7622",
+        ("identical", 3): "b8d1a12a2177c77cda445da56cd9956c7587571da1226f72e68a0b66b0e0bb6d",
+        ("identical", 7): "5813e935423da008a952ce7f0737459337f847f47e4c2fe7cf6b5d5f592f55b5",
+        ("identical", 10): "8cb758b82951db5eec403304f622db334d664ffe962e437e70b277c313e2a2ac",
+        ("disjoint", 1): "c9cc64ead34de7ed61945034ab6cbea6e3494337a5f35000366a95c2b18ca5bf",
+        ("disjoint", 3): "5d4e9c05cca760247fe85dbe3d43581ba914ced3212fbcdfa0ac389d7f139443",
+        ("disjoint", 7): "6ea7a0c67bfa13defbaea91f591db1f9e561336ed1fd3d95d200970d6d993afa",
+        ("disjoint", 10): "a8a4e2998d9bfb1f5bcf1674e3e2104b0d66e1b0d88921039855e7564df5d170",
+        ("intermediary", 1): "19a25bd818eeb51e33b37c33197bae938d0d36a852e0d742175415f2de2b614f",
+        ("intermediary", 3): "c6c41745b0645833a4dbe3210537221cfcf863bc16acc591a724faece8b70831",
+        ("intermediary", 7): "5e0940c5f11f705c794c1215fdfbc86574decb5d2cd3661a252b5aa784009d8e",
+        ("intermediary", 10): "fdddbe0af61346a4b922026f24d284ab6f6fb25ea4caaca1ec9133cc05dc6521",
+    }
+
+    @pytest.mark.parametrize("scheme, clients", sorted(PARTITION_SHA256))
+    def test_rows_pinned(self, synthetic_datasets, scheme, clients):
+        train, _ = synthetic_datasets
+        h = hashlib.sha256()
+        for part in partition(train, clients, scheme, seed=0):
+            h.update(len(part.rows).to_bytes(8, "little"))
+            h.update(part.rows.astype("<i8").tobytes())
+        assert h.hexdigest() == self.PARTITION_SHA256[scheme, clients]
+
+
+def reference_deal(labels, pool, clients):
+    """The label deal written plainly: the pool's rows of each present
+    label, in pool order, label groups in ascending order, dealt to
+    clients round-robin."""
+    chunks = [[] for _ in range(clients)]
+    pool_labels = labels[pool]
+    for slot, lab in enumerate(np.unique(pool_labels)):
+        chunks[slot % clients].append(pool[pool_labels == lab])
+    return [np.concatenate(c) if c else np.empty(0, dtype=np.int64) for c in chunks]
+
+
+class TestDealByLabel:
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    @pytest.mark.parametrize("clients", [1, 4, 12])
+    @pytest.mark.parametrize("pool", ["all", "shuffled-half", "missing-labels", "empty"])
+    def test_matches_reference(self, dtype, clients, pool):
+        rng = np.random.default_rng(7)
+        labels = rng.integers(0, 10, size=200).astype(dtype)
+        rows = {
+            "all": np.arange(200),
+            "shuffled-half": rng.permutation(200)[:100],
+            # labels 0, 4 and 9 are absent: the groups still deal in turn
+            "missing-labels": rng.permutation(np.flatnonzero(~np.isin(labels, [0, 4, 9]))),
+            "empty": np.empty(0, dtype=np.int64),
+        }[pool]
+        got = learning._deal_by_label(labels, rows, clients)
+        want = reference_deal(labels, rows, clients)
+        assert len(got) == clients
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    def test_absent_labels_skip_no_client(self):
+        labels = np.array([7, 2, 7, 5, 2, 7], dtype=np.int64)
+        got = learning._deal_by_label(labels, np.arange(6), 2)
+        assert [g.tolist() for g in got] == [[1, 4, 0, 2, 5], [3]]
+
 
 class TestModelInit:
     def test_vector_length_matches_layer_arithmetic(self):
