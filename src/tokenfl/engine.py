@@ -287,6 +287,9 @@ def play_game(config: SimConfig) -> tuple[dict, Players]:
     shape = (config.horizon, config.clients)
     columns = {name: np.empty(shape, dtype) for name, dtype in COLUMNS.items()}
     columns["eps"] = np.broadcast_to(players.eps, shape)
+    rounds = np.arange(1, config.horizon + 1)[:, None]
+    columns["utility"] = (np.full(shape, np.nan) if stride is None
+                          else utility(rounds, players.cost, stride, values))
     balance, playing = np.zeros(config.clients), np.ones(config.clients, dtype=bool)
     for r, scheduled, expired, participated, bought in play_rounds(
         players, ledger, config.horizon, price, values, stride
@@ -296,7 +299,6 @@ def play_game(config: SimConfig) -> tuple[dict, Players]:
             "scheduled": scheduled & playing, "participated": participated, "bought": bought,
             "evicted": players.evicted, "earned": np.where(participated, players.earn, 0.0),
             "spent": np.where(bought, price, 0.0), "expired": expired, "balance": balance,
-            "utility": np.nan if stride is None else utility(r, players.cost, stride, values),
         }
         for name, cell in cells.items():
             columns[name][r - 1] = cell

@@ -440,12 +440,20 @@ def partition(dataset: Dataset, clients: int, scheme: str, seed) -> list:
 
 
 def _deal_by_label(labels: np.ndarray, pool: np.ndarray, clients: int):
-    """Assign the label groups within `pool` to clients round-robin."""
-    chunks = [[] for _ in range(clients)]
-    pool_labels = labels[pool]
-    for slot, lab in enumerate(np.unique(pool_labels)):
-        chunks[slot % clients].append(pool[pool_labels == lab])
-    return [np.concatenate(c) if c else np.empty(0, dtype=np.int64) for c in chunks]
+    """Assign the label groups within `pool` to clients round-robin: the
+    g-th present label, in ascending order, goes to client g % clients,
+    each group's rows in pool order.
+
+    One stable sort of the pool by label makes the groups: Dataset keeps
+    labels in [0, CLASSES), so the uint8 cast is exact and numpy sorts it
+    by radix. The groups end at the running counts of the present labels.
+    """
+    pool_labels = labels[pool].astype(np.uint8)
+    counts = np.bincount(pool_labels)
+    ends = np.cumsum(counts[counts > 0])
+    groups = np.split(pool[np.argsort(pool_labels, kind="stable")], ends)[:-1]
+    none = [np.empty(0, dtype=np.int64)]
+    return [np.concatenate(groups[k::clients] or none) for k in range(clients)]
 
 
 def init_model(seed, layers=DEFAULT_LAYERS) -> ModelParams:

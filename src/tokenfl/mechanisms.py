@@ -148,16 +148,21 @@ def utility(t, privacy_cost, stride, values: np.ndarray):
     """Net gain of participating at round t, (values[t + stride] -
     values[t]) - privacy_cost: trade the round-t model for the
     round-(t + stride) model of the value table `values` and pay the
-    privacy cost, one cost or one per lane, at a round or an array of
-    rounds t. stride is 1 for individual play and G under group
-    scheduling, where a participant waits G rounds between model
-    upgrades. A run's decisions and utility column and `analyze` call it.
+    privacy cost, one cost or one per lane, at an integer round or an
+    array of integer rounds t; an empty array gives an empty result.
+    stride is 1 for individual play and G under group scheduling, where
+    a participant waits G rounds between model upgrades. A run's
+    decisions and utility column and `analyze` call it.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    first, last = (t, t) if np.isscalar(t) else (t.min(), t.max())
-    if not 0 <= first <= last + stride < len(values):
-        raise ValueError(f"need rounds t >= 0 with t + {stride} < {len(values)}, got {t}")
+    if np.result_type(t).kind not in "iu":
+        raise ValueError(f"rounds t must be integers, got {t}")
+    scalar = np.isscalar(t)
+    if scalar or t.size:
+        first, last = (t, t) if scalar else (t.min(), t.max())
+        if not 0 <= first <= last + stride < len(values):
+            raise ValueError(f"need rounds t >= 0 with t + {stride} < {len(values)}, got {t}")
     return (values[t + stride] - values[t]) - privacy_cost
 
 

@@ -59,8 +59,11 @@ class Players:
 
     @classmethod
     def start(cls, eps, earn, params: MechanismParams) -> "Players":
-        """Lanes at round zero, owning the initial model, one per eps."""
+        """Lanes at round zero, owning the initial model, one per eps,
+        each earning its own entry of `earn`."""
         lanes = len(eps)
+        if len(earn) != lanes:
+            raise ValueError(f"need one earn per eps: {lanes} eps, {len(earn)} earn")
         return cls(
             eps=np.array(eps, dtype=float),
             earn=np.array(earn, dtype=float),

@@ -159,8 +159,8 @@ def test_traced_game_binds_every_ledger_measure(run, monkeypatch):
 
 def test_traced_run_counts_every_participation_utility(run, monkeypatch):
     # mechanisms.utility is the rule a strategic run plays: each of the
-    # 50 rounds asks it once for the round's decisions and once for the
-    # utility column, evicted clients included.
+    # 50 rounds asks it once for the round's decisions, evicted clients
+    # included, and one more call fills the whole utility column.
     decisions = []
     original = strategy.decide_participation
     monkeypatch.setattr(strategy, "decide_participation",
@@ -173,7 +173,7 @@ def test_traced_run_counts_every_participation_utility(run, monkeypatch):
     finally:
         tracer.unpatch()
     assert len(decisions) == 50
-    assert tracer.total_calls("mechanisms.utility") == 100
+    assert tracer.total_calls("mechanisms.utility") == 51
 
 
 def test_cli_metrics_pass_the_benchmark_check(run, tmp_path, idx_builder):

@@ -247,6 +247,21 @@ class TestUtility:
             with pytest.raises(ValueError):
                 utility(t, 0.0, stride, VALUES)
 
+    def test_empty_rounds_give_an_empty_result(self):
+        costs = np.array([cost(15.0, PARAMS), cost(25.0, PARAMS)])
+        assert utility(np.arange(0), 0.0, 1, VALUES).shape == (0,)
+        assert utility(np.arange(1, 1)[:, None], costs, 2, VALUES).shape == (0, 2)
+
+    @pytest.mark.parametrize("t", [2.0, np.float64(2.0), np.array([1.0, 2.0]), True],
+                             ids=["float", "np-float", "float-array", "bool"])
+    def test_non_integer_rounds_rejected(self, t):
+        with pytest.raises(ValueError, match="rounds t must be integers"):
+            utility(t, 0.0, 1, VALUES)
+
+    @pytest.mark.parametrize("t", [np.int64(4), np.int32(4), np.uint8(4), np.array(4)])
+    def test_numpy_integer_rounds_accepted(self, t):
+        assert utility(t, 0.0, 1, VALUES) == VALUES[5] - VALUES[4]
+
     def test_nan_eps_rejected(self):
         # A NaN budget has no privacy cost to pass to utility.
         with pytest.raises(ValueError):

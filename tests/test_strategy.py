@@ -45,6 +45,14 @@ def players(*eps, params=PARAMS):
     return Players.start(list(eps), [1.0] * len(eps), params)
 
 
+class TestPlayersStart:
+    @pytest.mark.parametrize("earn", [[1.0], [1.0, 1.0, 1.0, 1.0], []])
+    def test_one_earn_per_eps_required(self, earn):
+        # A single earn would broadcast to every lane in TokenLedger.credit.
+        with pytest.raises(ValueError, match=f"3 eps, {len(earn)} earn"):
+            Players.start([15.0, 20.0, 25.0], earn, PARAMS)
+
+
 class TestDecideParticipation:
     def test_acceptable_budget_always_joins(self):
         client, values = players(15.0), value_table(51)
