@@ -18,11 +18,12 @@ stream into aggregate in client order as the pool yields them, so a
 round holds about workers + 1 of them, not one per trainer. Each
 client's partition is a row-index Subset of the loaded train set,
 trained on in place, and the two test splits are Subsets of the loaded
-test set, scored in place. Model arrays are read-only, so all holders of
-one global model share its array and one dict of its scores. Clients
-evicted in an earlier round keep training locally on their stale model,
-outside the federation. Every random stream is derived from (seed,
-purpose, client, round), so a run is a pure function of its config.
+test set, scored in place. Each model is one read-only _Model, validated
+once where it is made, and all its holders share that _Model and so one
+record of its scores. Clients evicted in an earlier round keep training
+locally on their stale model, outside the federation. Every random
+stream is derived from (seed, purpose, client, round), so a run is a
+pure function of its config.
 """
 
 from __future__ import annotations
@@ -237,24 +238,36 @@ class Run:
         return len(self.global_accuracy)
 
 
+class _Model:
+    """A model: its ModelParams, made read-only, and {split: accuracy}."""
+
+    def __init__(self, params: ModelParams):
+        _frozen(params.vector)
+        self.params, self.scores = params, {}
+
+    def accuracy(self, subset: Subset) -> float:
+        """Accuracy on `subset`, evaluated the first time any holder asks.
+        A concurrent drifter task asks only of its own model."""
+        if subset.split not in self.scores:
+            self.scores[subset.split] = evaluate(self.params, subset)
+        return self.scores[subset.split]
+
+
 @dataclass
 class _Client:
     id: int
     part: Subset
-    model: np.ndarray
-    # split -> accuracy of `model`, shared by every holder of the array.
-    scores: dict
+    model: _Model
 
 
 @dataclass
 class EngineState:
+    config: SimConfig
     round: int
     # The full horizon; its accuracy cells are NaN until run_round scores
     # round r into row r - 1.
     run: Run
-    server: np.ndarray
-    server_scores: dict
-    layers: tuple
+    server: _Model
     clients: list
     local_test: Subset
     global_test: Subset
@@ -338,11 +351,12 @@ def check_inputs(config: SimConfig, datasets, source: str = "config") -> None:
 
 
 def init_state(config: SimConfig, datasets) -> EngineState:
-    """Build round-zero state from the (train, test) Datasets: the played
-    game, model, partitions, test split, once check_inputs accepts them.
+    """Build `config`'s round-zero state from the (train, test) Datasets:
+    the played game, model, partitions, test split, once check_inputs
+    accepts them.
 
-    The initial global model is handed to every client free of cost. A
-    fifth of the test split, in a random order, is the shared
+    The initial global model, one _Model, is handed to every client free
+    of cost. A fifth of the test split, in a random order, is the shared
     local-evaluation set; the server scores on the rest. Both are row
     indices into the loaded test set, which is not copied: its pixels
     are gathered and scaled block by block as scored.
@@ -356,27 +370,24 @@ def init_state(config: SimConfig, datasets) -> EngineState:
     cut = max(1, int(len(test) * _LOCAL_TEST_FRACTION))
 
     parts = partition(train, config.clients, config.scheme, _stream(config.seed, _KIND_PARTITION))
-    server = init_model(_stream(config.seed, _KIND_INIT))
-    _frozen(server.vector)
-    scores = {}
+    server = _Model(init_model(_stream(config.seed, _KIND_INIT)))
     return EngineState(
+        config=config,
         round=0,
         run=Run(columns, np.full(config.horizon, np.nan)),
-        server=server.vector,
-        server_scores=scores,
-        layers=server.layers,
-        clients=[_Client(k, parts[k], server.vector, scores) for k in range(config.clients)],
+        server=server,
+        clients=[_Client(k, parts[k], server) for k in range(config.clients)],
         local_test=Subset(test, perm[:cut], "local-test"),
         global_test=Subset(test, perm[cut:], "global-test"),
     )
 
 
-def run_round(state: EngineState, config: SimConfig) -> float:
-    """Run the learning step of the next scheduled round: its trainers
-    upload, its buyers take the new global model, clients evicted in an
-    earlier round drift, and every client's model and the server's are
-    scored into the state's Run. Returns the global accuracy."""
-    r = state.round + 1
+def run_round(state: EngineState) -> float:
+    """Run the learning step of the state's next round under its config:
+    trainers upload, buyers take the new global _Model, clients evicted
+    in an earlier round drift each to a _Model of its own, and every
+    model held is scored into the state's Run. Returns global accuracy."""
+    config, r = state.config, state.round + 1
     run, columns = state.run, state.run.columns
     if r > run.rounds:
         raise ValueError(f"round {r} is past the horizon of {run.rounds}")
@@ -384,7 +395,7 @@ def run_round(state: EngineState, config: SimConfig) -> float:
     trainers = [state.clients[k] for k in np.flatnonzero(columns["participated"][r - 1])]
 
     def gradient(c):
-        return local_train(ModelParams(c.model, state.layers), c.part, config.learning.batches,
+        return local_train(c.model.params, c.part, config.learning.batches,
                            config.learning.batch_size, _stream(config.seed, _KIND_TRAIN, c.id, r))
 
     def upload(c):
@@ -395,36 +406,26 @@ def run_round(state: EngineState, config: SimConfig) -> float:
             g = perturb_gradients(g, cfg, _stream(config.seed, _KIND_PERTURB, c.id, r))
         return g
 
-    def score(vector, scores, dataset):
-        """Accuracy of a model array, evaluated the first time any holder
-        asks. Concurrent drifter tasks each pass their own array and dict."""
-        if dataset.split not in scores:
-            scores[dataset.split] = evaluate(ModelParams(vector, state.layers), dataset)
-        return scores[dataset.split]
-
     def drift(c):
-        model, scores = _frozen(c.model - config.learning.lr * gradient(c)), {}
-        score(model, scores, state.local_test)
-        return model, scores
+        held = c.model.params
+        model = _Model(ModelParams(held.vector - config.learning.lr * gradient(c), held.layers))
+        model.accuracy(state.local_test)
+        return model
 
     # Clients work concurrently; results come back in client order, so
     # aggregate sums them in the same order on any number of cores, each
     # upload as it arrives.
     if trainers:
-        state.server = _frozen(aggregate(
-            ModelParams(state.server, state.layers), pool_imap(upload, trainers),
-            [len(c.part) for c in trainers], config.learning.lr
-        ).vector)
-        state.server_scores = {}
-    for c, (model, scores) in zip(drifters, pool_imap(drift, drifters)):
-        c.model, c.scores = model, scores
+        state.server = _Model(aggregate(state.server.params, pool_imap(upload, trainers),
+                                        [len(c.part) for c in trainers], config.learning.lr))
+    for c, model in zip(drifters, pool_imap(drift, drifters)):
+        c.model = model
     for c in state.clients:
         if columns["bought"][r - 1, c.id]:
-            c.model, c.scores = state.server, state.server_scores
-        columns["local_accuracy"][r - 1, c.id] = score(c.model, c.scores, state.local_test)
+            c.model = state.server
+        columns["local_accuracy"][r - 1, c.id] = c.model.accuracy(state.local_test)
 
-    accuracy = run.global_accuracy[r - 1] = score(state.server, state.server_scores,
-                                                  state.global_test)
+    accuracy = run.global_accuracy[r - 1] = state.server.accuracy(state.global_test)
     state.round = r
     return accuracy
 
@@ -435,7 +436,7 @@ def run_simulation(config: SimConfig, datasets) -> Run:
     Deterministic given the seed."""
     state = init_state(config, datasets)
     for _ in range(config.horizon):
-        accuracy = run_round(state, config)
+        accuracy = run_round(state)
         if config.stop_accuracy is not None and accuracy >= config.stop_accuracy:
             break
     run = state.run

@@ -118,7 +118,6 @@ class Dataset:
 
     images: np.ndarray
     labels: np.ndarray
-    split: str = "train"
 
     def __post_init__(self):
         self.images = np.asarray(self.images)
@@ -311,7 +310,7 @@ def _read_idx_file(path) -> tuple:
         raise IdxParseError(f"{path}: cannot unpack the gzip file: {err}") from None
 
 
-def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Parse a big-endian IDX image/label file pair.
 
     Pixels stay uint8, a read-only view of the mapped image file (or of
@@ -320,10 +319,10 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     distinct message per failure mode.
     """
     return _parse_idx(images_path, _read_idx_file(images_path)[1],
-                      labels_path, _read_idx_file(labels_path)[1], split)
+                      labels_path, _read_idx_file(labels_path)[1])
 
 
-def _parse_idx(images_path, img: bytes, labels_path, lab: bytes, split: str) -> Dataset:
+def _parse_idx(images_path, img: bytes, labels_path, lab: bytes) -> Dataset:
     if len(img) < 16:
         raise IdxParseError(f"{images_path}: truncated image header ({len(img)} bytes)")
     magic, count, rows, cols = struct.unpack(">IIII", img[:16])
@@ -350,7 +349,7 @@ def _parse_idx(images_path, img: bytes, labels_path, lab: bytes, split: str) -> 
     images = np.frombuffer(img, dtype=np.uint8, offset=16).reshape(count, rows * cols)
     labels = np.frombuffer(lab, dtype=np.uint8, offset=8).astype(np.int64)
     try:
-        return Dataset(images, labels, split=split)
+        return Dataset(images, labels)
     except ValueError as err:  # the label range: the shapes were checked above
         raise IdxParseError(f"{labels_path}: {err}") from None
 
@@ -398,11 +397,11 @@ def load_mnist(data_dir=None, digests=False):
     """
     directory = Path(data_dir) if data_dir else default_data_dir()
     out, on_disk = [], {}
-    for split, names in MNIST_FILES.items():
+    for names in MNIST_FILES.values():
         paths = [_resolve_idx_file(directory, name) for name in names]
         (img_raw, img), (lab_raw, lab) = (_read_idx_file(path) for path in paths)
         on_disk.update(zip(names, (img_raw, lab_raw)))
-        out.append(_parse_idx(paths[0], img, paths[1], lab, split))
+        out.append(_parse_idx(paths[0], img, paths[1], lab))
     if digests:
         out.append(_pool().submit(_md5s, on_disk))
     return tuple(out)

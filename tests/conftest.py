@@ -30,13 +30,13 @@ def make_synthetic(n_train=600, n_test=300, dims=784, classes=10, seed=1234):
     """
     rng = np.random.default_rng(seed)
 
-    def split(n, tag):
+    def split(n):
         images = rng.integers(0, 256, size=(n, dims), dtype=np.uint8)
         labels = np.arange(n, dtype=np.int64) % classes
         order = rng.permutation(n)
-        return Dataset(images[order], labels[order], split=tag)
+        return Dataset(images[order], labels[order])
 
-    return split(n_train, "train"), split(n_test, "test")
+    return split(n_train), split(n_test)
 
 
 @pytest.fixture(scope="session")

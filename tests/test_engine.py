@@ -124,22 +124,22 @@ class TestSimConfig:
         assert not config().freshness.counts_participated_only
 
 
-def blank_split(rows, labels=10, pixels=784, tag="train"):
+def blank_split(rows, labels=10, pixels=784):
     """A blank split of `rows` images whose labels cycle through `labels` ids."""
-    return Dataset(np.zeros((rows, pixels), np.uint8), np.arange(rows) % labels, split=tag)
+    return Dataset(np.zeros((rows, pixels), np.uint8), np.arange(rows) % labels)
 
 
-TEST_SPLIT = blank_split(20, tag="test")
+TEST_SPLIT = blank_split(20)
 
 # Inputs each config accepts field by field but no run can use:
 # (config overrides, (train, test), exit code, message).
 BAD_INPUTS = {
     "wide-pixels": (
-        {}, (blank_split(40, pixels=100), blank_split(20, pixels=100, tag="test")), 1,
+        {}, (blank_split(40, pixels=100), blank_split(20, pixels=100)), 1,
         "train-images-idx3-ubyte: images of 100 pixels, but the model takes 784"),
-    "test-split-0-rows": ({}, (blank_split(40), blank_split(0, tag="test")), 1,
+    "test-split-0-rows": ({}, (blank_split(40), blank_split(0)), 1,
                           "t10k-images-idx3-ubyte: 0 test images, but scoring needs at least 2"),
-    "test-split-1-row": ({}, (blank_split(40), blank_split(1, tag="test")), 1,
+    "test-split-1-row": ({}, (blank_split(40), blank_split(1)), 1,
                          "t10k-images-idx3-ubyte: 1 test images, but scoring needs at least 2"),
     "clients-over-rows": ({"clients": 6}, (blank_split(5), TEST_SPLIT), 2,
                           "config.clients: 6 clients exceed the 5 rows of the train split"),
@@ -180,7 +180,7 @@ class TestCheckInputs:
     ], ids=["a-row-each", "a-label-each", "a-shared-row-each"])
     def test_boundaries_give_every_client_rows(self, overrides, train):
         cfg = config(**overrides)
-        state = init_state(cfg, (train, blank_split(2, tag="test")))
+        state = init_state(cfg, (train, blank_split(2)))
         assert [len(c.part) > 0 for c in state.clients] == [True] * cfg.clients
 
 
@@ -227,7 +227,7 @@ class TestRunSimulation:
     def test_first_purchase_marks_model_ownership(self, synthetic_datasets):
         cfg = config(horizon=1)
         state = init_state(cfg, synthetic_datasets)
-        run_round(state, cfg)
+        run_round(state)
         assert state.run.columns["bought"][0].all()
         assert all(c.model is state.server for c in state.clients)
         assert state.round == 1
@@ -241,7 +241,7 @@ class TestRunSimulation:
         assert np.isnan(run.global_accuracy).all()
         assert np.isnan(run.columns["local_accuracy"]).all()
         assert run.columns["local_accuracy"].shape == (3, 3)
-        run_round(state, cfg)
+        run_round(state)
         # Round 1 is scored into row 0; the later rows stay NaN.
         assert not np.isnan(run.global_accuracy[0])
         assert not np.isnan(run.columns["local_accuracy"][0]).any()
@@ -251,7 +251,7 @@ class TestRunSimulation:
     def test_stopped_run_is_the_state_cut_to_its_rounds(self, synthetic_datasets):
         cfg = config(horizon=4, stop_accuracy=0.0)
         state = init_state(cfg, synthetic_datasets)
-        run_round(state, cfg)
+        run_round(state)
         run = run_simulation(cfg, synthetic_datasets)
         assert run.rounds == state.round == 1
         assert run.global_accuracy.tobytes() == state.run.global_accuracy[:1].tobytes()
@@ -268,9 +268,9 @@ class TestRunSimulation:
     def test_round_past_the_horizon_is_rejected(self, synthetic_datasets):
         cfg = config(horizon=1)
         state = init_state(cfg, synthetic_datasets)
-        run_round(state, cfg)
+        run_round(state)
         with pytest.raises(ValueError, match="past the horizon"):
-            run_round(state, cfg)
+            run_round(state)
 
     @pytest.mark.parametrize("stop_accuracy", [None, 0.0])
     def test_calls_run_round_once_per_recorded_round(self, synthetic_datasets, monkeypatch,
@@ -280,9 +280,9 @@ class TestRunSimulation:
         calls = []
         original = engine.run_round
 
-        def counting(state, cfg):
+        def counting(state):
             calls.append(state.round + 1)
-            return original(state, cfg)
+            return original(state)
 
         monkeypatch.setattr(engine, "run_round", counting)
         run = run_simulation(config(horizon=3, stop_accuracy=stop_accuracy), synthetic_datasets)
@@ -487,9 +487,23 @@ def _count_evaluations(monkeypatch, split):
     return calls
 
 
+def _count_model_params(monkeypatch):
+    """Patch ModelParams to record each one built, validated on the way."""
+    made = []
+    post_init = ModelParams.__post_init__
+
+    def counting(self):
+        post_init(self)
+        made.append(self)
+
+    monkeypatch.setattr(ModelParams, "__post_init__", counting)
+    return made
+
+
 class TestSharedModels:
-    """Buyers share the round's read-only global model array, and each
-    model array is scored once per split for as long as it is held."""
+    """Buyers share the round's read-only global model, and each model is
+    built once, where it is made, and scored once per split for as long
+    as it is held."""
 
     @pytest.fixture
     def local_evals(self, monkeypatch):
@@ -501,16 +515,44 @@ class TestSharedModels:
 
     @staticmethod
     def assert_read_only(state):
-        for vector in [state.server] + [c.model for c in state.clients]:
+        for model in [state.server] + [c.model for c in state.clients]:
             with pytest.raises(ValueError):
-                vector[0] = 0.0
+                model.params.vector[0] = 0.0
+
+    def test_all_buyers_run_builds_one_model_a_round(self, synthetic_datasets,
+                                                     monkeypatch):
+        made = _count_model_params(monkeypatch)
+        cfg = config()
+        state = init_state(cfg, synthetic_datasets)
+        assert len(made) == 1 and made[0] is state.server.params
+        for _ in range(cfg.horizon):
+            run_round(state)
+        assert state.run.columns["bought"].all()
+        assert len(made) == 1 + cfg.horizon
+        assert made[-1] is state.server.params
+
+    def test_drifting_round_builds_one_model_per_drifter(self, synthetic_datasets,
+                                                         monkeypatch):
+        made = _count_model_params(monkeypatch)
+        cfg = config(eps=25, scheme="disjoint", horizon=14)
+        state = init_state(cfg, synthetic_datasets)
+        columns, all_drift = state.run.columns, 0
+        for r in range(1, cfg.horizon + 1):
+            made.clear()
+            run_round(state)
+            drifters = columns["evicted"][: r - 1].any(0).sum()
+            all_drift += drifters == cfg.clients
+            assert len(made) == columns["participated"][r - 1].any() + drifters
+        assert all_drift > 0
+        # Built on pool threads, so in any order.
+        assert {id(p) for p in made} == {id(c.model.params) for c in state.clients}
 
     def test_all_buyers_round_scores_one_model(self, synthetic_datasets, local_evals):
         cfg = config()
         state = init_state(cfg, synthetic_datasets)
         for _ in range(3):
             local_evals.clear()
-            run_round(state, cfg)
+            run_round(state)
             assert state.run.columns["bought"][state.round - 1].all()
             assert len(local_evals) == 1
             assert all(c.model is state.server for c in state.clients)
@@ -522,7 +564,7 @@ class TestSharedModels:
         drifting_rounds = drifters = 0
         for _ in range(cfg.horizon):
             local_evals.clear()
-            run_round(state, cfg)
+            run_round(state)
             if drifters == cfg.clients:
                 drifting_rounds += 1
                 assert len(local_evals) == drifters
@@ -537,11 +579,11 @@ class TestSharedModels:
         state = init_state(cfg, synthetic_datasets)
         held, distinct = None, 0
         for r in range(1, cfg.horizon + 1):
-            accuracy = run_round(state, cfg)
+            accuracy = run_round(state)
             distinct += state.server is not held
             held = state.server
             assert accuracy == state.run.global_accuracy[r - 1] == evaluate(
-                ModelParams(state.server, state.layers), state.global_test)
+                state.server.params, state.global_test)
         assert state.run.columns["evicted"][-1].all()
         assert 1 < distinct < cfg.horizon
         assert len(global_evals) == distinct
@@ -551,18 +593,18 @@ class TestSharedModels:
                                                          local_evals):
         cfg = POOL_CONFIGS["strategic-grouped"]
         state = init_state(cfg, synthetic_datasets)
-        run_round(state, cfg)  # scores the models clients hold from round 0 on
+        run_round(state)  # scores the models clients hold from round 0 on
         kept = 0
         for r in range(2, cfg.horizon + 1):
             before = [c.model for c in state.clients]
             local_evals.clear()
-            run_round(state, cfg)
+            run_round(state)
             for c, model in zip(state.clients, before):
                 if c.model is model:
                     kept += 1
-                    assert not any(v is model for v in local_evals)
+                    assert not any(v is model.params.vector for v in local_evals)
                 assert state.run.columns["local_accuracy"][r - 1, c.id] == evaluate(
-                    ModelParams(c.model, state.layers), state.local_test)
+                    c.model.params, state.local_test)
         assert kept > 0
 
     def test_test_splits_keep_the_loaded_dtype(self, synthetic_datasets):
@@ -603,7 +645,7 @@ class TestRoundMemory:
             monkeypatch.setattr(learning, "_pool", lambda: pool)
             state = init_state(cfg, synthetic_datasets)
             for _ in range(cfg.horizon):
-                run_round(state, cfg)
+                run_round(state)
         assert counts["made"] == cfg.clients * cfg.horizon
         assert counts["live"] == 0
         # Up to workers + 1 queued or running, one being added, one let go.
@@ -614,7 +656,7 @@ class TestRoundMemory:
         rng = np.random.default_rng(7)
         # 12.5 MB of pixels, a copy of which the bound below would catch.
         test = Dataset(rng.integers(0, 256, (16_000, 784), dtype=np.uint8),
-                       np.arange(16_000) % 10, split="test")
+                       np.arange(16_000) % 10)
         tracemalloc.start()
         try:
             state = init_state(config(), (train, test))
@@ -639,10 +681,9 @@ class TestRoundMemory:
         assert np.array_equal(state.local_test.rows, perm[:cut])
         assert np.array_equal(state.global_test.rows, perm[cut:])
         for r in range(1, cfg.horizon + 1):
-            assert run_round(state, cfg) == evaluate(ModelParams(state.server, state.layers),
-                                                     global_)
+            assert run_round(state) == evaluate(state.server.params, global_)
             assert state.run.columns["local_accuracy"][r - 1].tolist() == [
-                evaluate(ModelParams(c.model, state.layers), local) for c in state.clients]
+                evaluate(c.model.params, local) for c in state.clients]
         assert state.run.columns["evicted"][-1].all()
 
 

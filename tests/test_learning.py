@@ -846,15 +846,15 @@ from tokenfl.engine import SimConfig, init_state, run_round
 from tokenfl.learning import Dataset
 
 rng = np.random.default_rng(0)
-def split(n, name):
-    return Dataset(rng.integers(0, 256, (n, 784), dtype=np.uint8), np.arange(n) % 10, name)
+def split(n):
+    return Dataset(rng.integers(0, 256, (n, 784), dtype=np.uint8), np.arange(n) % 10)
 config = SimConfig(clients=10, horizon=5, ldp=True, stop_accuracy=None)
-state = init_state(config, (split(1000, "train"), split(500, "test")))
-assert state.layers == (784, 128, 10)
+state = init_state(config, (split(1000), split(500)))
+assert state.server.params.layers == (784, 128, 10)
 counts = []
 for _ in range(config.horizon):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    run_round(state, config)
+    run_round(state)
     counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 assert state.run.columns["participated"].all()
 print(json.dumps(counts[1:]))
