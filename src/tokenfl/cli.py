@@ -198,7 +198,7 @@ def cmd_run(args) -> int:
                     isinstance(md5, str) for md5 in recorded.values()):
                 raise ConfigError(f"{config_path}.dataset: expected an object mapping file "
                                   f"names to md5 strings, got {recorded!r}")
-            raw = raw["config"]
+            raw, source = raw["config"], f"{config_path}.config"
     if args.seed is not None and isinstance(raw, dict):  # parse_config rejects a non-object
         raw = {**raw, "seed": args.seed}
     config = parse_config(raw, source=source)

@@ -1,4 +1,4 @@
-"""Round orchestration across the three incentive mechanisms, in two passes.
+"""Round orchestration across the two incentive mechanisms, in two passes.
 
 play_game first plays a run's whole token game from its config alone,
 with no dataset or model: strategy.play_rounds, nash_check's loop too,
@@ -85,7 +85,7 @@ __all__ = [
     "run_simulation",
 ]
 
-Mechanism = Literal["baseline", "strategic", "strategic-grouped"]
+Mechanism = Literal["baseline", "strategic"]
 Scheme = Literal["identical", "disjoint", "intermediary"]
 MECHANISMS = get_args(Mechanism)
 SCHEMES = get_args(Scheme)
@@ -179,39 +179,22 @@ class SimConfig:
             raise ValueError(
                 f"{self.scheme} scheme supports at most {CLASSES} clients, got {self.clients}"
             )
-        if self.mechanism == "strategic-grouped":
-            if self.params.G < 2:
-                raise ValueError("strategic-grouped requires G >= 2")
-            if self.clients % self.params.G != 0:
-                raise ValueError(
-                    f"G={self.params.G} must divide the client count {self.clients}"
-                )
-        elif self.params.G != 1:
-            raise ValueError(f"params.G must be 1 unless the mechanism is strategic-grouped, "
-                             f"got G={self.params.G} under {self.mechanism}")
+        if self.clients % self.params.G != 0:
+            raise ValueError(f"G={self.params.G} must divide the client count {self.clients}")
+        if self.mechanism == "baseline" and self.params.G != 1:
+            raise ValueError(f"baseline schedules every client every round, got G={self.params.G}")
+        if self.mechanism == "baseline" and self.params.eps_min == self.params.eps_max:
+            raise ValueError(f"baseline rewards ramp over [eps_min, eps_max], got "
+                             f"eps_min = eps_max = {self.params.eps_min}")
         if isinstance(self.eps, (list, tuple)) and len(self.eps) != self.clients:
             raise ValueError(
                 f"eps list has {len(self.eps)} entries for {self.clients} clients"
             )
-        low, high = self.params.eps_low, self.params.eps_high
-        for e in self.client_eps():  # each in [eps_min, eps_max], or raises
-            if self.mechanism == "baseline" and not low <= e <= high:
-                raise ValueError(f"baseline eps {e} outside [eps_low, eps_high] = [{low}, {high}]")
+        self.client_eps()  # each in [eps_min, eps_max], or raises
 
     def client_eps(self) -> list:
         eps = self.eps if isinstance(self.eps, (list, tuple)) else [self.eps] * self.clients
         return [choose_epsilon(self.params, override=e) for e in eps]
-
-    @property
-    def stride(self) -> int:
-        return self.params.G if self.mechanism == "strategic-grouped" else 1
-
-    @property
-    def freshness(self) -> FreshnessPolicy:
-        return FreshnessPolicy(
-            n=self.params.n,
-            counts_participated_only=self.mechanism == "strategic-grouped",
-        )
 
 
 # The played game's columns, in metrics.csv order, each a client's bool or
@@ -293,10 +276,11 @@ def play_game(config: SimConfig) -> tuple[dict, Players]:
         price, stride = BASELINE_PRICE, None
     else:
         earn = [reward(e, params) for e in eps]
-        ledger = TokenLedger(config.clients, config.freshness)
-        price, stride = float(params.C), config.stride
+        ledger = TokenLedger(config.clients,
+                             FreshnessPolicy(params.n, counts_participated_only=params.G > 1))
+        price, stride = float(params.C), params.G
     players = Players.start(eps, earn, params)
-    values = value_table(config.horizon + config.stride)
+    values = value_table(config.horizon + params.G)
     shape = (config.horizon, config.clients)
     columns = {name: np.empty(shape, dtype) for name, dtype in COLUMNS.items()}
     columns["eps"] = np.broadcast_to(players.eps, shape)

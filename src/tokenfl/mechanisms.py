@@ -35,8 +35,11 @@ class MechanismParams:
     eps_min/eps_max bound the privacy budgets clients may choose and
     eps_a is the acceptable level at which the reward schedule pays the
     full model price. C is the token price of one global model, n the
-    freshness window in rounds, and G the number of client groups (1
-    means everyone is scheduled every round). c_min/c_max bound the
+    freshness window in rounds, and G the number of client groups, the
+    one statement of grouping: 1 means everyone is scheduled every
+    round, and above 1 the strategic game schedules the groups round
+    robin at stride G, each model aging by the rounds its holder plays
+    (the baseline needs 1). c_min/c_max bound the
     real-valued privacy cost curve. Their defaults were fitted so that
     at stride 1 the first refusal lands at round 11 for eps 25, 27 for
     eps 20 and 42 for eps 17, and eps 15 never refuses within 50 rounds
@@ -44,8 +47,8 @@ class MechanismParams:
     TestCalibration.test_predictions_at_shipped_range); eps 20 never
     refuses at stride 2 (test_stride2_keeps_eps20_alive), and eps 25
     refuses later at stride 2 than at stride 1
-    (test_group_stride_delays_collapse). eps_low/eps_high bound the
-    legacy linear reward only.
+    (test_group_stride_delays_collapse). The legacy linear reward
+    ramps over [eps_min, eps_max].
     """
 
     eps_min: float = 1.0
@@ -56,8 +59,6 @@ class MechanismParams:
     G: int = 1
     c_min: float = 2.75
     c_max: float = 18.0
-    eps_low: float = 1.0
-    eps_high: float = 25.0
 
     def __post_init__(self):
         if not 0 < self.eps_min <= self.eps_a <= self.eps_max:
@@ -75,17 +76,18 @@ class MechanismParams:
             raise ValueError(f"G must be a positive integer, got {self.G}")
         if not 0 <= self.c_min <= self.c_max:
             raise ValueError(f"need 0 <= c_min <= c_max, got ({self.c_min}, {self.c_max})")
-        if not self.eps_low < self.eps_high:
-            raise ValueError(f"need eps_low < eps_high, got ({self.eps_low}, {self.eps_high})")
 
 
 def baseline_token_reward(eps, params: MechanismParams) -> float:
-    """Linear per-round token reward of the legacy scheme, in [0.5, 1.0]."""
-    if not params.eps_low <= eps <= params.eps_high:
-        raise ValueError(
-            f"eps must lie in [{params.eps_low}, {params.eps_high}], got {eps}"
-        )
-    return 0.5 + (eps - params.eps_low) / (2.0 * (params.eps_high - params.eps_low))
+    """Linear per-round token reward of the legacy scheme: 0.5 at
+    eps_min up to 1.0 at eps_max. Refuses a budget outside that range,
+    and eps_min == eps_max, which leaves no range to ramp over."""
+    low, high = params.eps_min, params.eps_max
+    if not low < high:
+        raise ValueError(f"the baseline reward needs eps_min < eps_max, got {low} = {high}")
+    if not low <= eps <= high:
+        raise ValueError(f"eps must lie in [{low}, {high}], got {eps}")
+    return 0.5 + (eps - low) / (2.0 * (high - low))
 
 
 def value(t) -> float:

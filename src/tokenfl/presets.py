@@ -4,10 +4,11 @@ Each preset is a SimConfig that names only what its experiment
 changes; every other value is the schema default. The legacy-scheme
 presets mix privacy levels across clients on intermediary data; the
 strategic presets pin every client to one level on disjoint data to
-expose the collapse rounds; the grouped presets split ten clients into
-two round-robin groups on intermediary data. All of them run the full
-50 rounds without an accuracy stop so the late-round dynamics stay
-visible, and price a model at the integer C = 1.
+expose the collapse rounds; the grouped presets play the strategic
+game with params G = 2, ten clients in two round-robin groups, on
+intermediary data. All of them run the full 50 rounds without an
+accuracy stop so the late-round dynamics stay visible, and price a
+model at the integer C = 1.
 """
 
 from __future__ import annotations
@@ -38,12 +39,8 @@ PRESETS = {
     "strategic-10c-eps17": _preset(eps=17),
     "strategic-10c-eps15": _preset(eps=15),
     "strategic-10c-eps20": _preset(scheme="intermediary", eps=20),
-    "grouped-10c-eps20": _preset(
-        mechanism="strategic-grouped", scheme="intermediary", eps=20, params={"G": 2}
-    ),
-    "grouped-10c-eps25": _preset(
-        mechanism="strategic-grouped", scheme="intermediary", eps=25, params={"G": 2}
-    ),
+    "grouped-10c-eps20": _preset(scheme="intermediary", eps=20, params={"G": 2}),
+    "grouped-10c-eps25": _preset(scheme="intermediary", eps=25, params={"G": 2}),
 }
 
 

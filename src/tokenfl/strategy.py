@@ -246,7 +246,7 @@ def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> Nash
     on. ROADMAP.md item 2 prices the budgets under the engine's rule.
     """
     profile = tuple(float(e) for e in profile)
-    grid = sorted(float(e) for e in eps_grid)
+    grid = sorted({float(e) for e in eps_grid})
     if not profile:
         raise ValueError("profile must name at least one client")
     if not grid:

@@ -360,17 +360,17 @@ def test_preset_games_match_their_pinned_columns_offline():
 # sha256 of each preset's config echo, the "config" block of its
 # manifest.json, so a schema change that moves a manifest byte fails here.
 CONFIG_SHA256 = {
-    "baseline-10c": "a4af5908b208922da8d3e4e74f3409851d9e88e7e3195d53b53153e39b0ef65a",
-    "baseline-3c": "31da9362e09e377fa3ca095df99875f753ed829a9fdeb1afbaa08c20feebebf4",
-    "grouped-10c-eps20": "1c2ad6317276bdd1d3f85e20dae7aa5f02f8e43dd2fbeca3120402c0b0d8fe80",
-    "grouped-10c-eps25": "1464443d11b4acf7ab857fa2cb5dfc80bbf8ecad751a01aecfd6895810f6691b",
-    "strategic-10c-eps15": "5b5743eca66b0d9466c795fd9adcbb3838cc66fe44ac2e59384300505d8d1730",
-    "strategic-10c-eps17": "afb8ea24780cf3890ca742d97f39a342720e214f1157a6c70ea119e767f8a87c",
-    "strategic-10c-eps20": "d3b1133edce8d39fe69ed8c3e75adfe17237e486f64c1fa815f240ccb62e7ccb",
-    "strategic-10c-eps25": "17b81f1c98c2a01903fbbd384f2f4ba88eed914d1f99176e26e6fb0596fc362b",
-    "strategic-3c-eps15": "cdbb1d2daca4e6e32165d82d18cab5237941562fb6284a5accc934a3c3d7784e",
-    "strategic-3c-eps17": "3ac4719aafab5f92959d7751eea7016bbf748170e15d35e387a7e5f5977a6c36",
-    "strategic-3c-eps25": "2c8c6090b2d3e3b982c904a5b7ba522244e772e551438225f722cd33ac26effd",
+    "baseline-10c": "a97d591949e14eb149b299108e6a87d6f6abffa952186fa78c2de7593eb02784",
+    "baseline-3c": "1867cb9f934512e9b86b22600e7bfd57d58dc8bb2a52a8bd380527d3d3ec6d37",
+    "grouped-10c-eps20": "24e9b3ed4d7653246660c8ed5bafbd137fbf949112687071bb5daa75228ea022",
+    "grouped-10c-eps25": "05aaa85845f15a94029efebbaf09188a43e38d6e1fbcd2b80daba3ec712d1e47",
+    "strategic-10c-eps15": "ff54305c57d2b4931e53cf3bf0d1c4fa1eff90f7dbafade8d1880db62a23e75c",
+    "strategic-10c-eps17": "f78f1fdab862c0fd7bf9843c35e3a0be42979fe9e7323c4e99d5f71074e40a53",
+    "strategic-10c-eps20": "d5ba8c7ecdb964269de731560f102f9f82443a91515ca78e4b056df3cce2cfd1",
+    "strategic-10c-eps25": "59a8f68458cb9e98dad5831beb7354ecbd4122192e6d4d3c13acf5b1f52b2422",
+    "strategic-3c-eps15": "83fb44fcb92430fa3ccbeaa3d89632e83ce1efa8915c831e17ff3ecbb0e9fa8b",
+    "strategic-3c-eps17": "efdd2b03c981d07a1dfbbdd86226b39b4b34df62c17f684a0518a072bb67fc8c",
+    "strategic-3c-eps25": "1f059839235bd9ed28e30590267ffc7e8fdb7a1a400bc1e9a3b213f7b0d74936",
 }
 
 

@@ -60,10 +60,11 @@ def minimal_config(**overrides):
     return data
 
 
-# A config that sets every field of SimConfig, LearningParams and
-# MechanismParams off its default.
+# Two configs that between them set every field of SimConfig,
+# LearningParams and MechanismParams off its default: the baseline
+# schedules everyone every round, so only the strategic one sets G.
 EVERY_FIELD = {
-    "mechanism": "strategic-grouped",
+    "mechanism": "baseline",
     "clients": 4,
     "scheme": "disjoint",
     "eps": [15, 17.5, 20, 24],
@@ -76,10 +77,12 @@ EVERY_FIELD = {
     "data_dir": "some/data",
     "learning": {"batches": 3, "batch_size": 8, "lr": 0.1},
     "params": {
-        "eps_min": 2.0, "eps_max": 24.0, "eps_a": 14.0, "C": 4, "n": 2, "G": 2,
-        "c_min": 1.5, "c_max": 20.0, "eps_low": 2.0, "eps_high": 24.0,
+        "eps_min": 2.0, "eps_max": 24.0, "eps_a": 14.0, "C": 4, "n": 2,
+        "c_min": 1.5, "c_max": 20.0,
     },
 }
+EVERY_FIELD_GROUPED = {**EVERY_FIELD, "mechanism": "strategic",
+                       "params": {**EVERY_FIELD["params"], "G": 2}}
 
 
 class TestParseConfig:
@@ -138,8 +141,8 @@ class TestParseConfig:
         assert echo["eps"] == [15.0, 15.0]
 
     @pytest.mark.parametrize(
-        "raw", [*map(preset_config, preset_names()), EVERY_FIELD],
-        ids=[*preset_names(), "every-field"],
+        "raw", [*map(preset_config, preset_names()), EVERY_FIELD, EVERY_FIELD_GROUPED],
+        ids=[*preset_names(), "every-field", "every-field-grouped"],
     )
     def test_presets_and_every_field_round_trip(self, raw):
         config = parse_config(raw)
@@ -149,12 +152,12 @@ class TestParseConfig:
         assert config_to_dict(again) == echo
 
     def test_every_field_config_leaves_no_default(self):
-        config, default = parse_config(EVERY_FIELD), SimConfig()
-        for obj, base in ((config, default), (config.learning, default.learning),
-                          (config.params, default.params)):
-            for f in fields(obj):
+        configs, default = [parse_config(c) for c in (EVERY_FIELD, EVERY_FIELD_GROUPED)], SimConfig()
+        for part in (lambda c: c, lambda c: c.learning, lambda c: c.params):
+            for f in fields(part(default)):
                 if f.name not in ("learning", "params"):
-                    assert getattr(obj, f.name) != getattr(base, f.name), f.name
+                    assert any(getattr(part(c), f.name) != getattr(part(default), f.name)
+                               for c in configs), f.name
 
     def test_readme_schema_block_shows_every_key_and_default(self):
         section = README.read_text(encoding="utf-8").split("### Config schema", 1)[1]
@@ -490,8 +493,6 @@ class TestRunCommand:
             ({"clients": 11, "scheme": "intermediary"}, "intermediary scheme supports at most 10"),
             ({"eps": 30}, "eps override 30 outside [1.0, 25.0]"),
             ({"clients": 3, "eps": [1, 15, 40]}, "eps override 40 outside [1.0, 25.0]"),
-            ({"mechanism": "baseline", "eps": 24, "params": {"eps_high": 20}},
-             "baseline eps 24.0 outside [eps_low, eps_high] = [1.0, 20]"),
         ],
     )
     def test_bad_rate_stop_or_client_count_exits_2_before_the_dataset(
@@ -504,18 +505,30 @@ class TestRunCommand:
         assert main(["run", str(config_path), "--out-dir", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mechanism", ["strategic", "baseline"])
-    def test_groups_outside_grouped_scheduling_exit_2_before_the_dataset(
-        self, tmp_path, capsys, mechanism
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"clients": 3, "params": {"G": 2}}, ": G=2 must divide the client count 3"),
+            ({"mechanism": "baseline", "clients": 4, "params": {"G": 2}},
+             ": baseline schedules every client every round, got G=2"),
+            ({"mechanism": "strategic-grouped", "clients": 4, "params": {"G": 2}},
+             ".mechanism: mechanism must be one of ['baseline', 'strategic'], "
+             "got 'strategic-grouped'"),
+            ({"params": {"eps_low": 1.0}}, ".params: unknown keys ['eps_low']"),
+            ({"params": {"eps_high": 25.0}}, ".params: unknown keys ['eps_high']"),
+            ({"mechanism": "baseline", "eps": 5,
+              "params": {"eps_min": 5, "eps_a": 5, "eps_max": 5}},
+             ": baseline rewards ramp over [eps_min, eps_max], got eps_min = eps_max = 5"),
+        ],
+    )
+    def test_bad_grouping_or_baseline_range_exits_2_before_the_dataset(
+        self, tmp_path, capsys, overrides, message
     ):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(minimal_config(
-            mechanism=mechanism, clients=4, params={"G": 2}, data_dir=str(tmp_path / "nowhere"),
-        )))
+            data_dir=str(tmp_path / "nowhere"), **overrides)))
         assert main(["run", str(config_path), "--out-dir", str(tmp_path / "o")]) == 2
-        assert "params.G must be 1 unless the mechanism is strategic-grouped" in (
-            capsys.readouterr().err
-        )
+        assert f"{config_path}{message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("overrides", [
@@ -644,6 +657,23 @@ class TestRunCommand:
         assert main(["run", str(manifest), "--out-dir", str(out)]) == 2
         assert f"{manifest}.preset: expected null or a preset name" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("change,path", [
+        ({"mechanism": "strategic-grouped", "clients": 4, "params": {"G": 2}},
+         ".config.mechanism:"),
+        ({"params": {"eps_low": 1.0, "eps_high": 25.0}},
+         ".config.params: unknown keys ['eps_high', 'eps_low']"),
+    ])
+    def test_manifest_of_the_older_schema_exits_2_before_the_dataset(
+        self, tmp_path, capsys, change, path
+    ):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "artifact": "tokenfl",
+            "config": minimal_config(data_dir=str(tmp_path / "nowhere"), **change),
+        }))
+        assert main(["run", str(manifest), "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"{manifest}{path}" in capsys.readouterr().err
 
     def test_replayed_manifest_with_a_preset_name_reaches_the_dataset(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

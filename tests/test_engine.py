@@ -84,21 +84,22 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             config(scheme="sorted")
 
-    def test_grouped_needs_plural_dividing_groups(self):
-        with pytest.raises(ValueError):
-            config(mechanism="strategic-grouped")
-        with pytest.raises(ValueError):
-            config(
-                mechanism="strategic-grouped",
-                clients=3,
-                params=MechanismParams(G=2),
-            )
-
     @pytest.mark.parametrize("mechanism", ["strategic", "baseline"])
-    def test_groups_only_under_grouped_scheduling(self, mechanism):
-        # It would play ungrouped: only strategic-grouped schedules groups.
-        with pytest.raises(ValueError, match="params.G must be 1 unless"):
-            config(mechanism=mechanism, clients=4, params=MechanismParams(G=2))
+    def test_groups_must_divide_the_clients(self, mechanism):
+        with pytest.raises(ValueError, match="G=2 must divide the client count 3"):
+            config(mechanism=mechanism, clients=3, params=MechanismParams(G=2))
+
+    def test_groups_only_under_the_strategic_game(self):
+        # The baseline schedules everyone every round: G > 1 would not play.
+        with pytest.raises(ValueError, match="baseline schedules every client every round"):
+            config(mechanism="baseline", clients=4, params=MechanismParams(G=2))
+        assert config(clients=4, params=MechanismParams(G=2)).params.G == 2
+
+    def test_baseline_needs_a_budget_range(self):
+        with pytest.raises(ValueError, match="baseline rewards ramp over"):
+            config(mechanism="baseline", eps=5,
+                   params=MechanismParams(eps_min=5, eps_a=5, eps_max=5))
+        config(eps=5, params=MechanismParams(eps_min=5, eps_a=5, eps_max=5))  # no ramp to span
 
     def test_eps_list_length_checked(self):
         with pytest.raises(ValueError):
@@ -114,14 +115,18 @@ class TestSimConfig:
         assert config(eps=20).client_eps() == [20.0, 20.0, 20.0]
         assert config(eps=[25, 15, 1]).client_eps() == [25.0, 15.0, 1.0]
 
-    def test_stride_and_freshness_follow_the_mechanism(self):
-        grouped = config(
-            mechanism="strategic-grouped", clients=4, params=MechanismParams(G=2)
-        )
-        assert grouped.stride == 2
-        assert grouped.freshness.counts_participated_only
-        assert config().stride == 1
-        assert not config().freshness.counts_participated_only
+    def test_schedule_and_model_clock_follow_params_G(self):
+        # G > 1 schedules groups round robin on the participation clock: a
+        # model ages by the rounds its holder plays, so each buy records a
+        # count of played rounds. G = 1 schedules everyone on the round.
+        columns, players = play_game(config(clients=4, eps=20, horizon=8,
+                                            params=MechanismParams(G=2)))
+        assert [np.flatnonzero(row).tolist() for row in columns["scheduled"]] == [
+            [0, 1], [2, 3]] * 4
+        assert players.model_clock.tolist() == columns["participated"].sum(0).tolist() == [4] * 4
+        columns, players = play_game(config(horizon=8))
+        assert columns["scheduled"].all()
+        assert players.model_clock.tolist() == [8] * 3
 
 
 def blank_split(rows, labels=10, pixels=784):
@@ -292,7 +297,6 @@ class TestRunSimulation:
 
 EVICTION = config(eps=25, scheme="disjoint", horizon=14)
 GROUPED = config(
-    mechanism="strategic-grouped",
     clients=4,
     eps=20,
     horizon=8,
@@ -372,7 +376,6 @@ def test_refusals_agree_with_the_predicted_collapse_round():
         for G in (1, 2, 5):
             params = MechanismParams(C=C, n=n, G=G)
             columns, _ = play_game(SimConfig(
-                mechanism="strategic" if G == 1 else "strategic-grouped",
                 clients=G * len(budgets), eps=budgets * G, params=params, horizon=horizon,
             ))
             evicted = columns["evicted"]
@@ -591,7 +594,7 @@ class TestSharedModels:
 
     def test_unchanged_client_model_is_not_scored_again(self, synthetic_datasets,
                                                          local_evals):
-        cfg = POOL_CONFIGS["strategic-grouped"]
+        cfg = POOL_CONFIGS["grouped"]
         state = init_state(cfg, synthetic_datasets)
         run_round(state)  # scores the models clients hold from round 0 on
         kept = 0
@@ -689,10 +692,7 @@ class TestRoundMemory:
 
 POOL_CONFIGS = {
     "strategic": config(horizon=4),
-    "strategic-grouped": config(
-        mechanism="strategic-grouped", clients=4, eps=20, horizon=4,
-        params=MechanismParams(G=2),
-    ),
+    "grouped": config(clients=4, eps=20, horizon=4, params=MechanismParams(G=2)),
     "all-evicted": config(eps=25, scheme="disjoint", horizon=14),
 }
 

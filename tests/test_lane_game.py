@@ -119,12 +119,12 @@ def scalar_game(config):
     baseline = config.mechanism == "baseline"
     price = BASELINE_PRICE if baseline else float(params.C)
     window = None if baseline else params.n
-    counted = config.mechanism == "strategic-grouped"
-    stride = None if baseline else config.stride
+    counted = params.G > 1
+    stride = None if baseline else params.G
     clients = [ScalarClient(e) for e in config.client_eps()]
     rounds = []
     for t in range(1, config.horizon + 1):
-        scheduled_ids = set(schedule_group(t, config.clients, config.stride))
+        scheduled_ids = set(schedule_group(t, config.clients, params.G))
         rows = []
         for k, c in enumerate(clients):
             earn = expired = 0.0
@@ -138,7 +138,7 @@ def scalar_game(config):
             rows.append((
                 scheduled, participated, bought, c.evicted,
                 earn if participated else 0.0, price if bought else 0.0, expired, c.balance(),
-                None if baseline else scalar_utility(t, c.eps, config.stride, params),
+                None if baseline else scalar_utility(t, c.eps, params.G, params),
             ))
         rounds.append(rows)
     return rounds, [(c.payoff, c.owned) for c in clients]
@@ -175,7 +175,7 @@ def bits(values):
 def games(draw):
     mechanism = draw(st.sampled_from(MECHANISMS))
     n = draw(st.integers(1, 3))
-    G = draw(st.integers(2, 3)) if mechanism == "strategic-grouped" else 1
+    G = draw(st.integers(1, 3)) if mechanism == "strategic" else 1
     c_min, c_max = draw(st.sampled_from(COST_RANGES))
     params = MechanismParams(C=n * draw(st.integers(1, 3)), n=n, G=G, c_min=c_min, c_max=c_max)
     clients = G * draw(st.integers(1, 3))

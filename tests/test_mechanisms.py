@@ -64,7 +64,6 @@ class TestMechanismParams:
             {"c_min": 5.0, "c_max": 4.0},
             {"c_min": math.nan},
             {"c_max": math.nan},
-            {"eps_low": 25.0, "eps_high": 25.0},
         ],
     )
     def test_rejects_inconsistent_parameters(self, kwargs):
@@ -78,7 +77,7 @@ class TestMechanismParams:
 
 class TestBaselineTokenReward:
     def test_endpoints_and_midpoint(self):
-        lo, hi = PARAMS.eps_low, PARAMS.eps_high
+        lo, hi = PARAMS.eps_min, PARAMS.eps_max
         assert math.isclose(baseline_token_reward(lo, PARAMS), 0.5, rel_tol=REL)
         assert math.isclose(baseline_token_reward(hi, PARAMS), 1.0, rel_tol=REL)
         mid = (lo + hi) / 2.0
@@ -88,6 +87,12 @@ class TestBaselineTokenReward:
     def test_rejects_out_of_range(self, eps):
         with pytest.raises(ValueError):
             baseline_token_reward(eps, PARAMS)
+
+    def test_rejects_an_empty_budget_range(self):
+        # eps_min == eps_max is a valid game, but leaves no range to ramp over.
+        params = MechanismParams(eps_min=25.0, eps_a=25.0, eps_max=25.0)
+        with pytest.raises(ValueError, match="needs eps_min < eps_max"):
+            baseline_token_reward(25.0, params)
 
     @given(st.floats(min_value=1.0, max_value=25.0))
     def test_image_is_unit_band(self, eps):

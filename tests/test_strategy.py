@@ -135,6 +135,10 @@ class TestNashCheck:
         assert per_client == {0, 1, 2}
         assert len(report.deviations) == 3 * 5
 
+    def test_a_repeated_grid_budget_is_one_deviation(self):
+        report = nash_check([15], [1, 1, 15, 25], 10, PARAMS)
+        assert [(d.client, d.eps) for d in report.deviations] == [(0, 1.0), (0, 25.0)]
+
     def test_single_client_game_is_still_an_equilibrium(self):
         report = nash_check([15.0], [10.0, 15.0, 20.0], horizon=20, params=PARAMS)
         assert report.is_nash
