@@ -23,8 +23,11 @@ import numpy as np
 __all__ = [
     "FreshnessPolicy",
     "TokenLedger",
+    "frozen_amounts",
     "model_age",
 ]
+
+_BOOL = np.dtype(bool)
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,7 @@ class TokenLedger:
     nothing expires (the baseline scheme); such a ledger needs an
     explicit slot count large enough that each credit drops only
     drained lots, which `credit` checks. `lanes` is a boolean mask.
+    An amount from `frozen_amounts` is checked at its first credit only.
     """
 
     def __init__(self, lanes: int, policy: FreshnessPolicy | None, slots: int | None = None):
@@ -85,6 +89,7 @@ class TokenLedger:
         self.participations = np.zeros(lanes, dtype=np.int64)
         self._counted = policy is not None and policy.counts_participated_only
         self._credited = 0  # the last round credited
+        self._checked = None  # the frozen amount credit last checked
 
     @property
     def slots(self) -> int:
@@ -108,7 +113,9 @@ class TokenLedger:
     def credit(self, amount, t: int, lanes: np.ndarray) -> None:
         """Book the round-t participation of each of `lanes`: count it,
         then add a lot of `amount` (a scalar or one per lane, each finite
-        and >= 0, but not -0.0). The rows shift in place.
+        and >= 0, but not -0.0). The rows shift in place. The amount is
+        checked on every call, save a `frozen_amounts` array already
+        checked by the last call that checked one.
 
         Credits come once per round, in round order: t must be the
         round after the last credited one. On the round clock a credit
@@ -118,11 +125,10 @@ class TokenLedger:
         if t != self._credited + 1:
             raise ValueError(f"credit round {t} is not the round after the last "
                              f"credited round {self._credited}")
-        # Below +inf if of positive sign, below -inf (never) if not: False for
-        # a NaN, infinite or negative amount, -0.0 included, in one more ufunc.
-        valid = np.less(amount, np.copysign(math.inf, amount))
-        if np.count_nonzero(valid) != valid.size:
-            raise ValueError(f"credit amount must be finite and >= 0, got {amount}")
+        if amount is not self._checked:
+            _check_amount(amount, "credit amount")
+            if type(amount) is np.ndarray and type(amount.base) is bytes:
+                self._checked = amount  # read-only over immutable bytes: stays valid
         # Lots are >= 0. A non-credited lane drops only expired lots, unless none expire.
         drop = self._columns[0]
         if np.count_nonzero(drop) and (self.policy is None or np.count_nonzero(drop * lanes)):
@@ -174,10 +180,30 @@ class TokenLedger:
         return lost
 
 
+def frozen_amounts(amounts, name: str) -> np.ndarray:
+    """`amounts` as a flat float64 array that nothing can make writable,
+    a view of a bytes copy, once each passes credit's check: finite and
+    >= 0, but not -0.0. Otherwise a ValueError names `name`. A ledger
+    checks such an array at its first credit and skips the check at
+    every later credit of the same array."""
+    amounts = np.array(amounts, dtype=float)
+    _check_amount(amounts, name)
+    return np.frombuffer(amounts.tobytes())
+
+
+def _check_amount(amount, name: str) -> None:
+    # Below +inf if of positive sign, below -inf (never) if not: False for
+    # a NaN, infinite or negative amount, -0.0 included, in one more ufunc.
+    valid = np.less(amount, np.copysign(math.inf, amount))
+    if np.count_nonzero(valid) != valid.size:
+        raise ValueError(f"{name} must be finite and >= 0, got {amount}")
+
+
 def _check_mask(lanes, count: int) -> None:
     """Refuse `lanes` unless a boolean (count,) array: integers index rows, others broadcast."""
-    if getattr(lanes, "dtype", None) != np.bool_:
-        raise TypeError(f"lanes must be a boolean mask, got dtype {getattr(lanes, 'dtype', None)}")
+    dtype = getattr(lanes, "dtype", None)
+    if dtype is not _BOOL and dtype != _BOOL:  # an unpickled bool dtype is another object
+        raise TypeError(f"lanes must be a boolean mask, got dtype {dtype}")
     if lanes.shape != (count,):
         raise ValueError(f"lanes must be a mask of shape ({count},), got shape {lanes.shape}")
 

@@ -4,15 +4,17 @@ play_game first plays a run's whole token game from its config alone,
 with no dataset or model: strategy.play_rounds, nash_check's loop too,
 settles token expiry, group scheduling, freshness bar and eviction,
 participation decision, token credit, model purchase and payoff for all
-clients at once, each client a lane of its arrays, and play_game records
-each round it yields as one row of (horizon, clients) arrays, one per
-COLUMNS entry. A run's one record is a Run of those columns plus a
-local_accuracy column and a global_accuracy array, NaN until scored.
-Then run_round runs each round's learning step from that round's
-trainer, buyer and drifter masks: local training on each participant's
-owned model, gradient randomization, weighted aggregation, handing each
-buyer the new global model, and evaluation into the Run's accuracy
-cells, each client's training one task on learning's thread pool.
+clients at once, each client a lane of its arrays, until every client
+is evicted, and play_game records each round it yields as one row of
+(horizon, clients) arrays, one per COLUMNS entry, filling the rows after
+the last eviction in one step. A run's one record is a Run of those
+columns plus a local_accuracy column and a global_accuracy array, NaN
+until scored. Then run_round runs each round's learning step from that
+round's trainer, buyer and drifter masks: local training on each
+participant's owned model, gradient randomization, weighted aggregation,
+handing each buyer the new global model, and evaluation into the Run's
+accuracy cells, each client's training one task on learning's thread
+pool.
 run_simulation returns the Run cut to the rounds it ran. The uploads
 stream into aggregate in client order as the pool yields them, so a
 round holds about workers + 1 of them, not one per trainer. Each
@@ -267,7 +269,9 @@ def play_game(config: SimConfig) -> tuple[dict, Players]:
     round it yields one row of the columns. Returns the read-only
     columns, in COLUMNS order, and the lanes after the last round. An
     evicted client's cells are unscheduled, move no tokens and keep its
-    last balance."""
+    last balance. play_rounds stops once every client is evicted, and
+    the rows of the rounds it did not play are filled in one step with
+    those cells, as a played round would record them."""
     params = config.params
     eps = config.client_eps()
     if config.mechanism == "baseline":
@@ -288,6 +292,7 @@ def play_game(config: SimConfig) -> tuple[dict, Players]:
     columns["utility"] = (np.full(shape, np.nan) if stride is None
                           else utility(rounds, players.cost, stride, values))
     balance, playing = np.zeros(config.clients), np.ones(config.clients, dtype=bool)
+    r = 0
     for r, scheduled, expired, participated, bought in play_rounds(
         players, ledger, config.horizon, price, values, stride
     ):
@@ -300,6 +305,10 @@ def play_game(config: SimConfig) -> tuple[dict, Players]:
         for name, cell in cells.items():
             columns[name][r - 1] = cell
         playing = ~players.evicted
+    tail = {"scheduled": False, "participated": False, "bought": False, "evicted": True,
+            "earned": 0.0, "spent": 0.0, "expired": 0.0, "balance": balance}
+    for name, cell in tail.items():
+        columns[name][r:] = cell
     return {name: _frozen(c) for name, c in columns.items()}, players
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 # value goes unused here; perfbench/run.py instrument() patches it by name
 # on this module.
-from .economy import FreshnessPolicy, TokenLedger, model_age
+from .economy import FreshnessPolicy, TokenLedger, frozen_amounts, model_age
 from .mechanisms import MechanismParams, cost, reward, utility, value, value_table
 
 __all__ = [
@@ -44,8 +44,10 @@ class Players:
 
     `earn` is the lane's token reward and `cost` its privacy cost for a
     participated round, each computed once by the scalar mechanism
-    functions. `model_clock` is the lane's age clock (TokenLedger.clock)
-    when it bought its model.
+    functions. `earn` is checked once, by `start`, and read-only for
+    good (economy.frozen_amounts), so a ledger checks it at its first
+    credit only. `model_clock` is the lane's age clock
+    (TokenLedger.clock) when it bought its model.
     """
 
     eps: np.ndarray
@@ -60,13 +62,14 @@ class Players:
     @classmethod
     def start(cls, eps, earn, params: MechanismParams) -> "Players":
         """Lanes at round zero, owning the initial model, one per eps,
-        each earning its own entry of `earn`."""
+        each earning its own entry of `earn`: finite and >= 0, but not
+        -0.0, as TokenLedger.credit requires."""
         lanes = len(eps)
         if len(earn) != lanes:
             raise ValueError(f"need one earn per eps: {lanes} eps, {len(earn)} earn")
         return cls(
             eps=np.array(eps, dtype=float),
-            earn=np.array(earn, dtype=float),
+            earn=frozen_amounts(earn, "earn"),
             cost=np.array([cost(e, params) for e in eps]),
             owned_model_round=np.zeros(lanes, dtype=np.int64),
             model_clock=np.zeros(lanes, dtype=np.int64),
@@ -179,10 +182,12 @@ def schedule_group(round_index: int, clients: int, G: int):
 def play_rounds(players: Players, ledger: TokenLedger, horizon: int, price: float,
                 values: np.ndarray, stride: int | None = None):
     """Play rounds 1..horizon with play_round's `stride`, yielding (t,
-    scheduled, expired, participated, bought) as each is settled. A
-    stride above 1 is the group count G: round t schedules the lanes
-    schedule_group(t, lanes, stride). Otherwise every lane is scheduled,
-    passed as True."""
+    scheduled, expired, participated, bought) as each is settled, and
+    stop after the round in which the last lane is evicted: a later
+    round would book nothing for any lane, and would only shift lots
+    that no lane can spend. A stride above 1 is the group count G:
+    round t schedules the lanes schedule_group(t, lanes, stride).
+    Otherwise every lane is scheduled, passed as True."""
     lanes = len(players.eps)
     for t in range(1, horizon + 1):
         scheduled = True
@@ -190,6 +195,8 @@ def play_rounds(players: Players, ledger: TokenLedger, horizon: int, price: floa
             scheduled = np.zeros(lanes, dtype=bool)
             scheduled[schedule_group(t, lanes, stride)] = True
         yield t, scheduled, *play_round(players, ledger, t, price, values, scheduled, stride)
+        if np.count_nonzero(players.evicted) == lanes:
+            return
 
 
 @dataclass(frozen=True)
@@ -232,9 +239,9 @@ def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> Nash
     trajectory and reports each comparison; a deviation is profitable
     when its payoff strictly exceeds the profile payoff. The value curve
     is insensitive to any one client's noise level, so every distinct
-    budget is priced once, as a lane of one play_rounds game that keeps
-    each lane's payoff and participated rounds and stops once all are
-    evicted.
+    budget is priced once, as a lane of one play_rounds game, which
+    stops once all lanes are evicted, keeping each lane's payoff and
+    participated rounds.
 
     The budgets are not priced the way a run plays its clients: every
     lane always complies (play_round with stride None), never refusing
@@ -264,8 +271,7 @@ def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> Nash
     players = Players.start(budgets, [reward(e, params) for e in budgets], params)
     ledger = TokenLedger(len(budgets), FreshnessPolicy(n=params.n))
     for _ in play_rounds(players, ledger, horizon, params.C, value_table(horizon)):
-        if np.count_nonzero(players.evicted) == len(budgets):
-            break
+        pass
     priced = dict(zip(budgets, zip(players.cumulative_payoff.tolist(),
                                    ledger.participations.tolist())))
     profile_payoffs = tuple(priced[e][0] for e in profile)

@@ -158,9 +158,11 @@ def test_traced_game_binds_every_ledger_measure(run, monkeypatch):
 
 
 def test_traced_run_counts_every_participation_utility(run, monkeypatch):
-    # mechanisms.utility is the rule a strategic run plays: each of the
-    # 50 rounds asks it once for the round's decisions, evicted clients
-    # included, and one more call fills the whole utility column.
+    # mechanisms.utility is the rule a strategic run plays: each round
+    # played asks it once for the round's decisions, evicted clients
+    # included, and one more call fills the whole utility column. All
+    # ten clients are evicted in round 12, after which play_rounds stops
+    # and no later round asks.
     decisions = []
     original = strategy.decide_participation
     monkeypatch.setattr(strategy, "decide_participation",
@@ -172,8 +174,8 @@ def test_traced_run_counts_every_participation_utility(run, monkeypatch):
         engine.play_game(config)
     finally:
         tracer.unpatch()
-    assert len(decisions) == 50
-    assert tracer.total_calls("mechanisms.utility") == 51
+    assert len(decisions) == 12
+    assert tracer.total_calls("mechanisms.utility") == 13
 
 
 def test_cli_metrics_pass_the_benchmark_check(run, tmp_path, idx_builder):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tokenfl.economy import FreshnessPolicy, TokenLedger, model_age
+from tokenfl.economy import FreshnessPolicy, TokenLedger, frozen_amounts, model_age
 from tokenfl.mechanisms import MechanismParams, reward, value, value_table
 from tokenfl.strategy import Players, play_round
 
@@ -87,6 +87,37 @@ class TestCredit:
             ledger.credit(amount, 2, np.array([True, False]))
         assert ledger.lots.tolist() == [[0.0, 1.0], [0.0, 1.0]]
         assert ledger.participations.tolist() == [1, 1]
+
+    def test_a_bad_fresh_array_is_refused_after_a_frozen_one(self):
+        # A frozen amount is checked at its first credit; any other
+        # amount at every credit.
+        ledger, both = TokenLedger(2, FreshnessPolicy(n=3)), np.array([True, True])
+        earn = frozen_amounts([1.0, 2.0], "earn")
+        ledger.credit(earn, 1, both)
+        ledger.credit(earn, 2, both)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ledger.credit(np.array([1.0, np.nan]), 3, both)
+        assert ledger.balance().tolist() == [2.0, 4.0]
+        ledger.credit(earn, 3, both)
+        assert ledger.balance().tolist() == [3.0, 6.0]
+
+    def test_a_frozen_bad_amount_is_refused_at_its_first_credit(self):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            TokenLedger(1, CALENDAR).credit(np.frombuffer(np.array([np.nan]).tobytes()), 1, ONE)
+
+    @pytest.mark.parametrize("read_only_once", [False, True])
+    def test_an_array_changed_between_credits_is_checked_again(self, read_only_once):
+        # Only an array over immutable bytes is trusted: a writable one,
+        # or one whose read-only flag can be cleared again, may change.
+        ledger, both = TokenLedger(2, CALENDAR), np.array([True, True])
+        amount = np.array([1.0, 1.0])
+        amount.flags.writeable = not read_only_once
+        ledger.credit(amount, 1, both)
+        amount.flags.writeable = True
+        amount[1] = np.nan
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ledger.credit(amount, 2, both)
+        assert ledger.lots.tolist() == [[0.0, 1.0], [0.0, 1.0]]
 
     def test_credit_never_overwrites_tokens(self):
         # Without expiry the third credit shifts the round-1 lot out of two slots.

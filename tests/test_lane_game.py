@@ -9,10 +9,13 @@ game's columns, every final player and every ledger balance must agree
 bit for bit.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tokenfl import strategy
 from tokenfl.economy import FreshnessPolicy, TokenLedger
 from tokenfl.engine import (
     BASELINE_PRICE,
@@ -27,8 +30,10 @@ from tokenfl.mechanisms import (
     cost,
     reward,
     value,
+    value_table,
 )
-from tokenfl.strategy import nash_check, schedule_group
+from tokenfl.presets import PRESETS
+from tokenfl.strategy import Players, nash_check, play_round, schedule_group
 
 COST_RANGES = [(2.75, 18.0), (0.0, 1.0), (0.0, 0.0)]
 
@@ -263,3 +268,44 @@ def test_ledger_equals_the_scalar_lots(data):
                 else:  # shifted out, drained
                     assert amount == 0.0
             assert bits(row) == bits(by_age)
+
+
+def every_round(config):
+    """play_game's played columns and final lanes of an ungrouped
+    strategic config, from a loop that plays every round of the horizon
+    with play_round, also those after the last eviction."""
+    params, eps = config.params, config.client_eps()
+    players = Players.start(eps, [reward(e, params) for e in eps], params)
+    ledger = TokenLedger(config.clients, FreshnessPolicy(params.n))
+    values, price = value_table(config.horizon + params.G), float(params.C)
+    rows = []
+    balance, playing = np.zeros(config.clients), np.ones(config.clients, dtype=bool)
+    for t in range(1, config.horizon + 1):
+        expired, participated, bought = play_round(players, ledger, t, price, values, True, params.G)
+        np.copyto(balance, ledger.balance(), where=playing)
+        rows.append({
+            "scheduled": playing, "participated": participated, "bought": bought,
+            "evicted": players.evicted.copy(), "earned": np.where(participated, players.earn, 0.0),
+            "spent": np.where(bought, price, 0.0), "expired": expired, "balance": balance.copy(),
+        })
+        playing = ~players.evicted
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}, players
+
+
+@pytest.mark.parametrize("name", ["strategic-10c-eps25", "strategic-3c-eps25"])
+def test_game_stops_after_the_last_eviction(name, monkeypatch):
+    # Every client of these presets is evicted in round 12 of 50. The
+    # rows of the rounds not played are those a played round records.
+    config, played = PRESETS[name], []
+    original = strategy.play_round
+    monkeypatch.setattr(strategy, "play_round", lambda *args: played.append(args[2]) or original(*args))
+    columns, lanes = play_game(config)
+    assert played == list(range(1, 13))
+    want, want_lanes = every_round(config)
+    assert want["evicted"][11].all() and not want["evicted"][10].all()
+    for column, cells in want.items():
+        assert columns[column].dtype == cells.dtype, column
+        assert columns[column].tobytes() == cells.tobytes(), column
+    for f in fields(Players):
+        got, expected = getattr(lanes, f.name), getattr(want_lanes, f.name)
+        assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes()), f.name

@@ -52,6 +52,21 @@ class TestPlayersStart:
         with pytest.raises(ValueError, match=f"3 eps, {len(earn)} earn"):
             Players.start([15.0, 20.0, 25.0], earn, PARAMS)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -0.0])
+    def test_earn_is_checked_at_the_door(self, bad):
+        # credit's rule, applied once: a ledger checks this earn at its
+        # first credit only.
+        with pytest.raises(ValueError, match=r"^earn must be finite and >= 0, got \["):
+            Players.start([15.0, 20.0], [1.0, bad], PARAMS)
+
+    def test_earn_cannot_be_made_writable(self):
+        lanes = players(15.0, 20.0)
+        with pytest.raises(ValueError):
+            lanes.earn.flags.writeable = True
+        with pytest.raises(ValueError):
+            lanes.earn[0] = math.nan
+        assert lanes.earn.dtype == np.float64 and lanes.earn.tolist() == [1.0, 1.0]
+
 
 class TestDecideParticipation:
     def test_acceptable_budget_always_joins(self):
