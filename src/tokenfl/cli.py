@@ -40,6 +40,9 @@ __all__ = ["main", "parse_config", "config_to_dict", "ConfigError"]
 # round's global row fills.
 METRICS_HEADER = ["round", "client", *COLUMNS, "local_accuracy", "global_accuracy"]
 
+# The IDX file names, the keys of a manifest's dataset block.
+DATASET_FILES = tuple(name for names in MNIST_FILES.values() for name in names)
+
 DEFAULT_NASH_GRID = [1, 5, 10, 13, 15, 17, 20, 23, 25]
 
 MNIST_URLS = (
@@ -176,10 +179,7 @@ def cmd_run(args) -> int:
     preset_name, recorded = None, {}
     if args.preset:
         preset_name, source = args.preset, f"preset {args.preset}"
-        try:
-            raw = preset_config(args.preset)
-        except KeyError as err:
-            raise ConfigError(err.args[0]) from None
+        raw = preset_config(args.preset)  # argparse's choices refuse an unknown name
     else:
         config_path = Path(args.config)
         source = str(config_path)
@@ -198,6 +198,10 @@ def cmd_run(args) -> int:
                     isinstance(md5, str) for md5 in recorded.values()):
                 raise ConfigError(f"{config_path}.dataset: expected an object mapping file "
                                   f"names to md5 strings, got {recorded!r}")
+            unknown = sorted(set(recorded) - set(DATASET_FILES))
+            if unknown:
+                raise ConfigError(f"{config_path}.dataset: unknown file {unknown[0]!r}, "
+                                  f"expected one of {list(DATASET_FILES)}")
             raw, source = raw["config"], f"{config_path}.config"
     if args.seed is not None and isinstance(raw, dict):  # parse_config rejects a non-object
         raw = {**raw, "seed": args.seed}
@@ -328,8 +332,7 @@ def cmd_fetch_data(args) -> int:
     dest = Path(args.dest) if args.dest else default_data_dir()
     _make_out_dir(dest)
     bases = [args.base_url] if args.base_url else list(MNIST_URLS)
-    names = [name for pair in MNIST_FILES.values() for name in pair]
-    for name in names:
+    for name in DATASET_FILES:
         target = dest / name
         if target.exists():
             print(f"fetch-data: {target} already present, skipping")

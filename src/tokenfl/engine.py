@@ -64,7 +64,6 @@ from .mechanisms import (
 from .privacy import LDP_MECHANISMS, LdpConfig, LdpMechanism, perturb_gradients
 from .strategy import (
     Players,
-    choose_epsilon,
     client_round_payoff,
     decide_participation,
     play_rounds,
@@ -195,8 +194,14 @@ class SimConfig:
         self.client_eps()  # each in [eps_min, eps_max], or raises
 
     def client_eps(self) -> list:
+        """Each client's budget: eps_a where eps is None, else its override,
+        which must lie in [eps_min, eps_max]."""
         eps = self.eps if isinstance(self.eps, (list, tuple)) else [self.eps] * self.clients
-        return [choose_epsilon(self.params, override=e) for e in eps]
+        p = self.params
+        for e in eps:
+            if e is not None and not p.eps_min <= e <= p.eps_max:
+                raise ValueError(f"eps override {e} outside [{p.eps_min}, {p.eps_max}]")
+        return [float(p.eps_a if e is None else e) for e in eps]
 
 
 # The played game's columns, in metrics.csv order, each a client's bool or

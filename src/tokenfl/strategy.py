@@ -2,15 +2,18 @@
 brute-force equilibrium oracle.
 
 Clients commit to one privacy budget for the whole run. The rational
-commitment under the strategic mechanism is eps_a: participation is
-rewarded with exactly the model price there, while lower budgets earn
-too little to stay solvent and higher budgets pay more privacy cost for
-the same tokens. play_round is the single implementation of a round of
-the game (expiry, the freshness bar, eviction, participation, earning,
-purchase and payoff), played for many lanes at once, and play_rounds
-the single loop over a game's rounds: the engine records every round of
-a run's clients as lanes, and nash_check plays every budget of its grid
-as a lane, summing payoffs only, to price each single-client deviation.
+commitment under the strategic mechanism is eps_a, which
+engine.SimConfig.client_eps gives a client with no override:
+participation is rewarded with exactly the model price there, while
+lower budgets earn too little to stay solvent and higher budgets pay
+more privacy cost for the same tokens. play_round is the single
+implementation of a round of the game (expiry, the freshness bar,
+eviction, participation, earning, purchase and payoff), played for many
+lanes at once, and play_rounds the single loop over a game's rounds and
+the one statement of the group schedule: the engine records every round
+of a run's clients as lanes, and nash_check plays every budget of its
+grid as a lane, summing payoffs only, to price each single-client
+deviation.
 """
 
 from __future__ import annotations
@@ -26,11 +29,9 @@ from .mechanisms import MechanismParams, cost, reward, utility, value, value_tab
 
 __all__ = [
     "Players",
-    "choose_epsilon",
     "decide_participation",
     "client_round_payoff",
     "play_round",
-    "schedule_group",
     "play_rounds",
     "Deviation",
     "NashReport",
@@ -77,21 +78,6 @@ class Players:
             stopped=np.zeros(lanes, dtype=bool),
             cumulative_payoff=np.zeros(lanes),
         )
-
-
-def choose_epsilon(params: MechanismParams, override=None) -> float:
-    """The budget a rational client commits to: eps_a, unless overridden.
-
-    Overrides exist for experiments that pin all clients to some other
-    level; they must stay inside [eps_min, eps_max].
-    """
-    if override is None:
-        return float(params.eps_a)
-    if not params.eps_min <= override <= params.eps_max:
-        raise ValueError(
-            f"eps override {override} outside [{params.eps_min}, {params.eps_max}]"
-        )
-    return float(override)
 
 
 def decide_participation(players: Players, t: int, stride: int, values: np.ndarray) -> np.ndarray:
@@ -168,32 +154,25 @@ def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
     return expired, participated, bought
 
 
-def schedule_group(round_index: int, clients: int, G: int):
-    """Ids scheduled this round: contiguous blocks rotating round-robin."""
-    if G < 1:
-        raise ValueError(f"G must be >= 1, got {G}")
-    if clients % G != 0:
-        raise ValueError(f"G={G} must divide the client count {clients}")
-    size = clients // G
-    start = ((round_index - 1) % G) * size
-    return list(range(start, start + size))
-
-
 def play_rounds(players: Players, ledger: TokenLedger, horizon: int, price: float,
                 values: np.ndarray, stride: int | None = None):
     """Play rounds 1..horizon with play_round's `stride`, yielding (t,
     scheduled, expired, participated, bought) as each is settled, and
     stop after the round in which the last lane is evicted: a later
     round would book nothing for any lane, and would only shift lots
-    that no lane can spend. A stride above 1 is the group count G:
-    round t schedules the lanes schedule_group(t, lanes, stride).
-    Otherwise every lane is scheduled, passed as True."""
+    that no lane can spend. A stride above 1 is the group count G: the
+    lanes fall into G contiguous blocks, lane k in block k // (lanes //
+    G), and round t schedules block (t - 1) % G, so the blocks take
+    turns round robin. A stride that does not divide the lanes is
+    refused before round 1. Otherwise every lane is scheduled, passed
+    as True."""
     lanes = len(players.eps)
+    groups = 1 if stride is None else stride
+    if groups < 1 or lanes % groups:
+        raise ValueError(f"G={groups} must be >= 1 and divide the lane count {lanes}")
+    group = np.arange(lanes) // (lanes // groups)
     for t in range(1, horizon + 1):
-        scheduled = True
-        if stride is not None and stride > 1:
-            scheduled = np.zeros(lanes, dtype=bool)
-            scheduled[schedule_group(t, lanes, stride)] = True
+        scheduled = True if groups == 1 else group == (t - 1) % groups
         yield t, scheduled, *play_round(players, ledger, t, price, values, scheduled, stride)
         if np.count_nonzero(players.evicted) == lanes:
             return

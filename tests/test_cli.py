@@ -642,6 +642,21 @@ class TestRunCommand:
         assert main(["run", str(manifest), "--out-dir", str(tmp_path / "o")]) == 2
         assert f"{manifest}.dataset: expected an object" in capsys.readouterr().err
 
+    def test_replayed_manifest_naming_an_unknown_dataset_file_exits_2_before_the_dataset(
+        self, tmp_path, capsys
+    ):
+        # A manifest that got as far as the (missing) dataset would exit 1.
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "artifact": "tokenfl",
+            "config": minimal_config(data_dir=str(tmp_path / "nowhere")),
+            "dataset": {"bogus-file": "abc", "train-labels-idx1-ubyte": "abc"},
+        }))
+        out = tmp_path / "o"
+        assert main(["run", str(manifest), "--out-dir", str(out)]) == 2
+        assert f"{manifest}.dataset: unknown file 'bogus-file'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("preset", [{"x": [1]}, "no-such-preset", 5, ["baseline-3c"]])
     def test_replayed_manifest_with_a_bad_preset_exits_2_before_the_dataset(
         self, tmp_path, capsys, preset

@@ -17,7 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from tokenfl import engine, learning
+from tokenfl import engine, learning, strategy
+from tokenfl.economy import FreshnessPolicy, TokenLedger
 from tokenfl.engine import (
     BASELINE_PRICE,
     COLUMNS,
@@ -36,8 +37,9 @@ from tokenfl.mechanisms import (
     baseline_token_reward,
     predict_collapse_round,
     reward,
+    value_table,
 )
-from tokenfl.strategy import schedule_group
+from tokenfl.strategy import Players, play_rounds
 
 from test_lane_game import priced
 
@@ -58,23 +60,36 @@ def config(**overrides):
     return SimConfig(**base)
 
 
+def schedules(lanes, G, horizon=7):
+    """The scheduled lane ids of each round play_rounds plays at stride G,
+    or True where it passes every lane as True."""
+    players = Players.start([15.0] * lanes, [1.0] * lanes, MechanismParams())
+    ledger = TokenLedger(lanes, FreshnessPolicy(1, counts_participated_only=G > 1))
+    return [s if s is True else np.flatnonzero(s).tolist() for _, s, *_ in
+            play_rounds(players, ledger, horizon, 1.0, value_table(horizon + G), G)]
+
+
 class TestGroupScheduling:
     def test_two_groups_of_five(self):
-        assert schedule_group(1, 10, 2) == [0, 1, 2, 3, 4]
-        assert schedule_group(2, 10, 2) == [5, 6, 7, 8, 9]
-        assert schedule_group(3, 10, 2) == [0, 1, 2, 3, 4]
+        rounds = schedules(10, 2)
+        assert rounds[0] == [0, 1, 2, 3, 4]
+        assert rounds[1] == [5, 6, 7, 8, 9]
+        assert rounds[2] == [0, 1, 2, 3, 4]
 
     def test_period_matches_group_count(self):
-        assert schedule_group(7, 10, 2) == schedule_group(1, 10, 2)
+        rounds = schedules(10, 2)
+        assert rounds[6] == rounds[0]
 
     def test_single_group_is_everyone(self):
-        assert schedule_group(5, 4, 1) == [0, 1, 2, 3]
+        assert schedules(4, 1, horizon=5) == [True] * 5
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            schedule_group(1, 10, 3)
-        with pytest.raises(ValueError):
-            schedule_group(1, 10, 0)
+    @pytest.mark.parametrize("G", [3, 0])
+    def test_validation(self, G, monkeypatch):
+        played = []
+        monkeypatch.setattr(strategy, "play_round", lambda *args: played.append(args))
+        with pytest.raises(ValueError, match=f"G={G} must be >= 1 and divide the lane count 10"):
+            schedules(10, G)
+        assert played == []  # refused before round 1
 
 
 class TestSimConfig:
@@ -109,6 +124,15 @@ class TestSimConfig:
     def test_clip_radius_must_be_positive(self, radius):
         with pytest.raises(ValueError, match="clip_radius must be > 0"):
             config(clip_radius=radius)
+
+    def test_no_override_is_the_acceptable_level(self):
+        params = MechanismParams(eps_a=12.0)  # not the default 15, so eps_a is what is read
+        assert config(clients=10, eps=None, params=params).client_eps() == [12.0] * 10
+
+    @pytest.mark.parametrize("override", [0.5, 26.0])
+    def test_override_outside_bounds_rejected(self, override):
+        with pytest.raises(ValueError, match=rf"eps override {override} outside \[1.0, 25.0\]"):
+            config(eps=override)
 
     def test_eps_resolution(self):
         assert config(eps=None).client_eps() == [15.0, 15.0, 15.0]

@@ -33,7 +33,7 @@ from tokenfl.mechanisms import (
     value_table,
 )
 from tokenfl.presets import PRESETS
-from tokenfl.strategy import Players, nash_check, play_round, schedule_group
+from tokenfl.strategy import Players, nash_check, play_round
 
 COST_RANGES = [(2.75, 18.0), (0.0, 1.0), (0.0, 0.0)]
 
@@ -129,14 +129,13 @@ def scalar_game(config):
     clients = [ScalarClient(e) for e in config.client_eps()]
     rounds = []
     for t in range(1, config.horizon + 1):
-        scheduled_ids = set(schedule_group(t, config.clients, params.G))
         rows = []
         for k, c in enumerate(clients):
             earn = expired = 0.0
             scheduled = participated = bought = False
             if not c.evicted:
                 earn = (baseline_token_reward if baseline else reward)(c.eps, params)
-                scheduled = k in scheduled_ids
+                scheduled = k // (config.clients // params.G) == (t - 1) % params.G
                 expired, participated, bought = scalar_round(
                     c, t, params, earn, price, window, counted, scheduled, stride
                 )

@@ -1,5 +1,5 @@
-"""Client strategy layer: budget choice, participation decisions,
-round payoffs, and the brute-force deviation scan."""
+"""Client strategy layer: participation decisions, round payoffs, and
+the brute-force deviation scan."""
 
 import json
 import math
@@ -13,7 +13,6 @@ from tokenfl.strategy import (
     Deviation,
     NashReport,
     Players,
-    choose_epsilon,
     client_round_payoff,
     decide_participation,
     nash_check,
@@ -26,19 +25,6 @@ ZERO_COST = MechanismParams(c_min=0.0, c_max=0.0)
 # Cumulative 50-round payoff of a client holding the acceptable budget
 # under default parameters, frozen on first computation.
 PROFILE_PAYOFF_50 = 350.34465499495923
-
-
-class TestChooseEpsilon:
-    def test_default_is_the_acceptable_level(self):
-        assert choose_epsilon(PARAMS) == 15.0
-
-    def test_override_passes_through(self):
-        assert choose_epsilon(PARAMS, override=25.0) == 25.0
-
-    @pytest.mark.parametrize("override", [0.5, 26.0])
-    def test_override_outside_bounds_rejected(self, override):
-        with pytest.raises(ValueError):
-            choose_epsilon(PARAMS, override=override)
 
 
 def players(*eps, params=PARAMS):
