@@ -202,6 +202,10 @@ def cmd_run(args) -> int:
             if unknown:
                 raise ConfigError(f"{config_path}.dataset: unknown file {unknown[0]!r}, "
                                   f"expected one of {list(DATASET_FILES)}")
+            missing = [name for name in DATASET_FILES if name not in recorded]
+            if missing:  # a replay checks every file's bytes
+                raise ConfigError(f"{config_path}.dataset: missing file {missing[0]!r}, "
+                                  f"expected all of {list(DATASET_FILES)}")
             raw, source = raw["config"], f"{config_path}.config"
     if args.seed is not None and isinstance(raw, dict):  # parse_config rejects a non-object
         raw = {**raw, "seed": args.seed}

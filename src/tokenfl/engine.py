@@ -3,9 +3,9 @@
 play_game first plays a run's whole token game from its config alone,
 with no dataset or model: strategy.play_rounds, nash_check's loop too,
 settles token expiry, group scheduling, freshness bar and eviction,
-participation decision, token credit, model purchase and payoff for all
-clients at once, each client a lane of its arrays, until every client
-is evicted, and play_game records each round it yields as one row of
+participation decision, token credit and model purchase for all clients
+at once, each client a lane of its arrays, until every client is
+evicted, and play_game records each round it yields as one row of
 (horizon, clients) arrays, one per COLUMNS entry, filling the rows after
 the last eviction in one step. A run's one record is a Run of those
 columns plus a local_accuracy column and a global_accuracy array, NaN
@@ -276,7 +276,9 @@ def play_game(config: SimConfig) -> tuple[dict, Players]:
     evicted client's cells are unscheduled, move no tokens and keep its
     last balance. play_rounds stops once every client is evicted, and
     the rows of the rounds it did not play are filled in one step with
-    those cells, as a played round would record them."""
+    those cells, as a played round would record them. It prices
+    nothing: strategy.price_rounds prices the participated and bought
+    columns."""
     params = config.params
     eps = config.client_eps()
     if config.mechanism == "baseline":

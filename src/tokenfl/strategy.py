@@ -8,17 +8,20 @@ participation is rewarded with exactly the model price there, while
 lower budgets earn too little to stay solvent and higher budgets pay
 more privacy cost for the same tokens. play_round is the single
 implementation of a round of the game (expiry, the freshness bar,
-eviction, participation, earning, purchase and payoff), played for many
-lanes at once, and play_rounds the single loop over a game's rounds and
-the one statement of the group schedule: the engine records every round
-of a run's clients as lanes, and nash_check plays every budget of its
-grid as a lane, summing payoffs only, to price each single-client
-deviation.
+eviction, participation, earning and purchase), played for many lanes
+at once, and play_rounds the single loop over a game's rounds and the
+one statement of the group schedule: the engine records every round of
+a run's clients as lanes, and nash_check plays every budget of its grid
+as a lane to price each single-client deviation. No rule of the game
+reads a payoff, so none is booked during play: price_rounds prices
+played rounds afterwards, a block at a time, from their participated
+and bought masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -31,12 +34,16 @@ __all__ = [
     "Players",
     "decide_participation",
     "client_round_payoff",
+    "price_rounds",
     "play_round",
     "play_rounds",
     "Deviation",
     "NashReport",
     "nash_check",
 ]
+
+# The rounds nash_check prices in one price_rounds call.
+PRICE_BLOCK = 128
 
 
 @dataclass(eq=False)
@@ -48,17 +55,17 @@ class Players:
     functions. `earn` is checked once, by `start`, and read-only for
     good (economy.frozen_amounts), so a ledger checks it at its first
     credit only. `model_clock` is the lane's age clock
-    (TokenLedger.clock) when it bought its model.
+    (TokenLedger.clock) when it bought its model. The lanes hold only
+    what a decision reads: no payoff, which price_rounds computes from
+    the played rounds.
     """
 
     eps: np.ndarray
     earn: np.ndarray
     cost: np.ndarray
-    owned_model_round: np.ndarray
     model_clock: np.ndarray
     evicted: np.ndarray
     stopped: np.ndarray
-    cumulative_payoff: np.ndarray
 
     @classmethod
     def start(cls, eps, earn, params: MechanismParams) -> "Players":
@@ -72,11 +79,9 @@ class Players:
             eps=np.array(eps, dtype=float),
             earn=frozen_amounts(earn, "earn"),
             cost=np.array([cost(e, params) for e in eps]),
-            owned_model_round=np.zeros(lanes, dtype=np.int64),
             model_clock=np.zeros(lanes, dtype=np.int64),
             evicted=np.zeros(lanes, dtype=bool),
             stopped=np.zeros(lanes, dtype=bool),
-            cumulative_payoff=np.zeros(lanes),
         )
 
 
@@ -93,16 +98,18 @@ def decide_participation(players: Players, t: int, stride: int, values: np.ndarr
 
 
 def client_round_payoff(bought, value_gain, cost, participated) -> np.ndarray:
-    """Real-currency payoff of one round, per lane.
+    """Real-currency payoff of a round, per lane, or of each of a block
+    of rounds, per round and lane (price_rounds calls it once a block).
 
     Value is realized only when a model is bought; privacy cost is borne
     only when the client actually trained. Tokens never enter the
-    payoff, they are plumbing that gates access to the model.
+    payoff, they are plumbing that gates access to the model. value_gain
+    and cost must be finite: each is multiplied by its mask.
     """
-    gain = np.where(bought, value_gain, 0.0)
+    gain = np.multiply(bought, value_gain)
     if np.count_nonzero(gain < 0):
         raise ValueError(f"value_gain must be >= 0, got {value_gain}")
-    return np.subtract(gain, cost, out=gain, where=participated)
+    return gain - np.multiply(participated, cost)
 
 
 def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
@@ -115,13 +122,13 @@ def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
     fresh model train, unless it refused once before or, given a
     `stride`, refuses now on utility (with stride None it always
     complies); credit its earn for training; buy a model once the owned
-    one is a full window old; book the round's payoff into
-    cumulative_payoff. An evicted lane books nothing. A ledger without a
-    policy is the baseline scheme: nothing expires, no model goes stale,
-    and every affordable model is bought. `scheduled` is a lane mask or
-    True; `values` holds value(0..t + stride). Returns the lane arrays
-    (expired, participated, bought). Lane masks use a > b for a & ~b on
-    booleans, and the value gain is read only when some lane bought.
+    one is a full window old. An evicted lane does none of these. No
+    payoff is booked: price_rounds prices the returned masks. A ledger
+    without a policy is the baseline scheme: nothing expires, no model
+    goes stale, and every affordable model is bought. `scheduled` is a
+    lane mask or True; `values` holds value(0..t + stride), read only
+    given a stride. Returns the lane arrays (expired, participated,
+    bought), new each round. Lane masks use a > b for a & ~b on booleans.
     """
     active = ~players.evicted
     expired = ledger.expire(t, active)
@@ -145,12 +152,8 @@ def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
     if ledger.policy is not None and ledger.policy.counts_participated_only:
         age = model_age(players.model_clock, ledger.clock(t))  # the credited round counts
     bought = ledger.spend(price, (age >= window) > players.evicted)
-    gain = 0.0
     if np.count_nonzero(bought):
-        gain = values[t] - values[players.owned_model_round]
-        np.copyto(players.owned_model_round, t, where=bought)
         np.copyto(players.model_clock, ledger.clock(t), where=bought)
-    players.cumulative_payoff += client_round_payoff(bought, gain, players.cost, participated)
     return expired, participated, bought
 
 
@@ -158,9 +161,9 @@ def play_rounds(players: Players, ledger: TokenLedger, horizon: int, price: floa
                 values: np.ndarray, stride: int | None = None):
     """Play rounds 1..horizon with play_round's `stride`, yielding (t,
     scheduled, expired, participated, bought) as each is settled, and
-    stop after the round in which the last lane is evicted: a later
-    round would book nothing for any lane, and would only shift lots
-    that no lane can spend. A stride above 1 is the group count G: the
+    stop after the round in which the last lane is evicted: in a later
+    round no lane would train or buy, and only lots that no lane can
+    spend would shift. A stride above 1 is the group count G: the
     lanes fall into G contiguous blocks, lane k in block k // (lanes //
     G), and round t schedules block (t - 1) % G, so the blocks take
     turns round robin. A stride that does not divide the lanes is
@@ -176,6 +179,39 @@ def play_rounds(players: Players, ledger: TokenLedger, horizon: int, price: floa
         yield t, scheduled, *play_round(players, ledger, t, price, values, scheduled, stride)
         if np.count_nonzero(players.evicted) == lanes:
             return
+
+
+def price_rounds(participated, bought, cost, values: np.ndarray, first: int = 1,
+                 owned=0, payoff=0.0):
+    """Each lane's payoff over a block of played rounds, and its latest
+    purchase round.
+
+    Row i of the (rounds, lanes) masks `participated` and `bought` is
+    round first + i, and `values` holds value(0..its last round). A
+    purchase at round t gains values[t] - values[p], p the lane's
+    previous purchase round, or `owned` before the block (0 is the
+    initial model); a participated round costs the lane's `cost`.
+    client_round_payoff prices the whole block in one call. Returns
+    (payoff, owned) after the block: `payoff` plus each lane's round
+    payoffs, added one round at a time in round order, and each lane's
+    latest purchase round. So a game priced whole from 0.0, or block by
+    block from the previous block's pair, gets the floats of adding each
+    round's payoff as it is played.
+    """
+    rounds, lanes = bought.shape
+    t = np.arange(first, first + rounds)[:, None]
+    held = np.empty((rounds + 1, lanes), dtype=np.int64)  # row i: the lane's model before row i
+    held[0] = owned
+    np.multiply(bought, t, out=held[1:])
+    np.maximum.accumulate(held, axis=0, out=held)
+    gain = values[held[:-1]]
+    np.subtract(values[t], gain, out=gain)
+    paid = np.empty((rounds + 1, lanes))
+    paid[0] = payoff
+    paid[1:] = client_round_payoff(bought, gain, cost, participated)
+    # accumulate adds row after row, unlike np.sum's pairwise reduction.
+    np.add.accumulate(paid, axis=0, out=paid)
+    return paid[-1].copy(), held[-1].copy()  # copies: the block's arrays go free
 
 
 @dataclass(frozen=True)
@@ -220,7 +256,9 @@ def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> Nash
     is insensitive to any one client's noise level, so every distinct
     budget is priced once, as a lane of one play_rounds game, which
     stops once all lanes are evicted, keeping each lane's payoff and
-    participated rounds.
+    participated rounds. The rounds are priced PRICE_BLOCK at a time as
+    they are played, by price_rounds, so no (horizon, lanes) array is
+    held.
 
     The budgets are not priced the way a run plays its clients: every
     lane always complies (play_round with stride None), never refusing
@@ -249,10 +287,15 @@ def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> Nash
 
     players = Players.start(budgets, [reward(e, params) for e in budgets], params)
     ledger = TokenLedger(len(budgets), FreshnessPolicy(n=params.n))
-    for _ in play_rounds(players, ledger, horizon, params.C, value_table(horizon)):
-        pass
-    priced = dict(zip(budgets, zip(players.cumulative_payoff.tolist(),
-                                   ledger.participations.tolist())))
+    values = value_table(horizon)
+    played = play_rounds(players, ledger, horizon, params.C, values)
+    payoff, owned, first = 0.0, 0, 1
+    while block := [(p, b) for _, _, _, p, b in islice(played, PRICE_BLOCK)]:
+        participated, bought = np.array(block).swapaxes(0, 1)
+        payoff, owned = price_rounds(participated, bought, players.cost, values, first, owned,
+                                     payoff)
+        first += len(block)
+    priced = dict(zip(budgets, zip(payoff.tolist(), ledger.participations.tolist())))
     profile_payoffs = tuple(priced[e][0] for e in profile)
     report = NashReport(profile, horizon, profile_payoffs)
     for i, base in enumerate(profile):

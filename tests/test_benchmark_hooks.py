@@ -87,9 +87,24 @@ def test_game_sweep_horizon_equals_the_scalar_oracle(run):
         assert [bits(pair) for pair in got] == [bits(w) for w in want], (C, n)
 
 
+@pytest.mark.parametrize("horizon", [strategy.PRICE_BLOCK - 1, strategy.PRICE_BLOCK,
+                                     strategy.PRICE_BLOCK + 1, 2 * strategy.PRICE_BLOCK + 1])
+def test_block_priced_payoffs_equal_the_scalar_oracle(run, horizon):
+    # nash_check prices its rounds PRICE_BLOCK at a time; a horizon on
+    # either side of a block edge must add each lane's payoff in the
+    # same round order as the oracle, bit for bit.
+    for C, n in run.PAIRS:
+        params = mechanisms.MechanismParams(C=C, n=n)
+        budgets = sorted({*run.GRID[::4], params.eps_a})
+        got = priced(budgets, horizon, params)
+        want = [scalar_trajectory(e, horizon, params) for e in budgets]
+        assert [bits(pair) for pair in got] == [bits(w) for w in want], (C, n)
+
+
 def test_game_sweep_oracle_keeps_no_round_columns(run):
-    # A pair's scan holds one round of lane arrays, about 0.05 MB; one
-    # recorded (horizon, lanes) float64 column would be 0.78 MB.
+    # A pair's scan holds one PRICE_BLOCK of rounds' lane masks and the
+    # arrays that price them, a peak of about 0.57 MB; one recorded
+    # (horizon, lanes) float64 column more would add 0.78 MB.
     params = mechanisms.MechanismParams(C=2, n=2)
     tracemalloc.start()
     try:
@@ -138,7 +153,8 @@ def test_traced_game_binds_every_ledger_measure(run, monkeypatch):
     # game-sweep's per-layer ledger metrics count the calls that each
     # round of play_round makes by the names the tracer patches, and the
     # tracer does not patch strategy.client_round_payoff, so it is counted
-    # here. The eps_a lane is never evicted: all 30 rounds are played.
+    # here. The eps_a lane is never evicted: all 30 rounds are played,
+    # and priced in one block, one client_round_payoff call.
     payoffs = []
     original = strategy.client_round_payoff
     monkeypatch.setattr(strategy, "client_round_payoff",
@@ -154,7 +170,7 @@ def test_traced_game_binds_every_ledger_measure(run, monkeypatch):
     for name in ("economy.TokenLedger.expire", "economy.TokenLedger.credit",
                  "economy.TokenLedger.spend", "economy.model_age"):
         assert tracer.total_calls(name) == 30, name
-    assert len(payoffs) == 30
+    assert len(payoffs) == 1
 
 
 def test_traced_run_counts_every_participation_utility(run, monkeypatch):

@@ -22,6 +22,7 @@ import pytest
 
 from tokenfl import cli, engine, learning
 from tokenfl.cli import (
+    DATASET_FILES,
     METRICS_HEADER,
     ConfigError,
     config_to_dict,
@@ -58,6 +59,11 @@ def minimal_config(**overrides):
     }
     data.update(overrides)
     return data
+
+
+# A replayed manifest's dataset block naming all four IDX files; no file
+# has these md5s.
+RECORDED = {name: "0" * 32 for name in DATASET_FILES}
 
 
 # Two configs that between them set every field of SimConfig,
@@ -657,6 +663,24 @@ class TestRunCommand:
         assert f"{manifest}.dataset: unknown file 'bogus-file'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("missing", [None, *DATASET_FILES, DATASET_FILES])
+    def test_replayed_manifest_missing_a_dataset_file_exits_2_before_the_dataset(
+        self, tmp_path, capsys, missing
+    ):
+        # None drops the whole dataset block. Each recorded md5 is wrong, so
+        # a manifest that got as far as the dataset would exit 1.
+        raw = {"artifact": "tokenfl", "config": minimal_config(data_dir=str(tmp_path / "nowhere"))}
+        if missing is not None:
+            dropped = set(missing if isinstance(missing, tuple) else [missing])
+            raw["dataset"] = {k: v for k, v in RECORDED.items() if k not in dropped}
+        first = DATASET_FILES[0] if missing is None or isinstance(missing, tuple) else missing
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["run", str(manifest), "--out-dir", str(out)]) == 2
+        assert f"{manifest}.dataset: missing file {first!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("preset", [{"x": [1]}, "no-such-preset", 5, ["baseline-3c"]])
     def test_replayed_manifest_with_a_bad_preset_exits_2_before_the_dataset(
         self, tmp_path, capsys, preset
@@ -686,6 +710,7 @@ class TestRunCommand:
         manifest.write_text(json.dumps({
             "artifact": "tokenfl",
             "config": minimal_config(data_dir=str(tmp_path / "nowhere"), **change),
+            "dataset": RECORDED,
         }))
         assert main(["run", str(manifest), "--out-dir", str(tmp_path / "o")]) == 2
         assert f"{manifest}{path}" in capsys.readouterr().err
@@ -696,6 +721,7 @@ class TestRunCommand:
             "artifact": "tokenfl",
             "preset": "baseline-3c",
             "config": minimal_config(data_dir=str(tmp_path / "nowhere")),
+            "dataset": RECORDED,
         }))
         assert main(["run", str(manifest), "--out-dir", str(tmp_path / "o")]) == 1
         assert "not found in" in capsys.readouterr().err
@@ -834,8 +860,7 @@ class TestRunCommand:
         elif exit_path == "unwritable-metrics":
             (out / "metrics.csv").mkdir(parents=True)
         elif exit_path == "md5-mismatch":
-            config = {"artifact": "tokenfl", "config": config,
-                      "dataset": {"train-images-idx3-ubyte": "0" * 32}}
+            config = {"artifact": "tokenfl", "config": config, "dataset": RECORDED}
         offline_config.write_text(json.dumps(config))
         real_md5s = learning._md5s
 

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from tokenfl.economy import FreshnessPolicy, TokenLedger, frozen_amounts, model_age
 from tokenfl.mechanisms import MechanismParams, reward, value, value_table
-from tokenfl.strategy import Players, play_round
+from tokenfl.strategy import Players, play_round, price_rounds
 
 ONE = np.array([True])
 NONE = np.array([False])
@@ -347,37 +347,44 @@ def stepped(ledger, rounds):
     return ledger
 
 
-def one_player(owned_model_round=0, earn=1.0):
+def one_player(model_clock=0, earn=1.0):
     players = Players.start([15.0], [earn], MechanismParams())
-    players.owned_model_round[:] = owned_model_round
-    players.model_clock[:] = owned_model_round
+    players.model_clock[:] = model_clock
     return players
+
+
+def priced_round(players, t, result, owned):
+    """price_rounds of round t's (expired, participated, bought), the
+    owned model bought at round `owned`."""
+    _, participated, bought = result
+    return price_rounds(participated[None], bought[None], players.cost, value_table(t), t, owned)
 
 
 class TestModelAgeAndEviction:
     def test_fresh_model_never_evicts(self):
-        players = one_player(owned_model_round=4)
+        players = one_player(model_clock=4)
         play_round(players, stepped(TokenLedger(1, CALENDAR), range(1, 5)), 5, 1.0,
                    value_table(5))
         assert not players.evicted[0]
 
     def test_stale_and_broke_evicts(self):
-        players = one_player(owned_model_round=1)
+        players = one_player(model_clock=1)
         ledger = stepped(TokenLedger(1, CALENDAR), range(1, 3))
         result = play_round(players, ledger, 3, 1.0, value_table(3))
         assert players.evicted[0]
         assert [a.tolist() for a in result] == [[0.0], [False], [False]]
-        assert players.cumulative_payoff[0] == 0.0
+        assert priced_round(players, 3, result, 1)[0][0] == 0.0
 
     def test_stale_but_solvent_survives(self):
-        players = one_player(owned_model_round=1)
+        players = one_player(model_clock=1)
         ledger = stepped(TokenLedger(1, CALENDAR), [1])
         ledger.credit(1.0, 2, ONE)
         result = play_round(players, ledger, 3, 1.0, value_table(4))
         assert [a.tolist() for a in result] == [[0.0], [False], [True]]
         assert not players.evicted[0]
-        assert players.owned_model_round[0] == 3
-        assert players.cumulative_payoff[0] == value(3) - value(1)
+        payoff, owned = priced_round(players, 3, result, 1)
+        assert owned[0] == 3
+        assert payoff[0] == value(3) - value(1)
         assert play_round(players, ledger, 4, 1.0, value_table(4))[1][0]
 
     def test_future_model_rejected(self):

@@ -39,7 +39,7 @@ from tokenfl.mechanisms import (
     reward,
     value_table,
 )
-from tokenfl.strategy import Players, play_rounds
+from tokenfl.strategy import Players, play_rounds, price_rounds
 
 from test_lane_game import priced
 
@@ -485,7 +485,9 @@ class TestOracleAgreement:
         params = MechanismParams(C=C, n=n)
         columns, players = play_game(config(clients=6, eps=None, horizon=30, params=params))
         ((payoff, participated),) = priced([params.eps_a], 30, params)
-        assert players.cumulative_payoff.tolist() == [payoff] * 6
+        played, _ = price_rounds(columns["participated"], columns["bought"], players.cost,
+                                 value_table(30))
+        assert played.tolist() == [payoff] * 6
         assert columns["participated"].sum(axis=0).tolist() == [participated] * 6
 
     def test_eviction_round_matches_trajectory(self, C, n):

@@ -33,7 +33,7 @@ from tokenfl.mechanisms import (
     value_table,
 )
 from tokenfl.presets import PRESETS
-from tokenfl.strategy import Players, nash_check, play_round
+from tokenfl.strategy import PRICE_BLOCK, Players, nash_check, play_round, price_rounds
 
 COST_RANGES = [(2.75, 18.0), (0.0, 1.0), (0.0, 0.0)]
 
@@ -202,8 +202,41 @@ def test_lane_game_equals_the_scalar_oracle(config):
         assert [
             bits(None if v != v else v for v in row) for row in got
         ] == [bits(row) for row in want]
-    got = zip(lanes.cumulative_payoff.tolist(), lanes.owned_model_round.tolist())
-    assert [bits(p) for p in got] == [bits(p) for p in players]
+    payoff, _ = price_rounds(columns["participated"], columns["bought"], lanes.cost,
+                             value_table(config.horizon))
+    assert [bits(p) for p in zip(payoff.tolist(), last_purchase(columns["bought"]))] == [
+        bits(p) for p in players
+    ]
+
+
+def last_purchase(bought):
+    """Each lane's latest purchase round in a (rounds, lanes) mask, or 0."""
+    rounds = np.arange(1, len(bought) + 1)[:, None]
+    return (bought * rounds).max(axis=0, initial=0).tolist()
+
+
+def test_refusing_grouped_game_prices_as_the_scalar_oracle():
+    # Two groups of two; eps 25 and 23 refuse on utility at stride 2, and
+    # the horizon spans three pricing blocks. Priced whole or a block at
+    # a time, every lane's payoff is the oracle's float.
+    params = MechanismParams(G=2)
+    config = SimConfig(clients=4, params=params, eps=[25.0, 15.0, 23.0, 20.0],
+                       horizon=2 * PRICE_BLOCK + 1)
+    columns, lanes = play_game(config)
+    _, players = scalar_game(config)
+    refused = columns["scheduled"] & ~columns["participated"] & ~columns["evicted"]
+    assert refused[:, [0, 2]].any(axis=0).all()
+    values = value_table(config.horizon)
+    whole = price_rounds(columns["participated"], columns["bought"], lanes.cost, values)
+    payoff, owned = 0.0, 0
+    for first in range(1, config.horizon + 1, PRICE_BLOCK):
+        rows = slice(first - 1, first - 1 + PRICE_BLOCK)
+        payoff, owned = price_rounds(columns["participated"][rows], columns["bought"][rows],
+                                     lanes.cost, values, first, owned, payoff)
+    want = [bits(p) for p in players]
+    assert [bits(p) for p in zip(*(a.tolist() for a in whole))] == want
+    assert [bits(p) for p in zip(payoff.tolist(), owned.tolist())] == want
+    assert owned.tolist() == last_purchase(columns["bought"])
 
 
 @settings(max_examples=60, deadline=None)
