@@ -347,7 +347,8 @@ def cmd_fetch_data(args) -> int:
             try:
                 data = _download_idx(url)
                 break
-            except (OSError, EOFError, zlib.error) as err:  # BadGzipFile is an OSError
+            # BadGzipFile is an OSError; urllib refuses a malformed URL with a ValueError.
+            except (OSError, EOFError, ValueError, zlib.error) as err:
                 print(f"fetch-data: {url} failed ({err}), trying next source", file=sys.stderr)
         if data is None:
             print(f"fetch-data: could not download {name} from any source", file=sys.stderr)

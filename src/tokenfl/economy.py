@@ -2,8 +2,10 @@
 age of an owned model.
 
 A lane is one player of the token game: a client of a run, or one
-budget of an equilibrium scan. A TokenLedger keeps the token lots of
-all its lanes in one (lanes, slots) array, each row in order of the
+budget of an equilibrium scan. A TokenLedger is built with the terms of
+its game, each lane's earn for a participated round and the model
+price, checked once there and fixed for good. It keeps the token lots
+of all its lanes in one (lanes, slots) array, each row in order of the
 lane's age clock, and steps once per round: the lots shift one column
 per round on the round clock, or per participation on the participation
 clock. Lots are consumed oldest first and silently expire once they
@@ -23,7 +25,6 @@ import numpy as np
 __all__ = [
     "FreshnessPolicy",
     "TokenLedger",
-    "frozen_amounts",
     "model_age",
 ]
 
@@ -73,23 +74,36 @@ class TokenLedger:
     nothing expires (the baseline scheme); such a ledger needs an
     explicit slot count large enough that each credit drops only
     drained lots, which `credit` checks. `lanes` is a boolean mask.
-    An amount from `frozen_amounts` is checked at its first credit only.
+
+    `earn` holds each lane's tokens for a participated round, each
+    finite and >= 0, but not -0.0, and `price` what a model costs,
+    finite and >= 0. Both are checked here, once. The ledger keeps
+    `earn` as a view of a bytes copy, which nothing can make writable,
+    so no credit needs to check it again.
     """
 
-    def __init__(self, lanes: int, policy: FreshnessPolicy | None, slots: int | None = None):
+    def __init__(self, earn, price: float, policy: FreshnessPolicy | None,
+                 slots: int | None = None):
         if (policy is None) == (slots is None):
             raise ValueError("a ledger takes a freshness policy or, without one, a slot count")
         if slots is None:
             slots = policy.slots
-        if lanes < 1 or slots < 1:
-            raise ValueError(f"need lanes >= 1 and slots >= 1, got {lanes}, {slots}")
+        earn = np.array(earn, dtype=float)
+        if earn.ndim != 1 or len(earn) < 1 or slots < 1:
+            raise ValueError(f"need one earn per lane, lanes >= 1 and slots >= 1, "
+                             f"got earn of shape {earn.shape}, {slots} slots")
+        if not (np.isfinite(earn) & ~np.signbit(earn)).all():  # -0.0 has its sign bit set
+            raise ValueError(f"earn must be finite and >= 0, got {earn}")
+        if not 0 <= price < math.inf:
+            raise ValueError(f"price must be finite and >= 0, got {price}")
+        self.earn = np.frombuffer(earn.tobytes())
+        self.price = float(price)
         self.policy = policy
-        self.lots = np.zeros((lanes, slots), order="F")  # a column is contiguous
+        self.lots = np.zeros((len(earn), slots), order="F")  # a column is contiguous
         self._columns = tuple(self.lots.T)  # views: lots changes in place only
-        self.participations = np.zeros(lanes, dtype=np.int64)
+        self.participations = np.zeros(len(earn), dtype=np.int64)
         self._counted = policy is not None and policy.counts_participated_only
         self._credited = 0  # the last round credited
-        self._checked = None  # the frozen amount credit last checked
 
     @property
     def slots(self) -> int:
@@ -110,25 +124,18 @@ class TokenLedger:
             total += lot
         return total
 
-    def credit(self, amount, t: int, lanes: np.ndarray) -> None:
+    def credit(self, t: int, lanes: np.ndarray) -> None:
         """Book the round-t participation of each of `lanes`: count it,
-        then add a lot of `amount` (a scalar or one per lane, each finite
-        and >= 0, but not -0.0). The rows shift in place. The amount is
-        checked on every call, save a `frozen_amounts` array already
-        checked by the last call that checked one.
+        then add a lot of the lane's earn. The rows shift in place.
 
         Credits come once per round, in round order: t must be the
         round after the last credited one. On the round clock a credit
-        is one block move and one ufunc, lanes times `amount`.
+        is one block move and one ufunc, lanes times earn.
         """
         _check_mask(lanes, len(self.lots))
         if t != self._credited + 1:
             raise ValueError(f"credit round {t} is not the round after the last "
                              f"credited round {self._credited}")
-        if amount is not self._checked:
-            _check_amount(amount, "credit amount")
-            if type(amount) is np.ndarray and type(amount.base) is bytes:
-                self._checked = amount  # read-only over immutable bytes: stays valid
         # Lots are >= 0. A non-credited lane drops only expired lots, unless none expire.
         drop = self._columns[0]
         if np.count_nonzero(drop) and (self.policy is None or np.count_nonzero(drop * lanes)):
@@ -137,21 +144,19 @@ class TokenLedger:
         self.participations += lanes
         if self._counted:
             self.lots[lanes, :-1] = self.lots[lanes, 1:]
-            np.copyto(self._columns[-1], amount, where=lanes)
+            np.copyto(self._columns[-1], self.earn, where=lanes)
             return
         self.lots[:, :-1] = self.lots[:, 1:]
-        np.multiply(lanes, amount, out=self._columns[-1])  # amount >= 0: else 0.0
+        np.multiply(lanes, self.earn, out=self._columns[-1])  # earn >= 0: else 0.0
 
-    def spend(self, amount: float, lanes: np.ndarray) -> np.ndarray:
-        """Each of `lanes` whose balance covers `amount` pays it, oldest
+    def spend(self, lanes: np.ndarray) -> np.ndarray:
+        """Each of `lanes` whose balance covers the price pays it, oldest
         lots first; returns those lanes. The lots of every other lane
-        are untouched. `amount` must be finite and >= 0."""
+        are untouched."""
         _check_mask(lanes, len(self.lots))
-        if not 0 <= amount < math.inf:
-            raise ValueError(f"spend amount must be finite and >= 0, got {amount}")
-        paid = lanes & (self.balance() >= amount)
+        paid = lanes & (self.balance() >= self.price)
         if np.count_nonzero(paid):
-            remaining = paid * float(amount)
+            remaining = paid * self.price
             for lot in self._columns:
                 take = np.minimum(lot, remaining)
                 lot -= take
@@ -178,25 +183,6 @@ class TokenLedger:
         lost = oldest * lanes  # lots are >= 0: 0.0 for a lane not listed
         oldest -= lost
         return lost
-
-
-def frozen_amounts(amounts, name: str) -> np.ndarray:
-    """`amounts` as a flat float64 array that nothing can make writable,
-    a view of a bytes copy, once each passes credit's check: finite and
-    >= 0, but not -0.0. Otherwise a ValueError names `name`. A ledger
-    checks such an array at its first credit and skips the check at
-    every later credit of the same array."""
-    amounts = np.array(amounts, dtype=float)
-    _check_amount(amounts, name)
-    return np.frombuffer(amounts.tobytes())
-
-
-def _check_amount(amount, name: str) -> None:
-    # Below +inf if of positive sign, below -inf (never) if not: False for
-    # a NaN, infinite or negative amount, -0.0 included, in one more ufunc.
-    valid = np.less(amount, np.copysign(math.inf, amount))
-    if np.count_nonzero(valid) != valid.size:
-        raise ValueError(f"{name} must be finite and >= 0, got {amount}")
 
 
 def _check_mask(lanes, count: int) -> None:

@@ -282,15 +282,14 @@ def play_game(config: SimConfig) -> tuple[dict, Players]:
     params = config.params
     eps = config.client_eps()
     if config.mechanism == "baseline":
-        earn = [baseline_token_reward(e, params) for e in eps]
-        ledger = TokenLedger(config.clients, None, BASELINE_SLOTS)
-        price, stride = BASELINE_PRICE, None
+        ledger = TokenLedger([baseline_token_reward(e, params) for e in eps], BASELINE_PRICE,
+                             None, BASELINE_SLOTS)
+        stride = None
     else:
-        earn = [reward(e, params) for e in eps]
-        ledger = TokenLedger(config.clients,
+        ledger = TokenLedger([reward(e, params) for e in eps], params.C,
                              FreshnessPolicy(params.n, counts_participated_only=params.G > 1))
-        price, stride = float(params.C), params.G
-    players = Players.start(eps, earn, params)
+        stride = params.G
+    players = Players.start(eps, params)
     values = value_table(config.horizon + params.G)
     shape = (config.horizon, config.clients)
     columns = {name: np.empty(shape, dtype) for name, dtype in COLUMNS.items()}
@@ -301,13 +300,13 @@ def play_game(config: SimConfig) -> tuple[dict, Players]:
     balance, playing = np.zeros(config.clients), np.ones(config.clients, dtype=bool)
     r = 0
     for r, scheduled, expired, participated, bought in play_rounds(
-        players, ledger, config.horizon, price, values, stride
+        players, ledger, config.horizon, values, stride
     ):
         np.copyto(balance, ledger.balance(), where=playing)
         cells = {
             "scheduled": scheduled & playing, "participated": participated, "bought": bought,
-            "evicted": players.evicted, "earned": np.where(participated, players.earn, 0.0),
-            "spent": np.where(bought, price, 0.0), "expired": expired, "balance": balance,
+            "evicted": players.evicted, "earned": np.where(participated, ledger.earn, 0.0),
+            "spent": np.where(bought, ledger.price, 0.0), "expired": expired, "balance": balance,
         }
         for name, cell in cells.items():
             columns[name][r - 1] = cell

@@ -27,7 +27,7 @@ import numpy as np
 
 # value goes unused here; perfbench/run.py instrument() patches it by name
 # on this module.
-from .economy import FreshnessPolicy, TokenLedger, frozen_amounts, model_age
+from .economy import FreshnessPolicy, TokenLedger, model_age
 from .mechanisms import MechanismParams, cost, reward, utility, value, value_table
 
 __all__ = [
@@ -50,34 +50,27 @@ PRICE_BLOCK = 128
 class Players:
     """Strategic state of the lanes of one game, one entry per lane.
 
-    `earn` is the lane's token reward and `cost` its privacy cost for a
-    participated round, each computed once by the scalar mechanism
-    functions. `earn` is checked once, by `start`, and read-only for
-    good (economy.frozen_amounts), so a ledger checks it at its first
-    credit only. `model_clock` is the lane's age clock
-    (TokenLedger.clock) when it bought its model. The lanes hold only
-    what a decision reads: no payoff, which price_rounds computes from
-    the played rounds.
+    `cost` is the lane's privacy cost for a participated round,
+    computed once by mechanisms.cost; its token reward for that round
+    is the game's TokenLedger's `earn`, checked once when the ledger is
+    built. `model_clock` is the lane's age clock (TokenLedger.clock)
+    when it bought its model. The lanes hold only what a decision
+    reads: no payoff, which price_rounds computes from the played
+    rounds.
     """
 
     eps: np.ndarray
-    earn: np.ndarray
     cost: np.ndarray
     model_clock: np.ndarray
     evicted: np.ndarray
     stopped: np.ndarray
 
     @classmethod
-    def start(cls, eps, earn, params: MechanismParams) -> "Players":
-        """Lanes at round zero, owning the initial model, one per eps,
-        each earning its own entry of `earn`: finite and >= 0, but not
-        -0.0, as TokenLedger.credit requires."""
+    def start(cls, eps, params: MechanismParams) -> "Players":
+        """Lanes at round zero, owning the initial model, one per eps."""
         lanes = len(eps)
-        if len(earn) != lanes:
-            raise ValueError(f"need one earn per eps: {lanes} eps, {len(earn)} earn")
         return cls(
             eps=np.array(eps, dtype=float),
-            earn=frozen_amounts(earn, "earn"),
             cost=np.array([cost(e, params) for e in eps]),
             model_clock=np.zeros(lanes, dtype=np.int64),
             evicted=np.zeros(lanes, dtype=bool),
@@ -112,23 +105,24 @@ def client_round_payoff(bought, value_gain, cost, participated) -> np.ndarray:
     return gain - np.multiply(participated, cost)
 
 
-def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
-               values: np.ndarray, scheduled=True, stride: int | None = None):
+def play_round(players: Players, ledger: TokenLedger, t: int, values: np.ndarray,
+               scheduled=True, stride: int | None = None):
     """Play round t of the token game for every lane at once.
 
     In order, for each lane not yet evicted: expire tokens; bar a model
     older than the freshness window and evict a barred, scheduled lane
-    whose balance cannot cover `price`; let a scheduled lane with a
-    fresh model train, unless it refused once before or, given a
+    whose balance cannot cover the ledger's price; let a scheduled lane
+    with a fresh model train, unless it refused once before or, given a
     `stride`, refuses now on utility (with stride None it always
-    complies); credit its earn for training; buy a model once the owned
-    one is a full window old. An evicted lane does none of these. No
-    payoff is booked: price_rounds prices the returned masks. A ledger
-    without a policy is the baseline scheme: nothing expires, no model
-    goes stale, and every affordable model is bought. `scheduled` is a
-    lane mask or True; `values` holds value(0..t + stride), read only
-    given a stride. Returns the lane arrays (expired, participated,
-    bought), new each round. Lane masks use a > b for a & ~b on booleans.
+    complies); credit its ledger earn for training; buy a model at the
+    ledger's price once the owned one is a full window old. An evicted
+    lane does none of these. No payoff is booked: price_rounds prices
+    the returned masks. A ledger without a policy is the baseline
+    scheme: nothing expires, no model goes stale, and every affordable
+    model is bought. `scheduled` is a lane mask or True; `values` holds
+    value(0..t + stride), read only given a stride. Returns the lane
+    arrays (expired, participated, bought), new each round. Lane masks
+    use a > b for a & ~b on booleans.
     """
     active = ~players.evicted
     expired = ledger.expire(t, active)
@@ -140,7 +134,7 @@ def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
     due = active if scheduled is True else active & scheduled
     evict = barred & due
     if np.count_nonzero(evict):
-        evict &= ledger.balance() < price
+        evict &= ledger.balance() < ledger.price
         players.evicted |= evict
     # An evicted lane is barred, so `due` still holds it and barred drops it.
     participated = due > (barred | players.stopped)
@@ -148,17 +142,17 @@ def play_round(players: Players, ledger: TokenLedger, t: int, price: float,
         refused = participated > decide_participation(players, t, stride, values)
         players.stopped |= refused
         participated ^= refused
-    ledger.credit(players.earn, t, participated)
+    ledger.credit(t, participated)
     if ledger.policy is not None and ledger.policy.counts_participated_only:
         age = model_age(players.model_clock, ledger.clock(t))  # the credited round counts
-    bought = ledger.spend(price, (age >= window) > players.evicted)
+    bought = ledger.spend((age >= window) > players.evicted)
     if np.count_nonzero(bought):
         np.copyto(players.model_clock, ledger.clock(t), where=bought)
     return expired, participated, bought
 
 
-def play_rounds(players: Players, ledger: TokenLedger, horizon: int, price: float,
-                values: np.ndarray, stride: int | None = None):
+def play_rounds(players: Players, ledger: TokenLedger, horizon: int, values: np.ndarray,
+                stride: int | None = None):
     """Play rounds 1..horizon with play_round's `stride`, yielding (t,
     scheduled, expired, participated, bought) as each is settled, and
     stop after the round in which the last lane is evicted: in a later
@@ -176,7 +170,7 @@ def play_rounds(players: Players, ledger: TokenLedger, horizon: int, price: floa
     group = np.arange(lanes) // (lanes // groups)
     for t in range(1, horizon + 1):
         scheduled = True if groups == 1 else group == (t - 1) % groups
-        yield t, scheduled, *play_round(players, ledger, t, price, values, scheduled, stride)
+        yield t, scheduled, *play_round(players, ledger, t, values, scheduled, stride)
         if np.count_nonzero(players.evicted) == lanes:
             return
 
@@ -285,10 +279,10 @@ def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> Nash
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    players = Players.start(budgets, [reward(e, params) for e in budgets], params)
-    ledger = TokenLedger(len(budgets), FreshnessPolicy(n=params.n))
+    players = Players.start(budgets, params)
+    ledger = TokenLedger([reward(e, params) for e in budgets], params.C, FreshnessPolicy(n=params.n))
     values = value_table(horizon)
-    played = play_rounds(players, ledger, horizon, params.C, values)
+    played = play_rounds(players, ledger, horizon, values)
     payoff, owned, first = 0.0, 0, 1
     while block := [(p, b) for _, _, _, p, b in islice(played, PRICE_BLOCK)]:
         participated, bought = np.array(block).swapaxes(0, 1)

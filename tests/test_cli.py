@@ -1077,6 +1077,16 @@ class TestFetchDataCommand:
         assert main(["fetch-data", "--dest", str(dest), "--base-url", bad]) == 1
         assert "could not download" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["foo", "http://[::1"], ids=["no-scheme", "bad-ipv6"])
+    def test_malformed_url_exits_1_without_a_traceback(self, tmp_path, capsys, bad):
+        # urllib refuses both before any connection, with a ValueError.
+        dest = tmp_path / "data"
+        assert main(["fetch-data", "--dest", str(dest), "--base-url", bad]) == 1
+        err = capsys.readouterr().err
+        assert "could not download train-images-idx3-ubyte" in err
+        assert "Traceback" not in err
+        assert list(dest.iterdir()) == []
+
     @staticmethod
     def damaged_copy(mirror, path, damage):
         """A copy of `mirror` whose train-images .gz is `damage(bytes)`."""

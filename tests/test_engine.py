@@ -63,10 +63,10 @@ def config(**overrides):
 def schedules(lanes, G, horizon=7):
     """The scheduled lane ids of each round play_rounds plays at stride G,
     or True where it passes every lane as True."""
-    players = Players.start([15.0] * lanes, [1.0] * lanes, MechanismParams())
-    ledger = TokenLedger(lanes, FreshnessPolicy(1, counts_participated_only=G > 1))
+    players = Players.start([15.0] * lanes, MechanismParams())
+    ledger = TokenLedger([1.0] * lanes, 1.0, FreshnessPolicy(1, counts_participated_only=G > 1))
     return [s if s is True else np.flatnonzero(s).tolist() for _, s, *_ in
-            play_rounds(players, ledger, horizon, 1.0, value_table(horizon + G), G)]
+            play_rounds(players, ledger, horizon, value_table(horizon + G), G)]
 
 
 class TestGroupScheduling:

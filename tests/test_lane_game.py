@@ -258,16 +258,21 @@ def test_budget_lanes_equal_the_scalar_oracle(budgets, horizon, n, k, costs):
 def test_ledger_equals_the_scalar_lots(data):
     """Arbitrary credits and spends, one round after another, so lots of
     many sizes are live at once and the order of every sum shows. Each
-    lane's row holds the oracle's lots placed by age, the newest last.
-    Without a policy nothing expires, and a credit that would shift out
-    a lot still holding tokens must raise instead."""
+    lane earns its own amount, drawn once, and spends to a price drawn
+    once. Each lane's row holds the oracle's lots placed by age, the
+    newest last. Without a policy nothing expires, and a credit that
+    would shift out a lot still holding tokens must raise instead."""
     n, counted = data.draw(st.integers(1, 3)), data.draw(st.booleans())
     lanes = data.draw(st.integers(1, 4))
     masks = st.lists(st.booleans(), min_size=lanes, max_size=lanes)
+    amounts = data.draw(st.lists(st.floats(0.0, 3.0), min_size=lanes, max_size=lanes))
+    price = data.draw(st.floats(0.0, 6.0))
     if data.draw(st.booleans()):
-        ledger = TokenLedger(lanes, FreshnessPolicy(n=n, counts_participated_only=counted))
+        ledger = TokenLedger(amounts, price,
+                             FreshnessPolicy(n=n, counts_participated_only=counted))
     else:
-        ledger, counted = TokenLedger(lanes, None, data.draw(st.integers(1, 5))), False
+        ledger = TokenLedger(amounts, price, None, data.draw(st.integers(1, 5)))
+        counted = False
     clients = [ScalarClient(None) for _ in range(lanes)]
     for t in range(1, data.draw(st.integers(1, 30)) + 1):
         lost = ledger.expire(t, np.ones(lanes, dtype=bool))
@@ -276,19 +281,18 @@ def test_ledger_equals_the_scalar_lots(data):
         else:
             assert bits(lost.tolist()) == bits(c.expire(t, n, counted) for c in clients)
         joins = data.draw(masks)
-        amounts = data.draw(st.lists(st.floats(0.0, 3.0), min_size=lanes, max_size=lanes))
         if ledger.policy is None and any(
             amount and t - earned >= ledger.slots for c in clients for amount, earned in c.lots
         ):
             with pytest.raises(ValueError, match="overwrite"):
-                ledger.credit(np.array(amounts), t, np.array(joins))
+                ledger.credit(t, np.array(joins))
             return
-        ledger.credit(np.array(amounts), t, np.array(joins))
+        ledger.credit(t, np.array(joins))
         for c, joined, amount in zip(clients, joins, amounts):
             if joined:
                 c.credit(amount, t)
-        price, wants = data.draw(st.floats(0.0, 6.0)), data.draw(masks)
-        paid = ledger.spend(price, np.array(wants))
+        wants = data.draw(masks)
+        paid = ledger.spend(np.array(wants))
         assert paid.tolist() == [w and c.spend(price) for c, w in zip(clients, wants)]
         assert bits(ledger.balance().tolist()) == bits(c.balance() for c in clients)
         for row, c in zip(ledger.lots.tolist(), clients):
@@ -307,18 +311,18 @@ def every_round(config):
     strategic config, from a loop that plays every round of the horizon
     with play_round, also those after the last eviction."""
     params, eps = config.params, config.client_eps()
-    players = Players.start(eps, [reward(e, params) for e in eps], params)
-    ledger = TokenLedger(config.clients, FreshnessPolicy(params.n))
-    values, price = value_table(config.horizon + params.G), float(params.C)
+    players = Players.start(eps, params)
+    ledger = TokenLedger([reward(e, params) for e in eps], params.C, FreshnessPolicy(params.n))
+    values = value_table(config.horizon + params.G)
     rows = []
     balance, playing = np.zeros(config.clients), np.ones(config.clients, dtype=bool)
     for t in range(1, config.horizon + 1):
-        expired, participated, bought = play_round(players, ledger, t, price, values, True, params.G)
+        expired, participated, bought = play_round(players, ledger, t, values, True, params.G)
         np.copyto(balance, ledger.balance(), where=playing)
         rows.append({
             "scheduled": playing, "participated": participated, "bought": bought,
-            "evicted": players.evicted.copy(), "earned": np.where(participated, players.earn, 0.0),
-            "spent": np.where(bought, price, 0.0), "expired": expired, "balance": balance.copy(),
+            "evicted": players.evicted.copy(), "earned": np.where(participated, ledger.earn, 0.0),
+            "spent": np.where(bought, ledger.price, 0.0), "expired": expired, "balance": balance.copy(),
         })
         playing = ~players.evicted
     return {name: np.array([row[name] for row in rows]) for name in rows[0]}, players

@@ -28,30 +28,20 @@ PROFILE_PAYOFF_50 = 350.34465499495923
 
 
 def players(*eps, params=PARAMS):
-    return Players.start(list(eps), [1.0] * len(eps), params)
+    return Players.start(list(eps), params)
 
 
-class TestPlayersStart:
-    @pytest.mark.parametrize("earn", [[1.0], [1.0, 1.0, 1.0, 1.0], []])
-    def test_one_earn_per_eps_required(self, earn):
-        # A single earn would broadcast to every lane in TokenLedger.credit.
-        with pytest.raises(ValueError, match=f"3 eps, {len(earn)} earn"):
-            Players.start([15.0, 20.0, 25.0], earn, PARAMS)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -0.0])
-    def test_earn_is_checked_at_the_door(self, bad):
-        # credit's rule, applied once: a ledger checks this earn at its
-        # first credit only.
-        with pytest.raises(ValueError, match=r"^earn must be finite and >= 0, got \["):
-            Players.start([15.0, 20.0], [1.0, bad], PARAMS)
-
-    def test_earn_cannot_be_made_writable(self):
-        lanes = players(15.0, 20.0)
-        with pytest.raises(ValueError):
-            lanes.earn.flags.writeable = True
-        with pytest.raises(ValueError):
-            lanes.earn[0] = math.nan
-        assert lanes.earn.dtype == np.float64 and lanes.earn.tolist() == [1.0, 1.0]
+class TestLaneCounts:
+    @pytest.mark.parametrize("lanes", [1, 4])
+    def test_one_ledger_lane_per_player_required(self, lanes):
+        # A one-lane earn would broadcast to every player in TokenLedger.credit.
+        three = players(15.0, 20.0, 25.0)
+        ledger = TokenLedger([1.0] * lanes, 1.0, FreshnessPolicy())
+        with pytest.raises(ValueError, match=rf"mask of shape \({lanes},\), got shape \(3,\)"):
+            play_round(three, ledger, 1, value_table(2))
+        assert ledger.lots.tolist() == [[0.0, 0.0]] * lanes
+        assert ledger.participations.tolist() == [0] * lanes
+        assert not three.evicted.any() and not three.stopped.any()
 
 
 class TestDecideParticipation:
@@ -73,10 +63,10 @@ class TestDecideParticipation:
         # round whose utility would make it refuse.
         client = players(25.0)
         client.evicted[:] = True
-        ledger = TokenLedger(1, FreshnessPolicy())
+        ledger = TokenLedger([1.0], 1.0, FreshnessPolicy())
         for r in range(1, 20):  # rounds that credit no lane
-            ledger.credit(0.0, r, np.array([False]))
-        _, participated, _ = play_round(client, ledger, 20, 1.0, value_table(21), stride=1)
+            ledger.credit(r, np.array([False]))
+        _, participated, _ = play_round(client, ledger, 20, value_table(21), stride=1)
         assert not participated[0]
         assert not client.stopped[0]
 
