@@ -334,7 +334,7 @@ def _write_atomically(target: Path, data: bytes) -> None:
 
 def cmd_fetch_data(args) -> int:
     dest = Path(args.dest) if args.dest else default_data_dir()
-    _make_out_dir(dest)
+    created = _make_out_dir(dest)
     bases = [args.base_url] if args.base_url else list(MNIST_URLS)
     for name in DATASET_FILES:
         target = dest / name
@@ -352,8 +352,11 @@ def cmd_fetch_data(args) -> int:
                 print(f"fetch-data: {url} failed ({err}), trying next source", file=sys.stderr)
         if data is None:
             print(f"fetch-data: could not download {name} from any source", file=sys.stderr)
+            for d in created:  # nothing was written in them
+                d.rmdir()
             return 1
         _write_atomically(target, data)
+        created = []  # keep the file written
         print(f"fetch-data: wrote {target}")
     return 0
 

@@ -184,6 +184,40 @@ class TokenLedger:
         oldest -= lost
         return lost
 
+    def state(self, t: int, owned_clock, lanes: np.ndarray) -> bytes:
+        """The ledger's half of the state a round t reads, as bytes: the
+        lots and, given a policy, the model age of each of `lanes` on the
+        age clock (the age clock less `owned_clock`), 0 for any other
+        lane. Without a policy no model goes stale, so no age is read. A
+        negative age, a model newer than the clock, is kept for every
+        lane: model_age refuses it, so no round is played from it.
+
+        Two rounds from equal states, and equal lane masks, book the
+        same, so strategy.play_rounds keys the rounds it replays on it.
+        """
+        lots = self.lots.tobytes()
+        if self.policy is None:
+            return lots
+        age = self.clock(t) - owned_clock
+        return lots + np.minimum(age, age * lanes).tobytes()
+
+    def replay(self, t: int, lots: np.ndarray, lanes: np.ndarray) -> None:
+        """Book round t, the round after the last credited one, as a
+        recorded round played from this ledger's `state`: count the
+        participation of each of `lanes` and set the lots to `lots`,
+        those the recorded round left. Its expiry, credit and spends are
+        in those lots, so none is booked again.
+        """
+        _check_mask(lanes, len(self.lots))
+        if lots.shape != self.lots.shape:
+            raise ValueError(f"lots must have shape {self.lots.shape}, got {lots.shape}")
+        if t != self._credited + 1:
+            raise ValueError(f"replay round {t} is not the round after the last "
+                             f"credited round {self._credited}")
+        self._credited = t
+        self.participations += lanes
+        np.copyto(self.lots, lots)
+
 
 def _check_mask(lanes, count: int) -> None:
     """Refuse `lanes` unless a boolean (count,) array: integers index rows, others broadcast."""

@@ -15,7 +15,9 @@ a run's clients as lanes, and nash_check plays every budget of its grid
 as a lane to price each single-client deviation. No rule of the game
 reads a payoff, so none is booked during play: price_rounds prices
 played rounds afterwards, a block at a time, from their participated
-and bought masks.
+and bought masks. A lane that always complies (stride None) reads
+neither the round nor a payoff, so play_rounds plays such a round once
+per distinct state of the lanes and replays it when the state repeats.
 """
 
 from __future__ import annotations
@@ -44,6 +46,13 @@ __all__ = [
 
 # The rounds nash_check prices in one price_rounds call.
 PRICE_BLOCK = 128
+
+# The latest distinct lane states play_rounds keeps at stride None to
+# replay a round from. Once a game's evictions are done its state repeats
+# with the period of the purchases, n rounds for a lane that earns C/n
+# (at most 3 for game-sweep's pairs); 8 holds such a period and the
+# states that lead into it.
+REPLAY_STATES = 8
 
 
 @dataclass(eq=False)
@@ -162,17 +171,58 @@ def play_rounds(players: Players, ledger: TokenLedger, horizon: int, values: np.
     G), and round t schedules block (t - 1) % G, so the blocks take
     turns round robin. A stride that does not divide the lanes is
     refused before round 1. Otherwise every lane is scheduled, passed
-    as True."""
+    as True.
+
+    With stride None no rule reads t, `values` or a cost: a round's
+    outcome is a function of the lanes' state alone, the ledger's lots,
+    each live lane's model age (TokenLedger.state) and the evicted and
+    stopped masks. So each round there is keyed on that state, read
+    afresh at its start, and a round from a state among the
+    REPLAY_STATES latest played is replayed, not played again: a game
+    whose state repeats plays only the rounds that lead into its period
+    and one period. Reading the state every round keeps a replay exact
+    whatever a caller writes between rounds, model_clock say. The masks
+    yielded at stride None are read-only, since a replay yields the
+    recorded arrays again."""
     lanes = len(players.eps)
     groups = 1 if stride is None else stride
     if groups < 1 or lanes % groups:
         raise ValueError(f"G={groups} must be >= 1 and divide the lane count {lanes}")
     group = np.arange(lanes) // (lanes // groups)
+    seen = {}  # the rounds played at stride None, by the state they were played from
     for t in range(1, horizon + 1):
-        scheduled = True if groups == 1 else group == (t - 1) % groups
-        yield t, scheduled, *play_round(players, ledger, t, values, scheduled, stride)
+        if stride is None:
+            yield t, True, *_play_or_replay(players, ledger, t, values, seen)
+        else:
+            scheduled = True if groups == 1 else group == (t - 1) % groups
+            yield t, scheduled, *play_round(players, ledger, t, values, scheduled, stride)
         if np.count_nonzero(players.evicted) == lanes:
             return
+
+
+def _play_or_replay(players: Players, ledger: TokenLedger, t: int, values: np.ndarray,
+                    seen: dict):
+    """Round t at stride None: replayed from `seen` when a round was
+    played there from the lanes' state now, else played by play_round
+    and recorded in `seen`, which keeps the REPLAY_STATES latest. A
+    replay books the recorded lots, participations and evictions, and
+    each lane that bought takes the clock as its model_clock; its masks
+    are the recorded, read-only arrays."""
+    state = (ledger.state(t, players.model_clock, ~players.evicted)
+             + players.evicted.tobytes() + players.stopped.tobytes())
+    if (record := seen.get(state)) is not None:
+        expired, participated, bought, evicted, lots = record
+        ledger.replay(t, lots, participated)
+        np.copyto(players.evicted, evicted)
+        np.copyto(players.model_clock, ledger.clock(t), where=bought)
+        return expired, participated, bought
+    masks = play_round(players, ledger, t, values)
+    for mask in masks:
+        mask.flags.writeable = False
+    if len(seen) == REPLAY_STATES:
+        del seen[next(iter(seen))]
+    seen[state] = (*masks, players.evicted.copy(), ledger.lots.copy())
+    return masks
 
 
 def price_rounds(participated, bought, cost, values: np.ndarray, first: int = 1,
@@ -250,9 +300,12 @@ def nash_check(profile, eps_grid, horizon: int, params: MechanismParams) -> Nash
     is insensitive to any one client's noise level, so every distinct
     budget is priced once, as a lane of one play_rounds game, which
     stops once all lanes are evicted, keeping each lane's payoff and
-    participated rounds. The rounds are priced PRICE_BLOCK at a time as
-    they are played, by price_rounds, so no (horizon, lanes) array is
-    held.
+    participated rounds. The lanes always comply, so once the lanes
+    below eps_a are evicted the game repeats with the period of the
+    purchases, and play_rounds replays its rounds: each game-sweep pair
+    plays 4 to 10 of its 1,000 rounds. The rounds, replayed or not, are
+    priced PRICE_BLOCK at a time as they are yielded, by price_rounds,
+    so no (horizon, lanes) array is held.
 
     The budgets are not priced the way a run plays its clients: every
     lane always complies (play_round with stride None), never refusing

@@ -1,7 +1,10 @@
 """Shared fixtures: dataset resolution, synthetic stand-in data,
-hand-built IDX files, and a per-session cache of preset runs."""
+hand-built IDX files, a per-session cache of preset runs, and the
+benchmark driver as a module."""
 
+import importlib.util
 import struct
+from pathlib import Path
 
 import tokenfl  # noqa: F401  # before numpy, so its BLAS pin holds for the tests' small batches
 import numpy as np
@@ -11,6 +14,8 @@ from tokenfl.cli import parse_config
 from tokenfl.engine import run_simulation
 from tokenfl.learning import Dataset, load_mnist
 from tokenfl.presets import preset_config
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +78,13 @@ def run_preset(mnist):
         return cache[name]
 
     return run
+
+
+@pytest.fixture
+def run(monkeypatch):
+    """perfbench/run.py as a module; its `checks` is perfbench/checks.py."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -383,10 +383,12 @@ def test_preset_config_echoes_match_their_pinned_bytes():
 
 
 # (exit code, byte count, sha256) of `tokenfl nash --clients 3` stdout by
-# --horizon: all-eps_a is an equilibrium at 50 and not at 200.
+# --horizon: all-eps_a is an equilibrium at 50 and not at 200. At 1000
+# play_rounds replays all but a few rounds.
 NASH_STDOUT = {
     50: (0, 4454, "44180ccdf3ecd5046cf6188874954c11370f66d19766b2ca03b3f1d5acb4ff7e"),
     200: (3, 4477, "9af0c0801abf9f3fdc79c1928122fa05c527641474ca0fa5656f83721c4ce7e0"),
+    1000: (3, 4475, "bd0aeda4cbb764c7611693d2ff4be0bac9d668e294287500251bbd82762853d9"),
 }
 
 

@@ -5,10 +5,8 @@ benchmark run. Its correctness references pin the played game, so a
 change that moves them fails here rather than only as failed benchmark
 operations."""
 
-import importlib.util
 import json
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,20 +14,10 @@ import pytest
 from tokenfl import cli, economy, engine, mechanisms, strategy
 from tokenfl.presets import preset_config
 
+from conftest import PERFBENCH
 from test_lane_game import bits, priced, scalar_trajectory
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 OWNERS = (cli, economy.TokenLedger, engine, mechanisms, strategy)
-
-
-@pytest.fixture
-def run(monkeypatch):
-    """perfbench/run.py as a module; its `checks` is perfbench/checks.py."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_tracer_installs_and_removes_cleanly(run):
@@ -151,14 +139,17 @@ def test_traced_run_binds_every_measure(run, tmp_path, idx_builder):
 
 def test_traced_game_binds_every_ledger_measure(run, monkeypatch):
     # game-sweep's per-layer ledger metrics count the calls that each
-    # round of play_round makes by the names the tracer patches, and the
-    # tracer does not patch strategy.client_round_payoff, so it is counted
-    # here. The eps_a lane is never evicted: all 30 rounds are played,
-    # and priced in one block, one client_round_payoff call.
-    payoffs = []
-    original = strategy.client_round_payoff
+    # round of play_round makes by the names the tracer patches; a
+    # replayed round makes none. The tracer does not patch
+    # strategy.client_round_payoff, so it is counted here. The eps_a
+    # lane is never evicted: all 30 rounds are priced, in one block, one
+    # client_round_payoff call.
+    payoffs, played = [], []
+    original_payoff, original_round = strategy.client_round_payoff, strategy.play_round
     monkeypatch.setattr(strategy, "client_round_payoff",
-                        lambda *args: payoffs.append(args) or original(*args))
+                        lambda *args: payoffs.append(args) or original_payoff(*args))
+    monkeypatch.setattr(strategy, "play_round",
+                        lambda *args: played.append(args[2]) or original_round(*args))
     params = mechanisms.MechanismParams(C=2, n=2)
     tracer = run.Tracer()
     run.instrument(tracer)
@@ -167,9 +158,10 @@ def test_traced_game_binds_every_ledger_measure(run, monkeypatch):
     finally:
         tracer.unpatch()
     assert tracer.total_calls("strategy.nash_check") == 1
+    assert len(played) >= 1
     for name in ("economy.TokenLedger.expire", "economy.TokenLedger.credit",
                  "economy.TokenLedger.spend", "economy.model_age"):
-        assert tracer.total_calls(name) == 30, name
+        assert tracer.total_calls(name) == len(played), name
     assert len(payoffs) == 1
 
 

@@ -1085,7 +1085,7 @@ class TestFetchDataCommand:
         err = capsys.readouterr().err
         assert "could not download train-images-idx3-ubyte" in err
         assert "Traceback" not in err
-        assert list(dest.iterdir()) == []
+        assert not dest.exists()
 
     @staticmethod
     def damaged_copy(mirror, path, damage):
@@ -1104,7 +1104,7 @@ class TestFetchDataCommand:
         err = capsys.readouterr().err
         assert "could not download train-images-idx3-ubyte" in err
         assert "Traceback" not in err
-        assert list(dest.iterdir()) == []
+        assert not dest.exists()
 
     def test_corrupt_gzip_falls_back_to_the_next_mirror(self, tmp_path, mirror,
                                                         monkeypatch, capsys):
@@ -1117,6 +1117,25 @@ class TestFetchDataCommand:
         assert len(ds) == 4
         assert sorted(p.name for p in dest.iterdir()) == sorted(
             name for pair in MNIST_FILES.values() for name in pair)
+
+    def test_failure_after_a_write_keeps_the_files_written(self, tmp_path, mirror, capsys):
+        (mirror / "t10k-labels-idx1-ubyte.gz").unlink()
+        dest = tmp_path / "made" / "data"
+        assert main(["fetch-data", "--dest", str(dest), "--base-url", mirror.as_uri()]) == 1
+        assert "could not download t10k-labels-idx1-ubyte" in capsys.readouterr().err
+        assert sorted(p.name for p in dest.iterdir()) == sorted(
+            name for pair in MNIST_FILES.values() for name in pair
+            if name != "t10k-labels-idx1-ubyte")
+
+    def test_failure_keeps_a_dest_that_was_there(self, tmp_path):
+        dest = tmp_path / "data"
+        dest.mkdir()
+        assert main(["fetch-data", "--dest", str(dest), "--base-url", "foo"]) == 1
+        assert dest.is_dir()
+
+    def test_failure_removes_the_parents_it_made(self, tmp_path):
+        assert main(["fetch-data", "--dest", str(tmp_path / "a" / "b"), "--base-url", "foo"]) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_interrupted_write_leaves_no_file(self, tmp_path, mirror, monkeypatch):
         def fail(src, dst):

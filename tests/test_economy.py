@@ -159,6 +159,53 @@ class TestRoundOrder:
         ledger.credit(3, ONE)
 
 
+class TestReplay:
+    """A round played from a ledger's state books the same on any ledger
+    in that state, so `replay` books a recorded one without playing it."""
+
+    def test_state_is_the_lots_and_each_lanes_model_age(self):
+        ledger = TokenLedger([1.0, 2.0], 1.0, CALENDAR)
+        ledger.credit(1, np.array([True, False]))
+        lanes, clock = np.array([True, False]), np.array([0, 1])
+        lots = ledger.lots.tobytes()
+        assert ledger.state(2, clock, lanes) == lots + np.array([2, 0]).tobytes()
+        # Without a policy no age is read.
+        baseline = TokenLedger([1.0, 2.0], 1.0, None, 3)
+        assert baseline.state(2, np.array([5, 0]), lanes) == baseline.lots.tobytes()
+        # model_age refuses a model newer than the clock, also a lane's not listed.
+        assert ledger.state(2, np.array([0, 3]), lanes) == lots + np.array([2, -1]).tobytes()
+        assert ledger.state(2, np.array([3, 0]), lanes) == lots + np.array([-1, 0]).tobytes()
+
+    @pytest.mark.parametrize("policy", [CALENDAR, COUNTED])
+    def test_replay_books_the_recorded_round(self, policy):
+        played, replayed = (TokenLedger([1.0, 0.5], 1.0, policy) for _ in range(2))
+        lanes = np.array([True, True])
+        for ledger in (played, replayed):
+            ledger.credit(1, lanes)
+        played.expire(2, lanes)
+        played.credit(2, np.array([True, False]))
+        played.spend(lanes)
+        replayed.replay(2, played.lots.copy(), np.array([True, False]))
+        assert replayed.lots.tobytes() == played.lots.tobytes()
+        assert replayed.participations.tolist() == played.participations.tolist() == [2, 1]
+        assert replayed.balance().tobytes() == played.balance().tobytes()
+        replayed.expire(3, lanes)  # round 3 is the next one
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_replay_refuses_any_other_round_and_books_nothing(self, t):
+        ledger = ledger_of()
+        ledger.credit(1, ONE)
+        lots = ledger.lots.tolist()
+        with pytest.raises(ValueError, match=f"round {t} is not the round after"):
+            ledger.replay(t, np.zeros_like(ledger.lots), ONE)
+        with pytest.raises(ValueError, match="lots must have shape"):
+            ledger.replay(2, np.zeros(ledger.slots), ONE)
+        with pytest.raises(TypeError, match="boolean mask"):
+            ledger.replay(2, np.zeros_like(ledger.lots), np.array([1]))
+        assert ledger.lots.tolist() == lots
+        assert ledger.participations.tolist() == [1]
+
+
 class TestSpend:
     def test_exact_spend_empties_balance(self):
         ledger = ledger_of()

@@ -6,10 +6,13 @@ one array-backed strategy.play_round a round over a TokenLedger. The
 oracle here plays the same rules one client at a time over a list of
 token lots, the way the game reads on paper. Every cell of the played
 game's columns, every final player and every ledger balance must agree
-bit for bit.
+bit for bit. At stride None play_rounds replays a round whose lanes'
+state it has played from; a loop that plays every round with
+play_round is the reference of those replays.
 """
 
 from dataclasses import fields
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from tokenfl import strategy
 from tokenfl.economy import FreshnessPolicy, TokenLedger
 from tokenfl.engine import (
     BASELINE_PRICE,
+    BASELINE_SLOTS,
     COLUMNS,
     MECHANISMS,
     SimConfig,
@@ -33,7 +37,14 @@ from tokenfl.mechanisms import (
     value_table,
 )
 from tokenfl.presets import PRESETS
-from tokenfl.strategy import PRICE_BLOCK, Players, nash_check, play_round, price_rounds
+from tokenfl.strategy import (
+    PRICE_BLOCK,
+    Players,
+    nash_check,
+    play_round,
+    play_rounds,
+    price_rounds,
+)
 
 COST_RANGES = [(2.75, 18.0), (0.0, 1.0), (0.0, 0.0)]
 
@@ -328,13 +339,19 @@ def every_round(config):
     return {name: np.array([row[name] for row in rows]) for name in rows[0]}, players
 
 
+@pytest.fixture
+def played(monkeypatch):
+    """The round of each strategy.play_round call, in call order."""
+    rounds, original = [], strategy.play_round
+    monkeypatch.setattr(strategy, "play_round", lambda *args: rounds.append(args[2]) or original(*args))
+    return rounds
+
+
 @pytest.mark.parametrize("name", ["strategic-10c-eps25", "strategic-3c-eps25"])
-def test_game_stops_after_the_last_eviction(name, monkeypatch):
+def test_game_stops_after_the_last_eviction(name, played):
     # Every client of these presets is evicted in round 12 of 50. The
     # rows of the rounds not played are those a played round records.
-    config, played = PRESETS[name], []
-    original = strategy.play_round
-    monkeypatch.setattr(strategy, "play_round", lambda *args: played.append(args[2]) or original(*args))
+    config = PRESETS[name]
     columns, lanes = play_game(config)
     assert played == list(range(1, 13))
     want, want_lanes = every_round(config)
@@ -345,3 +362,108 @@ def test_game_stops_after_the_last_eviction(name, monkeypatch):
     for f in fields(Players):
         got, expected = getattr(lanes, f.name), getattr(want_lanes, f.name)
         assert (got.dtype, got.tobytes()) == (expected.dtype, expected.tobytes()), f.name
+
+
+def budget_lanes(grid, params):
+    """nash_check's lanes and ledger: one lane per budget of the grid."""
+    budgets = sorted({*grid, params.eps_a})
+    ledger = TokenLedger([reward(e, params) for e in budgets], params.C, FreshnessPolicy(params.n))
+    return Players.start(budgets, params), ledger
+
+
+def baseline_lanes():
+    """play_game's baseline lanes and ledger, no policy: rewards 0.5,
+    0.625, 0.75 and 1.0, whose lots repeat within 8 rounds."""
+    params, eps = MechanismParams(), [1.0, 7.0, 13.0, 25.0]
+    ledger = TokenLedger([baseline_token_reward(e, params) for e in eps], BASELINE_PRICE, None,
+                         BASELINE_SLOTS)
+    return Players.start(eps, params), ledger
+
+
+def every_round_played(players, ledger, horizon, values):
+    """play_rounds at stride None, from a loop that plays every round
+    with play_round."""
+    for t in range(1, horizon + 1):
+        yield t, True, *play_round(players, ledger, t, values)
+        if players.evicted.all():
+            return
+
+
+def snapshot(row, players, ledger):
+    """A yielded round and the lanes and ledger after it, as bytes."""
+    arrays = [*row[2:], ledger.lots, ledger.participations, ledger.balance(),
+              *(getattr(players, f.name) for f in fields(Players))]
+    return row[:2], [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def assert_plays_every_round(build, horizon, write=lambda t, players, ledger: None):
+    """play_rounds at stride None yields the rounds and leaves the lanes
+    and ledger of playing every round, round after round, with `write`
+    applied to both games after each yielded round. Returns the lanes."""
+    (players, ledger), (want_players, want_ledger) = build(), build()
+    values = value_table(horizon)
+    got = play_rounds(players, ledger, horizon, values)
+    want = every_round_played(want_players, want_ledger, horizon, values)
+    for row, expected in zip_longest(got, want):
+        assert row is not None and expected is not None, (row, expected)
+        assert snapshot(row, players, ledger) == snapshot(expected, want_players, want_ledger), row[0]
+        write(row[0], players, ledger)
+        write(row[0], want_players, want_ledger)
+    return players
+
+
+def test_replayed_rounds_equal_every_round_played(run):
+    for C, n in run.PAIRS:
+        params = MechanismParams(C=C, n=n)
+        assert_plays_every_round(lambda: budget_lanes(run.GRID, params), run.SWEEP_HORIZON)
+    assert_plays_every_round(baseline_lanes, 200)
+
+
+def test_a_model_clock_written_between_rounds_is_played(run):
+    # Round 500 of (C, n) = (2, 2) is deep in the replayed period. Setting
+    # the top budget's model back a window and a round bars it at round
+    # 501, a state no round has been played from.
+    params = MechanismParams(C=2, n=2)
+
+    def write(t, players, ledger):
+        if t == 500:
+            players.model_clock[-1] = ledger.clock(t) - params.n - 1
+
+    written = assert_plays_every_round(lambda: budget_lanes(run.GRID, params), 1000, write)
+    untouched = assert_plays_every_round(lambda: budget_lanes(run.GRID, params), 1000)
+    assert written.model_clock.tobytes() != untouched.model_clock.tobytes()
+
+
+def test_a_model_newer_than_the_clock_is_refused_amid_replays(run):
+    # As play_round refuses it, of an evicted lane too, whose age no rule reads.
+    params = MechanismParams(C=2, n=2)
+    players, ledger = budget_lanes(run.GRID, params)
+    rounds = play_rounds(players, ledger, 1000, value_table(1000))
+    for t, *_ in rounds:
+        if t == 500:
+            break
+    assert players.evicted[0]
+    players.model_clock[0] = ledger.clock(t + 1) + 1
+    with pytest.raises(ValueError, match="newer than the clock"):
+        next(rounds)
+
+
+def test_replayed_masks_are_read_only(run, played):
+    params = MechanismParams(C=2, n=2)
+    players, ledger = budget_lanes(run.GRID, params)
+    rounds = list(play_rounds(players, ledger, 30, value_table(30)))
+    assert len(played) < len(rounds)
+    for t, _, *masks in rounds:
+        for mask in masks:
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0] = mask[1]
+
+
+def test_comply_always_game_plays_a_few_rounds(run, played):
+    # Each pair's lanes below eps_a are evicted by round 4, and the rest
+    # repeat with the period n of their purchases.
+    for C, n in run.PAIRS:
+        params = MechanismParams(C=C, n=n)
+        played.clear()
+        nash_check([params.eps_a], run.GRID, run.SWEEP_HORIZON, params)
+        assert 1 <= len(played) <= 12, (C, n, played)
