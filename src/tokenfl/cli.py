@@ -28,7 +28,7 @@ from typing import Literal, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .engine import COLUMNS, ConfigError, SimConfig, check_inputs, run_simulation
+from .engine import COLUMNS, ConfigError, SimConfig, run_simulation
 from .learning import MNIST_FILES, IdxParseError, default_data_dir, load_mnist
 from .mechanisms import MechanismParams, cost, predict_collapse_round, utility, value_table
 from .presets import preset_config, preset_names
@@ -152,25 +152,35 @@ def write_metrics_csv(run, out_path: Path) -> None:
             writer.writerow([r, "global", *blanks, _fmt(accuracy)])
 
 
-def _make_out_dir(out_dir: Path) -> list:
-    """Make `out_dir` and its missing parents; returns those made, innermost first."""
-    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"cannot create output directory {out_dir}: {err.strerror}",
-                          exit_code=1) from None
-    return created
-
-
 @contextlib.contextmanager
-def _writing(path: Path):
-    """An OSError while writing `path`, e.g. a directory where the file
-    goes, exits 1 with one line naming it."""
+def _out_dir(out_dir: Path):
+    """Make `out_dir` and its missing parents for a command's files, and
+    yield `out`: out(name) is the path of file `name` in it, the file an
+    OSError raised inside names when it exits 1 with one line. On any
+    failure the directories made here are removed while still empty."""
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    target = out_dir  # what an OSError names: the last file out() named
+
+    def out(name: str) -> Path:
+        nonlocal target
+        target = out_dir / name
+        return target
+
     try:
-        yield
-    except OSError as err:
-        raise ConfigError(f"cannot write {path}: {err.strerror}", exit_code=1) from None
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create output directory {out_dir}: {err.strerror}",
+                              exit_code=1) from None
+        try:
+            yield out
+        except OSError as err:
+            raise ConfigError(f"cannot write {target}: {err.strerror}", exit_code=1) from None
+    except BaseException:
+        for d in made:  # innermost first; one that holds a file stays
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
 
 def cmd_run(args) -> int:
@@ -218,41 +228,35 @@ def cmd_run(args) -> int:
     # The md5s hash while the rounds run; only a replay's check and the
     # manifest wait for them, and every exit waits for the hash to end.
     try:
-        check_inputs(config, (train, test), source)
         for name, md5 in sorted(recorded.items()):
             found = digests.result().get(name)
             if found != md5:
                 raise ConfigError(f"dataset file {name} has md5 {found}, "
                                   f"but the manifest records {md5}", exit_code=1)
-
-        out_dir = Path(args.out_dir)
-        created = _make_out_dir(out_dir)
-        try:
-            run = run_simulation(config, (train, test))
-        except ValueError as err:  # e.g. a model past float32's range
-            print(f"run: simulation failed: {err}", file=sys.stderr)
-            for d in created:
-                d.rmdir()
-            return 1
-        checksums = digests.result()
+        with _out_dir(Path(args.out_dir)) as out:
+            try:
+                run = run_simulation(config, (train, test), source)
+            except ConfigError:  # the datasets refused, before round 1
+                raise
+            except ValueError as err:  # e.g. a model past float32's range
+                raise ConfigError(f"simulation failed: {err}", exit_code=1) from None
+            manifest = {
+                "artifact": "tokenfl",
+                "version": __version__,
+                "preset": preset_name,
+                "config": config_to_dict(config),
+                "dataset": digests.result(),
+                "outputs": {"metrics": "metrics.csv"},
+                "rounds_recorded": run.rounds,
+            }
+            metrics_path = out("metrics.csv")
+            write_metrics_csv(run, metrics_path)
+            manifest_path = out("manifest.json")
+            manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                     encoding="utf-8")
     finally:
         digests.exception()
 
-    metrics_path, manifest_path = out_dir / "metrics.csv", out_dir / "manifest.json"
-    manifest = {
-        "artifact": "tokenfl",
-        "version": __version__,
-        "preset": preset_name,
-        "config": config_to_dict(config),
-        "dataset": checksums,
-        "outputs": {"metrics": metrics_path.name},
-        "rounds_recorded": run.rounds,
-    }
-    with _writing(metrics_path):
-        write_metrics_csv(run, metrics_path)
-    with _writing(manifest_path):
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                                 encoding="utf-8")
     final = run.global_accuracy[-1] if run.rounds else float("nan")
     print(f"run: {run.rounds} rounds recorded, final global accuracy {final:.4f}")
     print(f"run: wrote {metrics_path} and {manifest_path}")
@@ -267,25 +271,24 @@ def cmd_analyze(args) -> int:
             f"need --stride >= 1, --horizon >= 1 and every --eps in "
             f"[{params.eps_min}, {params.eps_max}], got {args.stride}, {args.horizon}, {bad_eps}"
         )
-    out_dir = Path(args.out_dir)
-    _make_out_dir(out_dir)
+    rounds, values = np.arange(1, args.horizon + 1), value_table(args.horizon + args.stride)
+    with _out_dir(Path(args.out_dir)) as out:
+        utilities_path = out("utilities.csv")
+        with open(utilities_path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(["t", "eps", "stride", "utility"])
+            for eps in args.eps:
+                curve = utility(rounds, cost(eps, params), args.stride, values).tolist()
+                writer.writerows([t, _fmt(eps), args.stride, _fmt(u)]
+                                 for t, u in enumerate(curve, 1))
 
-    utilities_path = out_dir / "utilities.csv"
-    with _writing(utilities_path), open(utilities_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "eps", "stride", "utility"])
-        rounds, values = np.arange(1, args.horizon + 1), value_table(args.horizon + args.stride)
-        for eps in args.eps:
-            curve = utility(rounds, cost(eps, params), args.stride, values).tolist()
-            writer.writerows([t, _fmt(eps), args.stride, _fmt(u)] for t, u in enumerate(curve, 1))
-
-    collapse_path = out_dir / "collapse.csv"
-    with _writing(collapse_path), open(collapse_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["eps", "stride", "collapse_round"])
-        for eps in args.eps:
-            round_index = predict_collapse_round(eps, args.stride, args.horizon, params)
-            writer.writerow([_fmt(eps), args.stride, _fmt(round_index)])
+        collapse_path = out("collapse.csv")
+        with open(collapse_path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(["eps", "stride", "collapse_round"])
+            for eps in args.eps:
+                round_index = predict_collapse_round(eps, args.stride, args.horizon, params)
+                writer.writerow([_fmt(eps), args.stride, _fmt(round_index)])
 
     print(f"analyze: wrote {utilities_path} and {collapse_path}")
     return 0
@@ -303,11 +306,8 @@ def cmd_nash(args) -> int:
     # shows it; a profile that is no equilibrium exits 3.
     print(payload)
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        _make_out_dir(out_dir)
-        path = out_dir / "nash.json"
-        with _writing(path):
-            path.write_text(payload + "\n", encoding="utf-8")
+        with _out_dir(Path(args.out_dir)) as out:
+            out("nash.json").write_text(payload + "\n", encoding="utf-8")
     return 0 if report.is_nash else 3
 
 
@@ -333,31 +333,27 @@ def _write_atomically(target: Path, data: bytes) -> None:
 
 
 def cmd_fetch_data(args) -> int:
-    dest = Path(args.dest) if args.dest else default_data_dir()
-    created = _make_out_dir(dest)
     bases = [args.base_url] if args.base_url else list(MNIST_URLS)
-    for name in DATASET_FILES:
-        target = dest / name
-        if target.exists():
-            print(f"fetch-data: {target} already present, skipping")
-            continue
-        data = None
-        for base in bases:
-            url = base.rstrip("/") + "/" + name + ".gz"
-            try:
-                data = _download_idx(url)
-                break
-            # BadGzipFile is an OSError; urllib refuses a malformed URL with a ValueError.
-            except (OSError, EOFError, ValueError, zlib.error) as err:
-                print(f"fetch-data: {url} failed ({err}), trying next source", file=sys.stderr)
-        if data is None:
-            print(f"fetch-data: could not download {name} from any source", file=sys.stderr)
-            for d in created:  # nothing was written in them
-                d.rmdir()
-            return 1
-        _write_atomically(target, data)
-        created = []  # keep the file written
-        print(f"fetch-data: wrote {target}")
+    with _out_dir(Path(args.dest) if args.dest else default_data_dir()) as out:
+        for name in DATASET_FILES:
+            target = out(name)
+            if target.exists():
+                print(f"fetch-data: {target} already present, skipping")
+                continue
+            data = None
+            for base in bases:
+                url = base.rstrip("/") + "/" + name + ".gz"
+                try:
+                    data = _download_idx(url)
+                    break
+                # BadGzipFile is an OSError; urllib refuses a malformed URL with a ValueError.
+                except (OSError, EOFError, ValueError, zlib.error) as err:
+                    print(f"fetch-data: {url} failed ({err}), trying next source",
+                          file=sys.stderr)
+            if data is None:
+                raise ConfigError(f"could not download {name} from any source", exit_code=1)
+            _write_atomically(target, data)
+            print(f"fetch-data: wrote {target}")
     return 0
 
 

@@ -275,10 +275,10 @@ def play_game(config: SimConfig) -> tuple[dict, Players]:
     columns, in COLUMNS order, and the lanes after the last round. An
     evicted client's cells are unscheduled, move no tokens and keep its
     last balance. play_rounds stops once every client is evicted, and
-    the rows of the rounds it did not play are filled in one step with
-    those cells, as a played round would record them. It prices
-    nothing: strategy.price_rounds prices the participated and bought
-    columns."""
+    the rows of the rounds it did not play hold those cells, as a played
+    round would record them: the columns are allocated evicted, and only
+    balance is filled. It prices nothing: strategy.price_rounds prices
+    the participated and bought columns."""
     params = config.params
     eps = config.client_eps()
     if config.mechanism == "baseline":
@@ -292,7 +292,8 @@ def play_game(config: SimConfig) -> tuple[dict, Players]:
     players = Players.start(eps, params)
     values = value_table(config.horizon + params.G)
     shape = (config.horizon, config.clients)
-    columns = {name: np.empty(shape, dtype) for name, dtype in COLUMNS.items()}
+    columns = {name: np.zeros(shape, dtype) for name, dtype in COLUMNS.items()}
+    columns["evicted"] = np.ones(shape, dtype=bool)
     columns["eps"] = np.broadcast_to(players.eps, shape)
     rounds = np.arange(1, config.horizon + 1)[:, None]
     columns["utility"] = (np.full(shape, np.nan) if stride is None
@@ -303,18 +304,17 @@ def play_game(config: SimConfig) -> tuple[dict, Players]:
         players, ledger, config.horizon, values, stride
     ):
         np.copyto(balance, ledger.balance(), where=playing)
-        cells = {
-            "scheduled": scheduled & playing, "participated": participated, "bought": bought,
-            "evicted": players.evicted, "earned": np.where(participated, ledger.earn, 0.0),
-            "spent": np.where(bought, ledger.price, 0.0), "expired": expired, "balance": balance,
-        }
+        cells = {"scheduled": scheduled & playing, "participated": participated,
+                 "bought": bought, "evicted": players.evicted, "expired": expired,
+                 "balance": balance}
         for name, cell in cells.items():
             columns[name][r - 1] = cell
         playing = ~players.evicted
-    tail = {"scheduled": False, "participated": False, "bought": False, "evicted": True,
-            "earned": 0.0, "spent": 0.0, "expired": 0.0, "balance": balance}
-    for name, cell in tail.items():
-        columns[name][r:] = cell
+    columns["balance"][r:] = balance
+    # The ledger's earn is finite, >= 0 and not -0.0, and the price, C or
+    # BASELINE_PRICE, is positive: a cell that moved no tokens reads 0.0.
+    columns["earned"] = columns["participated"] * ledger.earn
+    columns["spent"] = columns["bought"] * ledger.price
     return {name: _frozen(c) for name, c in columns.items()}, players
 
 
@@ -349,10 +349,10 @@ def check_inputs(config: SimConfig, datasets, source: str = "config") -> None:
                           f"which the intermediary scheme deals one or more of to each client")
 
 
-def init_state(config: SimConfig, datasets) -> EngineState:
+def init_state(config: SimConfig, datasets, source: str = "config") -> EngineState:
     """Build `config`'s round-zero state from the (train, test) Datasets:
     the played game, model, partitions, test split, once check_inputs
-    accepts them.
+    accepts them; a refusal names `{source}.clients`.
 
     The initial global model, one _Model, is handed to every client free
     of cost. A fifth of the test split, in a random order, is the shared
@@ -360,7 +360,7 @@ def init_state(config: SimConfig, datasets) -> EngineState:
     indices into the loaded test set, which is not copied: its pixels
     are gathered and scaled block by block as scored.
     """
-    check_inputs(config, datasets)
+    check_inputs(config, datasets, source)
     columns, _ = play_game(config)
     columns["local_accuracy"] = np.full((config.horizon, config.clients), np.nan)
     train, test = datasets
@@ -429,11 +429,12 @@ def run_round(state: EngineState) -> float:
     return accuracy
 
 
-def run_simulation(config: SimConfig, datasets) -> Run:
+def run_simulation(config: SimConfig, datasets, source: str = "config") -> Run:
     """Run the configured number of rounds on the (train, test) Datasets,
     stopping early at the accuracy threshold when one is set.
-    Deterministic given the seed."""
-    state = init_state(config, datasets)
+    Deterministic given the seed. Datasets that check_inputs refuses
+    raise its ConfigError, named by `source`, before round 1."""
+    state = init_state(config, datasets, source)
     for _ in range(config.horizon):
         accuracy = run_round(state)
         if config.stop_accuracy is not None and accuracy >= config.stop_accuracy:

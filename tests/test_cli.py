@@ -2,6 +2,7 @@
 manifest replay, the analyze/nash subcommands, and dataset fetching."""
 
 import builtins
+import errno
 import gc
 import gzip
 import hashlib
@@ -328,6 +329,30 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 9
 
+    def test_preset_reads_the_data_dir_env_and_checks_inputs_once(
+        self, tmp_path, idx_builder, monkeypatch
+    ):
+        write_tiny_dataset(tmp_path / "data", idx_builder)
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path / "data"))
+        sources = []
+        real_check_inputs = engine.check_inputs
+
+        def counting_check_inputs(config, datasets, source="config"):
+            sources.append(source)
+            return real_check_inputs(config, datasets, source)
+
+        monkeypatch.setattr(engine, "check_inputs", counting_check_inputs)
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "strategic-3c-eps25", "--out-dir", str(out)]) == 0
+        assert sources == ["preset strategic-3c-eps25"]
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert len(lines) == 1 + 50 * (3 + 1)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["preset"] == "strategic-3c-eps25"
+        assert manifest["config"] == config_to_dict(PRESETS["strategic-3c-eps25"])
+        assert manifest["dataset"] == {
+            p.name: hashlib.md5(p.read_bytes()).hexdigest() for p in (tmp_path / "data").iterdir()}
+
     def test_model_past_float32_range_fails_the_run_without_metrics(
         self, tmp_path, idx_builder, capsys
     ):
@@ -499,6 +524,8 @@ class TestRunCommand:
             ({"clients": 11, "scheme": "intermediary"}, "intermediary scheme supports at most 10"),
             ({"eps": 30}, "eps override 30 outside [1.0, 25.0]"),
             ({"clients": 3, "eps": [1, 15, 40]}, "eps override 40 outside [1.0, 25.0]"),
+            ({"clients": 0}, "clients must be >= 1, got 0"),
+            ({"horizon": -1}, "horizon must be >= 0, got -1"),
         ],
     )
     def test_bad_rate_stop_or_client_count_exits_2_before_the_dataset(
@@ -574,7 +601,7 @@ class TestRunCommand:
         for prefix, count in (("train", 50), ("t10k", 20)):
             images = np.zeros((count, 28, 28), dtype=np.uint8)
             idx_builder(data, images, np.arange(count) % 10, prefix=prefix)
-        monkeypatch.setattr(cli, "run_simulation", None)  # any training call fails
+        monkeypatch.setattr(engine, "run_round", None)  # any round fails
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(minimal_config(data_dir=str(data), clients=60)))
         out = tmp_path / "out"
@@ -584,7 +611,7 @@ class TestRunCommand:
         assert f"{config_path}.clients: 60 clients exceed the 50 rows" in err
 
     @pytest.mark.parametrize("scheme", ["disjoint", "intermediary"])
-    def test_more_clients_than_train_labels_exits_2_before_the_out_dir(
+    def test_more_clients_than_train_labels_exits_2_leaving_no_out_dir(
         self, tmp_path, idx_builder, monkeypatch, capsys, scheme
     ):
         data = tmp_path / "data"
@@ -592,7 +619,7 @@ class TestRunCommand:
         for prefix, count in (("train", 40), ("t10k", 20)):
             images = np.zeros((count, 28, 28), dtype=np.uint8)
             idx_builder(data, images, np.arange(count) % 2, prefix=prefix)
-        monkeypatch.setattr(cli, "run_simulation", None)  # any training call fails
+        monkeypatch.setattr(engine, "run_round", None)  # any round fails
         config_path = tmp_path / "config.json"
         config_path.write_text(
             json.dumps(minimal_config(data_dir=str(data), clients=3, scheme=scheme))
@@ -604,7 +631,7 @@ class TestRunCommand:
         assert f"{config_path}.clients: 3 clients exceed the 2 labels" in err
 
     @pytest.mark.parametrize("count", [0, 1])
-    def test_test_split_too_small_to_score_exits_1_before_the_out_dir(
+    def test_test_split_too_small_to_score_exits_1_leaving_no_out_dir(
         self, tmp_path, idx_builder, monkeypatch, capsys, count
     ):
         data = tmp_path / "data"
@@ -612,7 +639,7 @@ class TestRunCommand:
         for prefix, rows in (("train", 40), ("t10k", count)):
             images = np.zeros((rows, 28, 28), dtype=np.uint8)
             idx_builder(data, images, np.arange(rows) % 10, prefix=prefix)
-        monkeypatch.setattr(cli, "run_simulation", None)  # any training call fails
+        monkeypatch.setattr(engine, "run_round", None)  # any round fails
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(minimal_config(data_dir=str(data))))
         out = tmp_path / "out"
@@ -740,7 +767,7 @@ class TestRunCommand:
         assert not out.exists()
         assert f"{labels}: labels must be class ids in [0, 9]" in capsys.readouterr().err
 
-    def test_images_the_model_cannot_take_exit_1_before_the_out_dir(
+    def test_images_the_model_cannot_take_exit_1_leaving_no_out_dir(
         self, tmp_path, idx_builder, monkeypatch, capsys
     ):
         data = tmp_path / "data"
@@ -748,7 +775,7 @@ class TestRunCommand:
         for prefix, count in (("train", 40), ("t10k", 20)):
             images = np.zeros((count, 10, 10), dtype=np.uint8)
             idx_builder(data, images, np.arange(count) % 10, prefix=prefix)
-        monkeypatch.setattr(cli, "run_simulation", None)  # any training call fails
+        monkeypatch.setattr(engine, "run_round", None)  # any round fails
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(minimal_config(data_dir=str(data))))
         out = tmp_path / "out"
@@ -758,7 +785,7 @@ class TestRunCommand:
         assert "train-images-idx3-ubyte: images of 100 pixels, but the model takes 784" in err
 
     @pytest.mark.parametrize("rows", [11, 12, 14])
-    def test_intermediary_without_a_shared_row_each_exits_2_before_the_out_dir(
+    def test_intermediary_without_a_shared_row_each_exits_2_leaving_no_out_dir(
         self, tmp_path, idx_builder, monkeypatch, capsys, rows
     ):
         # Ten clients on these train rows used to leave some partitions
@@ -768,7 +795,7 @@ class TestRunCommand:
         for prefix, count in (("train", rows), ("t10k", 20)):
             images = np.zeros((count, 28, 28), dtype=np.uint8)
             idx_builder(data, images, np.arange(count) % 10, prefix=prefix)
-        monkeypatch.setattr(cli, "run_simulation", None)  # any training call fails
+        monkeypatch.setattr(engine, "run_round", None)  # any round fails
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(
             minimal_config(data_dir=str(data), clients=10, scheme="intermediary")))
@@ -1026,6 +1053,34 @@ def test_unwritable_output_file_exits_1_with_one_line(tmp_path, idx_builder, cap
     assert len(captured.err.splitlines()) == 1
 
 
+def no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("command, name, where", [
+    ("run", "metrics.csv", (cli, "open")),
+    ("analyze", "utilities.csv", (cli, "open")),
+    ("nash", "nash.json", (Path, "write_text")),
+])
+def test_failed_write_removes_the_directories_it_made(tmp_path, idx_builder, monkeypatch,
+                                                      capsys, command, name, where):
+    argv = {
+        "analyze": ["analyze", "--horizon", "5"],
+        "nash": ["nash", "--clients", "2", "--horizon", "10"],
+    }
+    if command == "run":
+        write_tiny_dataset(tmp_path / "data", idx_builder)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(minimal_config(data_dir=str(tmp_path / "data"))))
+        argv["run"] = ["run", str(config_path)]
+    monkeypatch.setattr(*where, no_space, raising=False)  # the first file fails to open
+    out = tmp_path / "new" / "out"
+    assert main([*argv[command], "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{command}: cannot write {out / name}: No space left on device\n"
+    assert not (tmp_path / "new").exists()
+
+
 class TestFetchDataCommand:
     def test_importing_the_cli_loads_no_ssl(self):
         # Only fetch-data downloads, so only it pays for urllib's ssl.
@@ -1137,12 +1192,11 @@ class TestFetchDataCommand:
         assert main(["fetch-data", "--dest", str(tmp_path / "a" / "b"), "--base-url", "foo"]) == 1
         assert list(tmp_path.iterdir()) == []
 
-    def test_interrupted_write_leaves_no_file(self, tmp_path, mirror, monkeypatch):
-        def fail(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(cli.os, "replace", fail)
+    def test_interrupted_write_leaves_no_file(self, tmp_path, mirror, monkeypatch, capsys):
+        monkeypatch.setattr(cli.os, "replace", no_space)
         dest = tmp_path / "data"
-        with pytest.raises(OSError, match="disk full"):
-            main(["fetch-data", "--dest", str(dest), "--base-url", mirror.as_uri()])
-        assert list(dest.iterdir()) == []
+        assert main(["fetch-data", "--dest", str(dest), "--base-url", mirror.as_uri()]) == 1
+        target = dest / "train-images-idx3-ubyte"
+        assert capsys.readouterr().err == (
+            f"fetch-data: cannot write {target}: No space left on device\n")
+        assert not dest.exists()  # nor the temp file it was written to

@@ -173,6 +173,19 @@ class TestIdxParsing:
         with pytest.raises(IdxParseError, match="expected"):
             load_idx(short, lab)
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda b: b[:5], "truncated label header (5 bytes)"),
+        (lambda b: b"\x00\x00\x08\x03" + b[4:], "bad label magic 0x00000803"),
+        (lambda b: b[:-1], "expected 10 bytes for 2 labels, got 9"),
+    ], ids=["truncated-header", "bad-magic", "byte-count"])
+    def test_label_file_refusals_name_the_label_file(self, tmp_path, idx_builder, damage,
+                                                     message):
+        images = np.zeros((2, 2, 2), dtype=np.uint8)
+        img, lab = idx_builder(tmp_path, images, np.array([0, 1], dtype=np.uint8))
+        lab.write_bytes(damage(lab.read_bytes()))
+        with pytest.raises(IdxParseError, match=re.escape(f"{lab}: {message}")):
+            load_idx(img, lab)
+
     def test_count_mismatch_reported(self, tmp_path, idx_builder):
         images = np.zeros((2, 2, 2), dtype=np.uint8)
         img, lab = idx_builder(tmp_path, images, np.array([0, 1], dtype=np.uint8))

@@ -328,9 +328,12 @@ class TestPredictCollapseRound:
     def test_stride2_keeps_eps20_alive(self):
         assert predict_collapse_round(20.0, 2, 50, PARAMS) is None
 
-    def test_horizon_validation(self):
-        with pytest.raises(ValueError):
-            predict_collapse_round(25.0, 1, 0, PARAMS)
+    @pytest.mark.parametrize("stride, horizon, message", [
+        (1, 0, "horizon must be >= 1, got 0"), (0, 50, "stride must be >= 1, got 0"),
+    ])
+    def test_horizon_and_stride_validation(self, stride, horizon, message):
+        with pytest.raises(ValueError, match=message):
+            predict_collapse_round(25.0, stride, horizon, PARAMS)
 
     def test_nan_eps_rejected(self):
         # Not None: NaN is no budget that never collapses.
